@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test test-server test-frontdoor test-store test-cluster test-chaos test-differential server-stress bench bench-smoke bench-gate bench-kernel bench-store bench-frontdoor bench-cluster batch-corpus serve
+.PHONY: test test-server test-frontdoor test-store test-cluster test-chaos test-differential server-stress bench bench-smoke bench-gate bench-kernel bench-store bench-frontdoor bench-cluster bench-selftest batch-corpus serve
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -36,7 +36,8 @@ test-chaos:
 	UDP_CHAOS_SEED=1 $(PYTHON) -m pytest -x -q tests/test_chaos.py
 
 ## Differential corpus check: Solver / Session / BatchVerifier / HTTP /
-## pooled HTTP must be verdict- and reason-code-identical on all 91 rules.
+## pooled HTTP / front door must be verdict- and reason-code-identical on
+## all 91 rules.
 test-differential:
 	$(PYTHON) -m pytest -x -q tests/test_differential.py
 
@@ -96,6 +97,11 @@ bench-frontdoor:
 ## (report in benchmarks/out/cluster_gate.txt).
 bench-cluster:
 	$(PYTHON) benchmarks/bench_cluster.py --gate
+
+## Self-test of the repo benchmark (perfbench/): every workload in quick
+## mode emits exactly the metrics BENCHMARK.json declares (~1 min).
+bench-selftest:
+	python3 -m pytest -q perfbench/selftest.py
 
 ## One batch-service pass over the built-in corpus, results to stdout.
 batch-corpus:

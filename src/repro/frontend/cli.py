@@ -327,8 +327,8 @@ def build_serve_parser() -> argparse.ArgumentParser:
         prog="udp-prove serve",
         description=(
             "Run the long-lived HTTP verification service (POST /verify, "
-            "POST /verify/batch, POST /corpus, GET /healthz, GET /stats) "
-            "over a pool of warm sessions."
+            "POST /verify/batch, POST /corpus, POST /cluster, GET /healthz, "
+            "GET /stats) over a pool of warm sessions."
         ),
     )
     parser.add_argument(

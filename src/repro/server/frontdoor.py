@@ -1229,6 +1229,10 @@ class FrontDoorServer:
                 gate=self.gate,
                 cluster=self.cluster_snapshot(),
             )
+            # Over-capacity requests wait in the loop's parked FIFO, never
+            # in the gate's own waiter queue, so the parked count is the
+            # admission queue depth here.
+            snapshot["admission"]["queued"] = len(self._parked)
             snapshot["frontdoor"] = self._frontdoor_stats()
             self._answer_json(conn, HTTPStatus.OK, snapshot, close=close)
         elif path in _PROVING_ROUTES:

@@ -309,6 +309,31 @@ def test_over_capacity_requests_park_fifo_and_complete():
         assert srv.parked_peak >= 1, "nothing ever parked"
 
 
+def test_stats_reports_parked_requests_as_admission_queued():
+    """A request parked behind a full gate shows up as
+    ``admission.queued`` in /stats, not only as ``frontdoor.parked``."""
+    with FrontDoorServer(
+        Session.from_program_text(RS_PROGRAM),
+        pool_size=1,
+        pool_mode="thread",
+        max_inflight=1,
+        max_queued=8,
+    ) as srv:
+        threads = [
+            threading.Thread(target=post_verify, args=(srv, slow_request(n)))
+            for n in (20, 21)
+        ]
+        for thread in threads:
+            thread.start()
+            time.sleep(0.1)  # the first holds the only slot, the second parks
+        _, stats = get(srv, "/stats")
+        for thread in threads:
+            thread.join(timeout=60)
+            assert not thread.is_alive()
+        assert stats["frontdoor"]["parked"] == 1
+        assert stats["admission"]["queued"] == 1
+
+
 def test_rate_limited_client_gets_429_with_retry_after():
     with FrontDoorServer(
         Session.from_program_text(RS_PROGRAM),
