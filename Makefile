@@ -6,7 +6,8 @@ export PYTHONPATH := src
 test:
 	$(PYTHON) -m pytest -x -q
 
-## Server end-to-end suite: boots the HTTP service on an ephemeral port.
+## Server end-to-end suite: boots the HTTP service on an ephemeral port
+## (routes, structured errors, streamed batches, truncated uploads).
 test-server:
 	$(PYTHON) -m pytest -x -q tests/test_server.py
 
@@ -21,23 +22,23 @@ test-store:
 	$(PYTHON) -m pytest -x -q tests/test_store_sqlite.py tests/test_verdict_cache.py tests/test_memo_store.py
 
 ## Clustering suites: the offline shim contract plus the streaming
-## /cluster service end to end — engine direct, both HTTP front ends,
-## durable restart-resume across a real process boundary.
+## /cluster service end to end — engine direct, over HTTP, durable
+## restart-resume across a real process boundary.
 test-cluster:
 	$(PYTHON) -m pytest -x -q tests/test_cluster.py tests/test_cluster_service.py
 
 ## Chaos suite under two fixed fault-plan seeds: circuit-breaker
 ## trip/probe/replay, thread watchdog, crash-during-ingest durability,
 ## client retries, and the end-to-end gate (injected store failure +
-## member crash + member hang + SIGTERM mid-batch on both front ends —
-## only structured records, exit 0, verdict-identical recovery replay).
+## member crash + member hang + SIGTERM mid-batch on `serve` — only
+## structured records, exit 0, verdict-identical recovery replay).
 test-chaos:
 	UDP_CHAOS_SEED=0 $(PYTHON) -m pytest -x -q tests/test_chaos.py
 	UDP_CHAOS_SEED=1 $(PYTHON) -m pytest -x -q tests/test_chaos.py
 
-## Differential corpus check: Solver / Session / BatchVerifier / HTTP /
-## pooled HTTP / front door must be verdict- and reason-code-identical on
-## all 91 rules.
+## Differential corpus check: Solver / Session / BatchVerifier / HTTP
+## server with one member / pooled HTTP server must be verdict- and
+## reason-code-identical on all 91 rules.
 test-differential:
 	$(PYTHON) -m pytest -x -q tests/test_differential.py
 

@@ -3,7 +3,7 @@
 The PR-4 acceptance bar: with ``--pool-size >= 2`` on a >= 2-core
 runner, batch throughput must be at least 1.5x the single-session
 server, with every verdict and reason code identical.  This script
-measures exactly that against a live :class:`VerificationServer` on an
+measures exactly that against a live :class:`FrontDoorServer` on an
 ephemeral port:
 
 * **Workload** — distinct-constant join/DISTINCT pairs (every pair is
@@ -104,10 +104,10 @@ def measure(pool_size: int, pool_mode: str, pairs: int, repeats: int):
     """Boot a server, run the distinct-pair batch ``repeats`` times on
     fresh constant ranges (cold proving every time), plus one corpus
     replay; return (best_elapsed, outcomes, corpus_summary, pool_mode)."""
-    from repro.server import VerificationServer
+    from repro.server import FrontDoorServer
     from repro.session import PipelineConfig, Session
 
-    with VerificationServer(
+    with FrontDoorServer(
         Session.from_program_text(PROGRAM, PipelineConfig.legacy()),
         pool_size=pool_size,
         pool_mode=pool_mode,

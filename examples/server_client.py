@@ -1,6 +1,6 @@
 """Server mode: drive the HTTP verification service over the wire.
 
-Boots a :class:`repro.server.VerificationServer` on an ephemeral port in
+Boots a :class:`repro.server.FrontDoorServer` on an ephemeral port in
 a background thread (exactly what ``udp-prove serve`` runs), then talks
 to it with :class:`repro.VerifyClient` — the stdlib retry client that
 backs off on 503/429 using the server's jittered ``Retry-After`` hint —
@@ -20,7 +20,7 @@ Run:  python examples/server_client.py
 import json
 
 from repro import RetryPolicy, Session, VerifyClient
-from repro.server import VerificationServer
+from repro.server import FrontDoorServer
 
 DDL = """
 schema emp_s(empno:int, ename:string, deptno:int, sal:int);
@@ -35,7 +35,7 @@ foreign key emp(deptno) references dept(deptno);
 
 def main() -> None:
     session = Session.from_program_text(DDL)  # the pool's warm prototype
-    with VerificationServer(session, port=0, pool_size=2) as server:
+    with FrontDoorServer(session, port=0, pool_size=2) as server:
         print(
             f"server listening on {server.url} "
             f"(pool: {server.pool.size} x {server.pool.mode})\n"

@@ -89,9 +89,8 @@ class RetryPolicy:
 class VerifyClient:
     """Talks to a running verification front end, retrying overload.
 
-    Works identically against the threaded server and the async front
-    door — both speak the same protocol.  ``sleep`` is injectable so
-    tests can assert the backoff schedule without wall-clock waits.
+    ``sleep`` is injectable so tests can assert the backoff schedule
+    without wall-clock waits.
     """
 
     def __init__(

@@ -379,13 +379,9 @@ def build_serve_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--max-queued", type=int, default=-1,
         help=(
-            "requests allowed to briefly wait for an admission slot; "
-            "-1 = same as --max-inflight (default)"
+            "requests parked in arrival order behind a full admission "
+            "gate before 503s; -1 = same as --max-inflight (default)"
         ),
-    )
-    parser.add_argument(
-        "--admission-timeout", type=float, default=0.5,
-        help="seconds a queued request may wait before its 503 (default 0.5)",
     )
     parser.add_argument(
         "--retry-after", type=int, default=1,
@@ -414,28 +410,22 @@ def build_serve_parser() -> argparse.ArgumentParser:
             "0 = 2x --rate-limit (default)"
         ),
     )
-    parser.add_argument(
-        "--frontdoor", action="store_true",
-        help=(
-            "serve through the async front door: a single selectors "
-            "event loop holding thousands of connections (no thread "
-            "per client), parking over-capacity requests FIFO instead "
-            "of blocking threads, and dispatching by request digest"
-        ),
-    )
+    # Accepted and ignored: the front door is the only front end and
+    # logs no requests, and existing launch scripts still pass these.
+    for flag in ("--frontdoor", "--quiet"):
+        parser.add_argument(flag, action="store_true", help=argparse.SUPPRESS)
     parser.add_argument(
         "--max-connections", type=int, default=1000,
         help=(
-            "front door only: concurrently open client sockets before "
-            "accepts are answered with a terse 503 (default 1000)"
+            "concurrently open client sockets before accepts are "
+            "answered with a terse 503 (default 1000)"
         ),
     )
     parser.add_argument(
         "--idle-timeout", type=float, default=30.0,
         help=(
-            "front door only: seconds a connection may stall "
-            "mid-request before it is dropped — the slow-loris "
-            "defense (default 30)"
+            "seconds a connection may stall mid-request before it is "
+            "dropped — the slow-loris defense (default 30)"
         ),
     )
     parser.add_argument(
@@ -497,10 +487,6 @@ def build_serve_parser() -> argparse.ArgumentParser:
         help="ignore key/foreign-key constraints (ablation)",
     )
     parser.add_argument(
-        "--quiet", action="store_true",
-        help="suppress per-request access logging",
-    )
-    parser.add_argument(
         "--drain-timeout", type=float, default=10.0,
         help=(
             "graceful shutdown: seconds in-flight requests may take to "
@@ -525,7 +511,7 @@ def build_serve_parser() -> argparse.ArgumentParser:
 
 
 def run_serve(argv: List[str]) -> int:
-    from repro.server import FrontDoorServer, VerificationServer
+    from repro.server import FrontDoorServer
 
     args = build_serve_parser().parse_args(argv)
     try:
@@ -577,38 +563,30 @@ def run_serve(argv: List[str]) -> int:
             f"seed {args.fault_seed})",
             file=sys.stderr,
         )
-    common = dict(
-        host=args.host,
-        port=args.port,
-        window=args.window,
-        quiet=args.quiet,
-        pool_size=args.pool_size or None,
-        pool_mode=args.pool_mode,
-        pool_max=args.pool_max or None,
-        member_timeout=args.member_timeout or None,
-        shared_store=False if args.no_shared_store else None,
-        store_path=args.store,
-        store_backend=args.store_backend,
-        shard_dispatch=not args.no_shard_dispatch,
-        max_inflight=args.max_inflight or None,
-        max_queued=None if args.max_queued < 0 else args.max_queued,
-        admission_timeout=args.admission_timeout,
-        retry_after=args.retry_after,
-        per_client_inflight=args.per_client_inflight or None,
-        rate_limit=args.rate_limit or None,
-        rate_burst=args.rate_burst or None,
-        drain_timeout=max(0.0, args.drain_timeout),
-    )
     try:
-        if args.frontdoor:
-            server = FrontDoorServer(
-                session,
-                max_connections=args.max_connections,
-                idle_timeout=args.idle_timeout,
-                **common,
-            )
-        else:
-            server = VerificationServer(session, **common)
+        server = FrontDoorServer(
+            session,
+            host=args.host,
+            port=args.port,
+            window=args.window,
+            pool_size=args.pool_size or None,
+            pool_mode=args.pool_mode,
+            pool_max=args.pool_max or None,
+            member_timeout=args.member_timeout or None,
+            shared_store=False if args.no_shared_store else None,
+            store_path=args.store,
+            store_backend=args.store_backend,
+            shard_dispatch=not args.no_shard_dispatch,
+            max_inflight=args.max_inflight or None,
+            max_queued=None if args.max_queued < 0 else args.max_queued,
+            retry_after=args.retry_after,
+            per_client_inflight=args.per_client_inflight or None,
+            rate_limit=args.rate_limit or None,
+            rate_burst=args.rate_burst or None,
+            max_connections=args.max_connections,
+            idle_timeout=args.idle_timeout,
+            drain_timeout=max(0.0, args.drain_timeout),
+        )
     except OSError as error:
         print(
             f"error: cannot bind {args.host}:{args.port}: {error}",
@@ -618,10 +596,9 @@ def run_serve(argv: List[str]) -> int:
     pool_shape = f"{server.pool.size} x {server.pool.mode}"
     if server.pool.pool_max > server.pool.size:
         pool_shape += f" (autoscale to {server.pool.pool_max})"
-    front_end = "front door" if args.frontdoor else "threaded"
     print(
         f"udp-prove serve: listening on {server.url} "
-        f"({front_end}; pipeline: {', '.join(pipeline.tactics)}; "
+        f"(pipeline: {', '.join(pipeline.tactics)}; "
         f"pool: {pool_shape}; "
         f"max in-flight: {server.gate.max_inflight})",
         file=sys.stderr,

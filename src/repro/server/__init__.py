@@ -1,13 +1,15 @@
 """repro.server — the long-lived HTTP verification service.
 
 The batch subsystem (:mod:`repro.service`) answers "decide this corpus
-once"; this package answers "keep deciding, indefinitely": a
-stdlib-only threaded HTTP server over a :class:`SessionPool` of warm
-per-catalog :class:`~repro.session.Session` members — hot compile
+once"; this package answers "keep deciding, indefinitely": one HTTP
+front end, :class:`FrontDoorServer`, a stdlib :mod:`selectors` event
+loop holding thousands of connections over a :class:`SessionPool` of
+warm per-catalog :class:`~repro.session.Session` members — hot compile
 caches, program-text sub-sessions, the normalize/canonize memo layers,
-and (in process mode) a cross-process shared memo store that lets
-members warm each other — exposing the structured request/result wire
-format over six routes:
+and (in process mode) a cross-process shared store that lets members
+warm each other.  Requests dispatch by consistent-hashed digest, so
+each member's caches stay hot for its shard.  Six routes carry the
+structured request/result wire format:
 
 ========================  ===================================================
 ``POST /verify``          one JSON :class:`~repro.session.VerifyRequest`
@@ -20,42 +22,34 @@ format over six routes:
 ``GET /stats``            per-member + rolled-up tallies, caches, admission
 ========================  ===================================================
 
-Two front ends share those routes, the pool, and the admission gate:
-:class:`VerificationServer` (one thread per connection — simple, fine
-for tens of clients) and :class:`FrontDoorServer` (a selectors event
-loop holding thousands of connections, parsing off-thread-free and
-dispatching by consistent-hashed request digest so each member's caches
-stay hot for its shard — ``udp-prove serve --frontdoor``).
-
-Start one from the CLI (``udp-prove serve --port 8642 --pool-size 4``),
+Start it from the CLI (``udp-prove serve --port 8642 --pool-size 4``),
 or embed it::
 
-    from repro.server import VerificationServer
+    from repro.server import FrontDoorServer
 
-    with VerificationServer(port=0, pool_size=4) as server:
+    with FrontDoorServer(port=0, pool_size=4) as server:
         ...  # POST to server.url
 
 Errors are always structured records, never traceback bodies; past the
 admission bound the server answers 503 with ``Retry-After``.  See
-:mod:`repro.server.http` for the wire schema and error isolation, and
-:mod:`repro.server.pool` for the dispatch/ordering/backpressure
-contract.
+:mod:`repro.server.frontdoor` for the wire schema, streaming and error
+isolation, and :mod:`repro.server.pool` for the dispatch and
+backpressure contract.
 """
 
-from repro.server.frontdoor import FrontDoorServer
-from repro.server.http import (
+from repro.server.frontdoor import (
     DEFAULT_HOST,
     DEFAULT_PORT,
     MAX_LINE_BYTES,
     MAX_REQUEST_BYTES,
-    VerificationServer,
-    error_record,
+    FrontDoorServer,
 )
 from repro.server.pool import (
     AdmissionDecision,
     AdmissionGate,
     SessionPool,
     default_pool_size,
+    error_record,
     request_shard_digest,
     resolve_pool_mode,
 )
@@ -71,7 +65,6 @@ __all__ = [
     "MAX_REQUEST_BYTES",
     "ServerStats",
     "SessionPool",
-    "VerificationServer",
     "default_pool_size",
     "error_record",
     "request_shard_digest",

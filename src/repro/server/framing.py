@@ -1,11 +1,9 @@
-"""HTTP body framing shared by the threaded server and the front door.
+"""HTTP body framing for the front door's event loop.
 
-The threaded ``http.server`` path reads bodies with blocking generators;
-the selectors front door feeds bytes as they arrive off the wire.  Both
-must agree byte-for-byte on framing semantics — Content-Length vs
-chunked Transfer-Encoding, line splitting with the oversized-line clip,
-and what counts as a truncated upload — so the decoding state machines
-live here and each transport drives them its own way.
+The selectors front door feeds bytes to these state machines as they
+arrive off the wire: Content-Length vs chunked Transfer-Encoding, line
+splitting with the oversized-line clip, and what counts as a truncated
+upload.  They hold no sockets, so each can be tested byte by byte.
 
 Incremental decoders
 --------------------
@@ -16,8 +14,8 @@ Incremental decoders
   replaces).
 * :class:`ChunkedDecoder` — chunked ``Transfer-Encoding`` as a
   resumable state machine; framing violations raise
-  :class:`BadChunkedBody` with the same messages the blocking decoder
-  uses, so in-stream error records are transport-independent.
+  :class:`BadChunkedBody`, carrying the payload decoded before the
+  violation so a streamed body still answers every line it completed.
 * :class:`LineSplitter` — byte stream → text lines with the
   oversized-line clip semantics the batch route pins in its fuzz tests:
   a line longer than the limit yields exactly one truncated string (its
@@ -41,7 +39,13 @@ CHUNK_SIZE_LINE_LIMIT = 1024
 
 
 class BadChunkedBody(ValueError):
-    """Malformed chunked Transfer-Encoding framing."""
+    """Malformed chunked Transfer-Encoding framing.
+
+    ``partial`` is the payload :meth:`ChunkedDecoder.feed` decoded in the
+    same call before it met the violation.
+    """
+
+    partial = b""
 
 
 class TruncatedBody(ValueError):
@@ -106,12 +110,20 @@ class ChunkedDecoder:
     def done(self) -> bool:
         return self._state == self._DONE
 
-    def feed(self, data: bytes) -> bytes:  # noqa: C901 - one state machine
+    def feed(self, data: bytes) -> bytes:
         if self._state == self._DONE:
             self.trailing += data
             return b""
         self._buffer += data
         out: List[bytes] = []
+        try:
+            self._decode(out)
+        except BadChunkedBody as err:
+            err.partial = b"".join(out)
+            raise
+        return b"".join(out)
+
+    def _decode(self, out: List[bytes]) -> None:  # noqa: C901 - one state machine
         while True:
             if self._state == self._SIZE:
                 newline = self._buffer.find(b"\n")
@@ -172,7 +184,6 @@ class ChunkedDecoder:
                     break
             else:  # pragma: no cover - _DONE handled on entry
                 break
-        return b"".join(out)
 
     def finish(self) -> None:
         """Declare EOF; an unterminated chunk stream is a framing error."""

@@ -1,59 +1,101 @@
-"""The async front door: one event loop, thousands of connections.
+"""The HTTP front end: one event loop, thousands of connections.
 
-The threaded server (:mod:`repro.server.http`) spends one OS thread per
-connection — fine for tens of clients, a hard ceiling for the ROADMAP's
-"millions of users re-verifying the same optimizer rules".  This module
-replaces that front end with a single-threaded :mod:`selectors` event
-loop that
+A stdlib-only :mod:`selectors` loop over a
+:class:`~repro.server.pool.SessionPool` of warm sessions::
+
+    udp-prove serve --port 8642 --pool-size 4
+
+Routes
+------
+
+``POST /verify``
+    One :class:`~repro.session.VerifyRequest` as a JSON object
+    (``{"left", "right", "program"?, "id"?, "timeout_seconds"?,
+    "pipeline"?}``); answers the :class:`~repro.session.VerifyResult`
+    JSON record.  ``pipeline`` is a per-request tactic override.  The
+    body is buffered and capped at :data:`MAX_REQUEST_BYTES`.
+
+``POST /verify/batch``
+    JSON lines in, JSON lines out: one record per non-blank input line,
+    in input order, although the pool decides lines concurrently.  The
+    body streams: each line is submitted as soon as it arrives and each
+    record is written as soon as it and its predecessors are decided,
+    so a batch has no size cap and a client may wait for line N's
+    record before sending line N+1.  ``?pipeline=`` and ``?window=``
+    override per batch; the window bounds the lines in flight.
+
+``POST /cluster``
+    JSON lines of queries (a JSON string or ``{"query", "id"?}`` per
+    line) into the clustering engine (:mod:`repro.service.clustering`);
+    one placement record per line, in input order, streamed like
+    ``/verify/batch``.  Group numbering is monotonic for the server's
+    lifetime, so successive requests extend one partition.
+
+``POST /corpus``
+    Replay the built-in corpus (optionally ``?dataset=``) through the
+    pool and answer a summary record.
+
+``GET /healthz`` / ``GET /stats``
+    Liveness, and the counter snapshot: per-member and rolled-up
+    verdict/reason-code tallies, store, caches, admission, the loop.
+
+Bodies may use ``Content-Length`` or chunked ``Transfer-Encoding``.
+
+Error isolation
+---------------
+
+Envelope problems (invalid JSON, missing fields, unknown tactics,
+malformed framing) answer a structured 400 ``{"error": {"code",
+"reason", ...}}``, never a traceback.  Inside a stream, a malformed line
+becomes an in-stream error record carrying its line number while its
+siblings proceed, and a truncated upload or broken chunk framing
+becomes the final in-stream record.  Anything unexpected is a
+structured ``internal-error``, counted in ``/stats``.
+
+The loop
+--------
 
 * **accepts and parses without blocking** — header reads, body framing
-  (Content-Length and chunked, via the shared
-  :mod:`repro.server.framing` state machines), and JSON validation all
-  happen on the loop; a stalled client costs one socket, not a thread;
-* **keeps proving off the accept path** — every parsed request is
-  handed to the :class:`~repro.server.pool.SessionPool` dispatcher
-  (:meth:`~repro.server.pool.SessionPool.submit_json`) and its future's
-  done-callback wakes the loop to write the answer, so the loop never
-  waits on a member;
+  (via the :mod:`repro.server.framing` state machines), and JSON
+  validation all happen on the loop; a stalled client costs one
+  socket, not a thread;
+* **keeps proving off the accept path** — every parsed request or
+  batch line is handed to
+  :meth:`~repro.server.pool.SessionPool.submit_json` and its future's
+  done-callback wakes the loop to write the answer;
 * **routes by canonical digest** — the pool consistent-hashes each
-  request's exact-text digest (:func:`repro.server.pool.request_shard_digest`)
-  onto the member ring, so repeated verifications of the same pair land
-  on the member whose compile LRU and verdict caches are already hot
-  for that digest range;
+  request's exact-text digest onto the member ring, so repeats land on
+  the member whose caches are already hot;
 * **admits in arrival order** — a request that cannot enter the
-  :class:`~repro.server.pool.AdmissionGate` immediately parks in a FIFO
-  queue on the loop (no thread blocked) and is admitted strictly in
-  order when slots free; newcomers cannot barge.  Per-client fairness
-  caps and token-bucket rate limits answer 429 with ``Retry-After``;
-  queue overflow answers 503;
+  :class:`~repro.server.pool.AdmissionGate` parks in a FIFO queue on
+  the loop and is admitted strictly in order as slots free.  Streamed
+  routes are admitted when their head arrives.  Per-client caps and
+  token buckets answer 429 with ``Retry-After``; queue overflow
+  answers 503;
 * **defends the loop** — connections idle mid-request beyond
   ``idle_timeout`` are dropped (the slow-loris defense), as are
-  write-stalled readers that stop draining their responses (their
-  admission slots come back); pipelined bytes buffered during an
-  in-flight request are capped at :data:`MAX_HEAD_BYTES` (reads pause,
-  TCP backpressure takes over); and accepts beyond ``max_connections``
-  are answered with a terse 503.
-
-Routes, wire schema, and error records are identical to the threaded
-server — the differential suite holds the two front ends to the same
-verdict-for-verdict contract over the full corpus.
+  write-stalled readers (their admission slots come back); reads pause
+  while a stream's window is full or its output is backed up, and
+  while pipelined bytes past :data:`MAX_HEAD_BYTES` wait behind an
+  in-flight request, so TCP backpressure bounds every client; accepts
+  beyond ``max_connections`` get a terse 503.
 """
 
 from __future__ import annotations
 
 import json
+import queue
 import selectors
 import socket
 import threading
 import time
 from collections import deque
-from concurrent.futures import Future
+from concurrent.futures import CancelledError, Future
 from http import HTTPStatus
-from typing import Deque, Dict, List, Mapping, Optional, Tuple
+from typing import Deque, Dict, Mapping, Optional, Tuple
 from urllib.parse import parse_qs, urlsplit
 
 from repro import __version__
-from repro.server import http as _http
 from repro.server.framing import (
     BadChunkedBody,
     ChunkedDecoder,
@@ -70,19 +112,38 @@ from repro.server.pool import (
 from repro.server.stats import ServerStats, jittered_retry_after, service_health
 from repro.session import DEFAULT_WINDOW, PipelineConfig, Session, VerifyRequest
 
+DEFAULT_HOST = "127.0.0.1"
+DEFAULT_PORT = 8642
+
+# The limits below are read at call time, so tests may monkeypatch them.
+
+#: Upper bound on a buffered body (``/verify``, ``/corpus``); streamed
+#: ``/verify/batch`` and ``/cluster`` bodies have no cap.
+MAX_REQUEST_BYTES = 16 * 1024 * 1024
+#: Upper bound on one streamed line; a longer line is clipped (and fails
+#: as one structured bad-line record instead of exhausting memory) while
+#: line numbering stays aligned with the client's input.
+MAX_LINE_BYTES = 4 * 1024 * 1024
 #: Upper bound on a request head (request line + headers).
 MAX_HEAD_BYTES = 64 * 1024
-#: Stop appending decided batch records to a connection's output buffer
-#: past this size until the client drains it (slow-reader backpressure).
+#: Stop appending streamed records to a connection's output buffer past
+#: this size until the client drains it (slow-reader backpressure).
 _OUTBUF_SOFT_LIMIT = 1024 * 1024
 
 _PROVING_ROUTES = ("/verify", "/verify/batch", "/corpus", "/cluster")
+_STREAMING_ROUTES = ("/verify/batch", "/cluster")
+_NDJSON_HEAD = (
+    b"HTTP/1.1 200 OK\r\n"
+    b"Content-Type: application/x-ndjson\r\n"
+    b"Connection: close\r\n\r\n"
+)
 
 # Connection states.
 _READ_HEAD = "read-head"
 _READ_BODY = "read-body"
 _PARKED = "parked"
 _DISPATCHED = "dispatched"
+_STREAMING = "streaming"
 _CLOSING = "closing"
 
 
@@ -107,8 +168,7 @@ class _Connection:
         "keep_alive",
         "serial",
         "future",
-        "batch",
-        "cluster",
+        "stream",
         "admitted_client",
         "close_after_write",
         "parsing",
@@ -145,54 +205,86 @@ class _Connection:
         self.client_id = ""
         self.keep_alive = True
         self.future: Optional[Future] = None
-        self.batch: Optional[_BatchState] = None
-        self.cluster: Optional[_ClusterState] = None
+        self.stream: Optional[_Stream] = None
         self.admitted_client: Optional[str] = None
 
 
-class _BatchState:
-    """An in-flight ``/verify/batch``: ordered fan-out over the pool."""
+class _Stream:
+    """An in-flight ``/verify/batch`` or ``/cluster``: lines in, records out.
 
-    __slots__ = ("lines", "next_line", "pending", "window", "spec", "headers_sent")
-
-    def __init__(self, lines: List[str], window: int, spec: Optional[str]) -> None:
-        self.lines = lines
-        self.next_line = 0
-        #: (input line number, future) in strict input order.
-        self.pending: Deque[Tuple[int, Future]] = deque()
-        self.window = max(1, window)
-        self.spec = spec
-        self.headers_sent = False
-
-
-class _ClusterState:
-    """An in-flight ``/cluster`` stream: records produced off-loop.
-
-    The clustering engine serializes placements behind its own lock, so
-    the stream runs on a dedicated thread (like ``/corpus``) and pushes
-    each placement record through this deque; the loop drains them into
-    the connection's output buffer under the soft limit.  ``lock``
-    guards the deque and the ``done`` flag — the only state shared
-    between the producer thread and the loop.
+    The body is decoded as it arrives.  Each completed line becomes a
+    future in ``pending`` (a pool dispatch for a batch line, a placement
+    on the stream's own thread for a cluster line), and records leave
+    strictly in input order as the futures at the head resolve.  Reads
+    pause while ``pending`` holds ``window`` futures or split lines wait
+    in ``lines``, so an upload of any size costs bounded memory.
     """
 
-    __slots__ = ("lock", "records", "done", "headers_sent")
+    __slots__ = (
+        "route",
+        "spec",
+        "window",
+        "splitter",
+        "lines",
+        "lineno",
+        "pending",
+        "eof",
+        "ended",
+        "tail",
+        "inbox",
+    )
 
-    def __init__(self) -> None:
-        self.lock = threading.Lock()
-        self.records: Deque[Mapping[str, object]] = deque()
-        self.done = False
-        self.headers_sent = False
+    def __init__(self, route: str, spec: Optional[str], window: int) -> None:
+        self.route = route
+        self.spec = spec
+        self.window = max(1, window)
+        self.splitter = LineSplitter()
+        #: Split lines not yet submitted (bounded by one read's worth).
+        self.lines: Deque[str] = deque()
+        #: Input lines consumed so far, blank ones included.
+        self.lineno = 0
+        self.pending: Deque[Future] = deque()
+        #: The client half-closed; the decoder judges the body at EOF.
+        self.eof = False
+        #: The body is fully decoded, or broke: no more input lines.
+        self.ended = False
+        #: The final in-stream error record of a truncated or broken body.
+        self.tail: Optional[Dict[str, object]] = None
+        #: ``/cluster`` only: ``(line, lineno, future)`` items for the
+        #: placement thread; ``None`` tells it to stop.
+        self.inbox: Optional[queue.SimpleQueue] = None
+
+    def wants_input(self) -> bool:
+        """The body goes on and the window has room for another line."""
+        return (
+            not self.ended and not self.lines and len(self.pending) < self.window
+        )
 
 
 class FrontDoorServer:
     """A digest-sharded session pool behind a selectors event loop.
 
-    Constructor knobs mirror :class:`~repro.server.http.VerificationServer`
-    (same pool, store, and admission parameters) plus the loop's own:
-    ``max_connections`` bounds concurrently open sockets and
-    ``idle_timeout`` drops clients stalled mid-request.  ``port=0``
-    binds an ephemeral port; :attr:`url` reports the bound address.
+    Construct with a :class:`~repro.session.Session` (to preload a
+    catalog; it becomes the pool's prototype) or a
+    :class:`~repro.session.PipelineConfig`, or pass a ready-made
+    ``pool`` (the server then does not close it).  The remaining knobs:
+
+    * ``pool_size``/``pool_mode``/``pool_max``/``member_timeout``,
+      ``shared_store``/``store_path``/``store_backend`` and
+      ``shard_dispatch`` shape the :class:`SessionPool`;
+    * ``max_inflight`` bounds admitted requests, ``max_queued`` the
+      parked ones behind them, and ``per_client_inflight``,
+      ``rate_limit`` and ``rate_burst`` cap each client;
+      ``retry_after`` is the hint sent with 503s;
+    * ``window`` bounds a stream's lines in flight;
+    * ``max_connections`` bounds open sockets, ``idle_timeout`` drops
+      clients stalled mid-request, and ``drain_timeout`` time-boxes a
+      graceful shutdown.
+
+    Either :meth:`serve_forever` on the calling thread (the CLI) or
+    :meth:`start`/:meth:`close` a background thread (tests, embedding).
+    ``port=0`` binds an ephemeral port; :attr:`url` reports the bound
+    address.
     """
 
     def __init__(
@@ -200,10 +292,9 @@ class FrontDoorServer:
         session: Optional[Session] = None,
         *,
         pipeline: Optional[PipelineConfig] = None,
-        host: str = _http.DEFAULT_HOST,
+        host: str = DEFAULT_HOST,
         port: int = 0,
         window: int = DEFAULT_WINDOW,
-        quiet: bool = True,
         pool: Optional[SessionPool] = None,
         pool_size: Optional[int] = 1,
         pool_mode: str = "auto",
@@ -215,7 +306,6 @@ class FrontDoorServer:
         shard_dispatch: bool = True,
         max_inflight: Optional[int] = None,
         max_queued: Optional[int] = None,
-        admission_timeout: float = 0.5,
         retry_after: int = 1,
         per_client_inflight: Optional[int] = None,
         rate_limit: Optional[float] = None,
@@ -246,14 +336,12 @@ class FrontDoorServer:
             )
             self._owns_pool = True
         self.window = max(1, int(window))
-        self.quiet = quiet
         self.stats = ServerStats()
         if max_inflight is None:
             max_inflight = max(4, 2 * self.pool.pool_max)
         self.gate = AdmissionGate(
             max_inflight,
             max_queued,
-            wait_timeout=admission_timeout,
             per_client_inflight=per_client_inflight,
             rate_limit=rate_limit,
             rate_burst=rate_burst,
@@ -556,14 +644,27 @@ class FrontDoorServer:
         if self._conns.get(conn.fd) is not conn:
             return
         events = 0
+        stream = conn.stream
         if conn.state in (_READ_HEAD, _READ_BODY):
             events |= selectors.EVENT_READ
-        elif len(conn.inbuf) <= MAX_HEAD_BYTES:
+        elif conn.state == _STREAMING:
+            # Read only what the window can take: while lines wait for
+            # a slot or output is backed up, TCP backpressure holds the
+            # client.  Never after the body ended — an EOF read there
+            # would drop output not yet sent.
+            if stream.wants_input() and len(conn.outbuf) < _OUTBUF_SOFT_LIMIT:
+                events |= selectors.EVENT_READ
+        elif (
+            conn.state in (_PARKED, _DISPATCHED)
+            and len(conn.inbuf) <= MAX_HEAD_BYTES
+            and not (stream is not None and stream.eof)
+        ):
             # Parked or dispatched: stay registered for reads so a client
             # disconnect is noticed promptly — until the client has a full
             # head's worth of pipelined bytes buffered, at which point
             # reads pause (TCP backpressure takes over) until the
             # in-flight request completes and parsing drains the buffer.
+            # A closing connection never reads: EOF would drop its answer.
             events |= selectors.EVENT_READ
         if conn.outbuf:
             events |= selectors.EVENT_WRITE
@@ -587,6 +688,13 @@ class FrontDoorServer:
             return
         del self._conns[conn.fd]
         conn.serial += 1  # orphan any in-flight future callbacks
+        stream = conn.stream
+        if stream is not None:
+            # The client is gone: skip its undecided lines.
+            for future in stream.pending:
+                future.cancel()
+            if stream.inbox is not None:
+                stream.inbox.put(None)
         if conn.admitted_client is not None:
             self.gate.leave(conn.admitted_client)
             conn.admitted_client = None
@@ -609,17 +717,23 @@ class FrontDoorServer:
 
         Reading states are swept on plain inactivity: a keep-alive
         connection idle between requests with nothing buffered is exactly
-        a slot a slow-loris hoards.  Parked and dispatched connections
-        are usually waiting on *us* — except when they have output the
-        client has stopped draining.  ``last_activity`` advances on every
-        successful send, so a dispatched/closing connection with a
-        non-empty ``outbuf`` and no progress for a full ``idle_timeout``
-        is a write-stalled reader; dropping it releases its admission
-        slot (a ``/verify/batch`` client that never reads would otherwise
-        hold a gate slot forever).
+        a slot a slow-loris hoards, and so is a stream with every line
+        answered that waits for more body.  Other connections are
+        usually waiting on *us* — except when they have output the
+        client has stopped draining.  ``last_drain`` advances on every
+        successful send, so a connection with a non-empty ``outbuf`` and
+        no progress for a full ``idle_timeout`` is a write-stalled
+        reader; dropping it releases its admission slot (a
+        ``/verify/batch`` client that never reads would otherwise hold a
+        gate slot forever).
         """
         for conn in list(self._conns.values()):
-            if conn.state in (_READ_HEAD, _READ_BODY):
+            stream = conn.stream
+            if conn.state in (_READ_HEAD, _READ_BODY) or (
+                conn.state == _STREAMING
+                and not stream.ended
+                and not stream.pending
+            ):
                 stalled = now - conn.last_activity >= self.idle_timeout
             elif conn.outbuf:
                 stalled = now - conn.last_drain >= self.idle_timeout
@@ -639,11 +753,20 @@ class FrontDoorServer:
         except OSError:
             self._drop(conn)
             return
+        stream = conn.stream
         if not data:
             # EOF.  A half-closed client may still be reading, so a
-            # truncated upload gets its 400 naming the truncation (the
-            # same contract as the threaded server); between requests
-            # this is a normal close.
+            # truncated upload gets an answer naming the truncation:
+            # a 400 for a buffered body, the final in-stream record for
+            # a streamed one (judged once the stream runs; a parked one
+            # just stops reading).  Between requests this is a close.
+            if stream is not None:
+                stream.eof = True
+                if conn.state == _STREAMING:
+                    self._pump_stream(conn)
+                else:
+                    self._set_events(conn)
+                return
             if conn.state == _READ_BODY and conn.decoder is not None:
                 try:
                     conn.decoder.finish()
@@ -668,16 +791,18 @@ class FrontDoorServer:
             self._drop(conn)
             return
         conn.last_activity = time.monotonic()
-        if conn.state not in (_READ_HEAD, _READ_BODY):
-            # Bytes while parked/dispatched (pipelining): buffer them —
-            # but never without bound.  Past MAX_HEAD_BYTES _set_events
-            # drops EVENT_READ, so a client streaming during a slow
-            # request costs one head's worth of memory, not the heap.
-            conn.inbuf += data
-            self._set_events(conn)
-            return
         conn.inbuf += data
-        self._advance_parse(conn)
+        if conn.state == _STREAMING:
+            self._pump_stream(conn)
+        elif conn.state in (_READ_HEAD, _READ_BODY):
+            self._advance_parse(conn)
+        else:
+            # Bytes while parked/dispatched (pipelining, or a parked
+            # stream's body): buffer them — but never without bound.
+            # Past MAX_HEAD_BYTES _set_events drops EVENT_READ, so a
+            # client streaming during a slow request costs one head's
+            # worth of memory, not the heap.
+            self._set_events(conn)
 
     def _advance_parse(self, conn: _Connection) -> None:
         # Reentrancy guard: answering a request inline resets the
@@ -814,23 +939,54 @@ class FrontDoorServer:
                     close=True,
                 )
                 return True
-            if length > _http.MAX_REQUEST_BYTES:
+            if length > MAX_REQUEST_BYTES and path not in _STREAMING_ROUTES:
                 self._answer_error(
                     conn,
                     HTTPStatus.REQUEST_ENTITY_TOO_LARGE,
                     "payload-too-large",
                     f"body of {length} bytes exceeds the "
-                    f"{_http.MAX_REQUEST_BYTES}-byte limit",
+                    f"{MAX_REQUEST_BYTES}-byte limit",
                     close=True,
                 )
                 return True
             conn.decoder = LengthDecoder(length)
+        if path in _STREAMING_ROUTES:
+            try:
+                conn.stream = self._new_stream(path, urlsplit(target).query)
+            except ValueError as err:
+                self._answer_error(
+                    conn, HTTPStatus.BAD_REQUEST, "bad-request", str(err),
+                    close=True,
+                )
+                return True
         if headers.get("expect", "").lower() == "100-continue":
             conn.outbuf += b"HTTP/1.1 100 Continue\r\n\r\n"
             self._set_events(conn)
+        if conn.stream is not None:
+            # Streamed bodies are admitted on their head and read as the
+            # window drains; their responses stream, then close.
+            conn.keep_alive = False
+            self._begin_request(conn)
+            return True
         conn.body = bytearray()
         conn.state = _READ_BODY
         return True
+
+    def _new_stream(self, path: str, query_string: str) -> _Stream:
+        """The stream state for a ``/verify/batch`` or ``/cluster`` head.
+
+        Raises ``ValueError`` (→ 400) on a bad ``?pipeline=`` or
+        ``?window=``, before the request is admitted.
+        """
+        if path == "/cluster":
+            return _Stream(path, None, self.window)
+        query = parse_qs(query_string)
+        spec = (query.get("pipeline") or [None])[0]
+        window = (query.get("window") or [None])[0]
+        self.pool.config_for(spec)
+        return _Stream(
+            path, spec, int(window) if window is not None else self.window
+        )
 
     def _parse_body(self, conn: _Connection) -> bool:
         """Feed buffered bytes to the body decoder; True to continue."""
@@ -848,12 +1004,12 @@ class FrontDoorServer:
                 close=True,
             )
             return True
-        if len(conn.body) > _http.MAX_REQUEST_BYTES:
+        if len(conn.body) > MAX_REQUEST_BYTES:
             self._answer_error(
                 conn,
                 HTTPStatus.REQUEST_ENTITY_TOO_LARGE,
                 "payload-too-large",
-                f"body exceeds the {_http.MAX_REQUEST_BYTES}-byte limit",
+                f"body exceeds the {MAX_REQUEST_BYTES}-byte limit",
                 close=True,
             )
             return True
@@ -866,7 +1022,11 @@ class FrontDoorServer:
     # -- admission and dispatch -------------------------------------------
 
     def _begin_request(self, conn: _Connection) -> None:
-        """Body complete: admit (or park, in arrival order) then dispatch."""
+        """Admit (or park, in arrival order) then dispatch.
+
+        Buffered routes arrive here with their body complete, streamed
+        routes with just their head.
+        """
         if self._parked:
             # Strict FIFO: while anyone is parked, newcomers park behind
             # them — the barging bug has no analog here by construction.
@@ -910,18 +1070,16 @@ class FrontDoorServer:
             break  # head must wait; everyone behind keeps FIFO order
 
     def _dispatch(self, conn: _Connection) -> None:
-        path = urlsplit(conn.target).path
-        query = parse_qs(urlsplit(conn.target).query)
+        if conn.stream is not None:
+            self._start_stream(conn)
+            return
+        parts = urlsplit(conn.target)
         body = bytes(conn.body)
         conn.body = bytearray()
-        if path == "/verify":
+        if parts.path == "/verify":
             self._dispatch_verify(conn, body)
-        elif path == "/verify/batch":
-            self._dispatch_batch(conn, query, body)
-        elif path == "/cluster":
-            self._dispatch_cluster(conn, body)
         else:
-            self._dispatch_corpus(conn, query)
+            self._dispatch_corpus(conn, parse_qs(parts.query))
 
     def _dispatch_verify(self, conn: _Connection, body: bytes) -> None:
         self.stats.record_endpoint("verify")
@@ -941,72 +1099,34 @@ class FrontDoorServer:
         conn.future = self.pool.submit_json(obj, spec)
         self._watch(conn, conn.future)
 
-    def _dispatch_batch(
-        self, conn: _Connection, query: Dict[str, list], body: bytes
-    ) -> None:
-        self.stats.record_endpoint("verify_batch")
-        spec = (query.get("pipeline") or [None])[0]
-        window = (query.get("window") or [None])[0]
-        try:
-            window = int(window) if window is not None else self.window
-            self.pool.config_for(spec)
-        except ValueError as err:
-            self._answer_bad_request(conn, str(err))
-            return
-        splitter = LineSplitter()
-        lines = splitter.feed(body, _http.MAX_LINE_BYTES)
-        lines += splitter.finish()
-        conn.state = _DISPATCHED
-        conn.batch = _BatchState(lines, max(1, window), spec)
-        conn.keep_alive = False  # batch responses stream then close
+    def _start_stream(self, conn: _Connection) -> None:
+        stream = conn.stream
+        if stream.route == "/cluster":
+            self.stats.record_endpoint("cluster")
+            stream.inbox = queue.SimpleQueue()
+            threading.Thread(
+                target=_place_lines,
+                args=(self.cluster_engine(), stream.inbox),
+                name="udp-frontdoor-cluster",
+                daemon=True,
+            ).start()
+        else:
+            self.stats.record_endpoint("verify_batch")
+        conn.state = _STREAMING
+        conn.outbuf += _NDJSON_HEAD
         self._active[conn.fd] = conn
-        self._pump_batch(conn)
-
-    def _dispatch_cluster(self, conn: _Connection, body: bytes) -> None:
-        self.stats.record_endpoint("cluster")
-        splitter = LineSplitter()
-        lines = splitter.feed(body, _http.MAX_LINE_BYTES)
-        lines += splitter.finish()
-        engine = self.cluster_engine()
-        state = _ClusterState()
-        conn.state = _DISPATCHED
-        conn.cluster = state
-        conn.keep_alive = False  # cluster responses stream then close
-        self._active[conn.fd] = conn
-        serial = conn.serial
-
-        def run() -> None:
-            # A dedicated thread, like /corpus: the engine serializes
-            # placements behind its own lock and may block on pool
-            # members, neither of which may happen on the loop.
-            try:
-                for record in engine.place_stream(lines):
-                    with state.lock:
-                        state.records.append(record)
-                    self._wake()
-                    if conn.serial != serial:
-                        return  # client is gone: stop placing its tail
-            except Exception as err:  # noqa: BLE001 - in-stream record
-                with state.lock:
-                    state.records.append(
-                        error_record(
-                            "internal-error", f"{type(err).__name__}: {err}"
-                        )
-                    )
-            finally:
-                with state.lock:
-                    state.done = True
-                self._wake()
-
-        threading.Thread(
-            target=run, name="udp-frontdoor-cluster", daemon=True
-        ).start()
-        self._pump_cluster(conn)
+        self._pump_stream(conn)
 
     def _dispatch_corpus(self, conn: _Connection, query: Dict[str, list]) -> None:
         self.stats.record_endpoint("corpus")
-        dataset = (query.get("dataset") or [None])[0]
         spec = (query.get("pipeline") or [None])[0]
+        try:
+            dataset = self.pool.validate_corpus(
+                (query.get("dataset") or [None])[0], spec
+            )
+        except ValueError as err:
+            self._answer_bad_request(conn, str(err))
+            return
         future: Future = Future()
 
         def run() -> None:
@@ -1041,10 +1161,8 @@ class FrontDoorServer:
             if self._conns.get(conn.fd) is not conn:
                 self._active.pop(conn.fd, None)
                 continue
-            if conn.batch is not None:
-                self._pump_batch(conn)
-            elif conn.cluster is not None:
-                self._pump_cluster(conn)
+            if conn.state == _STREAMING:
+                self._pump_stream(conn)
             elif conn.future is not None and conn.future.done():
                 self._active.pop(conn.fd, None)
                 self._finish_single(conn)
@@ -1075,141 +1193,131 @@ class FrontDoorServer:
             self._release(conn)
             self._answer_json(conn, HTTPStatus.OK, result)
 
-    def _pump_batch(self, conn: _Connection) -> None:
-        batch = conn.batch
-        if batch is None:
-            return
-        if not batch.headers_sent:
-            batch.headers_sent = True
-            conn.outbuf += (
-                b"HTTP/1.1 200 OK\r\n"
-                b"Content-Type: application/x-ndjson\r\n"
-                b"Connection: close\r\n\r\n"
-            )
-        # Alternate submit/emit until neither can make progress: submit
-        # up to the window in input order, emit decided records from the
-        # head (order preserved), refill as the head drains.
+    def _pump_stream(self, conn: _Connection) -> None:
+        """Move a stream along: decode input, submit lines, emit records.
+
+        Alternates until nothing progresses: decode buffered body bytes
+        into lines when none are waiting, submit lines in input order
+        while the window has room, and emit decided records from the
+        head (order preserved) under the output soft limit.  Once every
+        line is decided the admission slot is freed; once every record
+        (and the tail, if the body broke) is out, the stream closes.
+        """
+        stream = conn.stream
         progressed = True
         while progressed:
             progressed = False
+            if not stream.lines and not stream.ended:
+                self._decode_body(conn, stream)
+            while stream.lines and len(stream.pending) < stream.window:
+                stream.lineno += 1
+                text = stream.lines.popleft()
+                if text.strip():
+                    stream.pending.append(self._submit_line(conn, stream, text))
+                progressed = True
             while (
-                len(batch.pending) < batch.window
-                and batch.next_line < len(batch.lines)
-            ):
-                lineno = batch.next_line + 1
-                text = batch.lines[batch.next_line].strip()
-                batch.next_line += 1
-                if not text:
-                    continue
-                future: Future
-                try:
-                    obj = json.loads(text)
-                    if not isinstance(obj, dict):
-                        raise ValueError("each line must be a JSON object")
-                    for key in ("left", "right"):
-                        if key not in obj:
-                            raise ValueError(f"missing required field {key!r}")
-                    VerifyRequest.from_json(obj)
-                    future = self.pool.submit_json(obj, batch.spec)
-                    self._watch(conn, future)
-                except (KeyError, TypeError, ValueError) as err:
-                    future = Future()
-                    future.set_result(
-                        error_record("bad-request", str(err), line=lineno)
-                    )
-                batch.pending.append((lineno, future))
-            while (
-                batch.pending
-                and batch.pending[0][1].done()
+                stream.pending
+                and stream.pending[0].done()
                 and len(conn.outbuf) < _OUTBUF_SOFT_LIMIT
             ):
-                _, future = batch.pending.popleft()
-                try:
-                    record = future.result()
-                except Exception as err:  # noqa: BLE001
-                    record = error_record(
-                        "internal-error", f"{type(err).__name__}: {err}"
-                    )
-                if "error" in record:
-                    if record["error"].get("code") == "internal-error":
-                        self.stats.record_internal_error()
-                    else:
-                        self.stats.record_bad_request()
-                else:
-                    self.stats.record_result_record(record)
-                conn.outbuf += (
-                    json.dumps(record, sort_keys=True).encode("utf-8") + b"\n"
-                )
+                self._emit(conn, _future_record(stream.pending.popleft()))
                 progressed = True
-        if batch.next_line >= len(batch.lines) and all(
-            future.done() for _, future in batch.pending
-        ):
-            # Every line is decided: proving is over, so free the
-            # admission slot now.  Holding it until the output fully
-            # drains would let a slow (or stalled) reader pin a gate
-            # slot for as long as it cares to not read.
-            self._release(conn)
-        if not batch.pending and batch.next_line >= len(batch.lines):
-            conn.batch = None
-            self._active.pop(conn.fd, None)
-            conn.close_after_write = True
+        if stream.ended and not stream.lines:
+            if stream.inbox is not None:
+                stream.inbox.put(None)  # every line is queued: stop after them
+                stream.inbox = None
+            if all(future.done() for future in stream.pending):
+                # Every line is decided: proving is over, so free the
+                # admission slot now.  Holding it until the output fully
+                # drains would let a slow (or stalled) reader pin a gate
+                # slot for as long as it cares to not read.
+                self._release(conn)
+            if not stream.pending:
+                if stream.tail is not None:
+                    self._emit(conn, stream.tail)
+                conn.stream = None
+                self._active.pop(conn.fd, None)
+                conn.state = _CLOSING
+                conn.close_after_write = True
         if conn.outbuf:
-            self._set_events(conn)
             self._on_writable(conn)
-
-    def _pump_cluster(self, conn: _Connection) -> None:
-        """Drain produced placement records into the output buffer.
-
-        Mirrors :meth:`_pump_batch`: headers go out first, records are
-        appended under the soft limit (a slow reader pauses draining,
-        TCP backpressure does the rest), and the admission slot is
-        released the moment the stream is fully placed and drained to
-        the buffer — the producer thread is done by then.
-        """
-        state = conn.cluster
-        if state is None:
-            return
-        if not state.headers_sent:
-            state.headers_sent = True
-            conn.outbuf += (
-                b"HTTP/1.1 200 OK\r\n"
-                b"Content-Type: application/x-ndjson\r\n"
-                b"Connection: close\r\n\r\n"
-            )
-        while len(conn.outbuf) < _OUTBUF_SOFT_LIMIT:
-            with state.lock:
-                record = state.records.popleft() if state.records else None
-            if record is None:
-                break
-            # A placement whose query failed to compile carries a
-            # plain-string ``error`` reason — still a successful
-            # placement; only dict-shaped error records blame a party.
-            error = record.get("error")
-            if isinstance(error, Mapping):
-                if error.get("code") == "internal-error":
-                    self.stats.record_internal_error()
-                else:
-                    self.stats.record_bad_request()
-            else:
-                self.stats.record_result_record(record)
-            conn.outbuf += (
-                json.dumps(record, sort_keys=True).encode("utf-8") + b"\n"
-            )
-        with state.lock:
-            finished = state.done and not state.records
-        if finished:
-            self._release(conn)
-            conn.cluster = None
-            self._active.pop(conn.fd, None)
-            conn.close_after_write = True
-        if conn.outbuf:
-            self._set_events(conn)
-            self._on_writable(conn)
-        elif finished:
-            # The buffer already drained before the stream ended, so no
-            # write event is coming: close (EOF is the end-of-stream
-            # marker under ``Connection: close``) here or never.
+        elif conn.close_after_write:
+            # Everything already drained, so no write event is coming:
+            # close (EOF ends the stream under ``Connection: close``).
             self._drop(conn)
+        else:
+            self._set_events(conn)
+
+    def _decode_body(self, conn: _Connection, stream: _Stream) -> None:
+        """Feed buffered body bytes through the decoder into lines.
+
+        A clean end flushes the final unterminated line; a truncated
+        upload or broken chunk framing ends the stream with a tail
+        error record, after the lines completed before it.
+        """
+        decoder = conn.decoder
+        data, conn.inbuf = conn.inbuf, b""
+        tail = None
+        try:
+            payload = decoder.feed(data)
+        except BadChunkedBody as err:
+            payload, tail = err.partial, _broken_body_record(err)
+        stream.lines.extend(stream.splitter.feed(payload, MAX_LINE_BYTES))
+        if tail is None and decoder.done:
+            stream.lines.extend(stream.splitter.finish())
+            stream.ended = True
+        elif tail is None and stream.eof:
+            try:
+                decoder.finish()
+            except (TruncatedBody, BadChunkedBody) as err:
+                tail = _broken_body_record(err)
+        if tail is not None:
+            stream.tail = tail
+            stream.ended = True
+
+    def _submit_line(self, conn: _Connection, stream: _Stream, text: str) -> Future:
+        """One non-blank stream line as a future of its record."""
+        lineno = stream.lineno
+        if stream.route == "/cluster":
+            future: Future = Future()
+            stream.inbox.put((text, lineno, future))
+        else:
+            try:
+                obj = json.loads(text)
+                if not isinstance(obj, dict):
+                    raise ValueError("each line must be a JSON object")
+                for key in ("left", "right"):
+                    if key not in obj:
+                        raise ValueError(f"missing required field {key!r}")
+                VerifyRequest.from_json(obj)
+            except (KeyError, TypeError, ValueError) as err:
+                future = Future()
+                future.set_result(
+                    error_record("bad-request", str(err), line=lineno)
+                )
+                return future
+            future = self.pool.submit_json(obj, stream.spec)
+        self._watch(conn, future)
+        return future
+
+    def _emit(self, conn: _Connection, record: Mapping[str, object]) -> None:
+        """Tally one streamed record in ``/stats`` and queue it for output.
+
+        Client-caused bad lines and server-side failures are both
+        in-stream records, but ``/stats`` must blame the right party.  A
+        cluster placement whose query failed to compile carries a
+        plain-string ``error`` reason — still a successful placement;
+        only dict-shaped error records blame a party.
+        """
+        error = record.get("error")
+        if isinstance(error, Mapping):
+            if error.get("code") == "internal-error":
+                self.stats.record_internal_error()
+            else:
+                self.stats.record_bad_request()
+        else:
+            self.stats.record_result_record(record)
+        conn.outbuf += json.dumps(record, sort_keys=True).encode("utf-8") + b"\n"
 
     def _release(self, conn: _Connection) -> None:
         if conn.admitted_client is not None:
@@ -1229,9 +1337,8 @@ class FrontDoorServer:
                 gate=self.gate,
                 cluster=self.cluster_snapshot(),
             )
-            # Over-capacity requests wait in the loop's parked FIFO, never
-            # in the gate's own waiter queue, so the parked count is the
-            # admission queue depth here.
+            # The gate never queues: over-capacity requests wait in the
+            # loop's parked FIFO, so its length is the admission queue.
             snapshot["admission"]["queued"] = len(self._parked)
             snapshot["frontdoor"] = self._frontdoor_stats()
             self._answer_json(conn, HTTPStatus.OK, snapshot, close=close)
@@ -1366,15 +1473,57 @@ class FrontDoorServer:
                 break
             del conn.outbuf[:sent]
             conn.last_activity = conn.last_drain = time.monotonic()
-        if (
-            not conn.outbuf
-            and conn.close_after_write
-            and conn.batch is None
-            and conn.cluster is None
-        ):
+        if not conn.outbuf and conn.close_after_write:
             self._drop(conn)
             return
         self._set_events(conn)
+
+
+def _future_record(future: Future) -> Dict[str, object]:
+    """A decided stream future's record; failures become records too.
+
+    ``CancelledError`` is a ``BaseException``: a pool closed mid-stream
+    must still answer with an in-stream record.
+    """
+    try:
+        return future.result()
+    except (Exception, CancelledError) as err:  # noqa: BLE001
+        return error_record("internal-error", f"{type(err).__name__}: {err}")
+
+
+def _broken_body_record(err: ValueError) -> Dict[str, object]:
+    """The final in-stream record of a truncated or misframed body."""
+    if isinstance(err, TruncatedBody):
+        return error_record(
+            "truncated-body",
+            str(err),
+            received_bytes=err.received,
+            expected_bytes=err.expected,
+        )
+    return error_record("bad-request", f"malformed chunked body: {err}")
+
+
+def _place_lines(engine, inbox: "queue.SimpleQueue") -> None:
+    """A ``/cluster`` stream's placement thread.
+
+    Off the loop, like ``/corpus``: the engine serializes placements
+    behind its own lock and may block on pool members.  Takes
+    ``(line, lineno, future)`` items until ``None``, skipping futures
+    cancelled because the client went away.
+    """
+    while True:
+        item = inbox.get()
+        if item is None:
+            return
+        text, lineno, future = item
+        if not future.set_running_or_notify_cancel():
+            continue
+        try:
+            future.set_result(engine.place_line(text, lineno))
+        except Exception as err:  # noqa: BLE001 - in-stream record
+            future.set_result(
+                error_record("internal-error", f"{type(err).__name__}: {err}")
+            )
 
 
 def _find_head_end(buffer: bytes) -> Tuple[int, int]:
@@ -1388,4 +1537,11 @@ def _find_head_end(buffer: bytes) -> Tuple[int, int]:
     return -1, 0
 
 
-__all__ = ["FrontDoorServer", "MAX_HEAD_BYTES"]
+__all__ = [
+    "DEFAULT_HOST",
+    "DEFAULT_PORT",
+    "FrontDoorServer",
+    "MAX_HEAD_BYTES",
+    "MAX_LINE_BYTES",
+    "MAX_REQUEST_BYTES",
+]

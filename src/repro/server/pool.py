@@ -35,20 +35,19 @@ Ordering and dispatch
 
 * :meth:`SessionPool.verify_json` — one request, any idle member
   (blocking until one frees; admission control above bounds the wait).
-* :meth:`SessionPool.verify_stream` — a JSONL batch fanned out across
-  members through a bounded in-flight window, yielded strictly in input
-  order; malformed lines become in-stream error records without
-  consuming a member.
+* :meth:`SessionPool.submit_json` — the same, asynchronously: the front
+  door submits each ``/verify`` request and each ``/verify/batch`` line
+  and is woken by the future's done-callback.
 * :meth:`SessionPool.run_corpus` — the built-in evaluation corpus
   through the pool, summarized (the ``POST /corpus`` health benchmark).
 
 Backpressure
 ------------
 
-:class:`AdmissionGate` bounds the number of admitted requests: up to
-``max_inflight`` executing plus ``max_queued`` briefly waiting; past
-that, callers are told to go away (the HTTP layer answers a structured
-503 with ``Retry-After``).
+:class:`AdmissionGate` bounds the number of admitted requests to
+``max_inflight``; the front door parks up to ``max_queued`` more in
+arrival order and answers a structured 503 with ``Retry-After`` past
+that.
 """
 
 from __future__ import annotations
@@ -61,14 +60,12 @@ import os
 import queue
 import threading
 import time
-from collections import deque
 from concurrent.futures import CancelledError, Future, ThreadPoolExecutor
 from dataclasses import replace
 from typing import (
     Callable,
     Dict,
     Iterable,
-    Iterator,
     List,
     Mapping,
     Optional,
@@ -78,7 +75,6 @@ from typing import (
 from repro.faults import FaultError, fault_hit
 from repro.hashcons_store import active_store, install_shared_store
 from repro.session import (
-    DEFAULT_WINDOW,
     PipelineConfig,
     Session,
     VerifyRequest,
@@ -96,6 +92,10 @@ _LOG = logging.getLogger("repro.server.pool")
 #: budget fires inside the engine in the normal case; the hard deadline
 #: only exists for loops that stop reaching the budget checks.
 HARD_TIMEOUT_GRACE = 30.0
+#: Ceiling on a hard deadline.  ``Connection.poll`` overflows past
+#: ``INT_MAX`` milliseconds (about 24.8 days) and ``Event.wait`` past
+#: ``threading.TIMEOUT_MAX``, so a huge per-request budget clamps here.
+MAX_HARD_DEADLINE = min(threading.TIMEOUT_MAX, 24 * 86400.0)
 
 
 def error_record(code: str, reason: str, **fields: object) -> Dict[str, object]:
@@ -921,10 +921,11 @@ class SessionPool:
         sum of the effective pipeline's per-tactic budgets (honoring a
         per-request ``timeout_seconds`` override) plus a grace margin —
         generous enough that the cooperative budget always fires first
-        on a healthy member.
+        on a healthy member.  Either way it is at most
+        :data:`MAX_HARD_DEADLINE`.
         """
         if self.member_timeout is not None:
-            return self.member_timeout
+            return min(self.member_timeout, MAX_HARD_DEADLINE)
         try:
             config = self.config_for(spec)
             override = obj.get("timeout_seconds")
@@ -936,7 +937,7 @@ class SessionPool:
                 )
         except (TypeError, ValueError):  # pragma: no cover - validated upstream
             budget = 0.0
-        return max(1.0, budget) + HARD_TIMEOUT_GRACE
+        return min(max(1.0, budget) + HARD_TIMEOUT_GRACE, MAX_HARD_DEADLINE)
 
     def _member_by_id(self, member_id: int) -> Optional[_MemberBase]:
         for member in self.members:
@@ -1093,81 +1094,26 @@ class SessionPool:
             shard = self._shard_for(obj)
         return self._executor.submit(self._dispatch, obj, spec, shard)
 
-    def verify_stream(
-        self,
-        lines: Iterable[str],
-        *,
-        pipeline: Optional[str] = None,
-        window: int = DEFAULT_WINDOW,
-    ) -> Iterator[Dict[str, object]]:
-        """Decide a JSONL batch: one record per input line, in input order.
+    def validate_corpus(
+        self, dataset: Optional[str], pipeline: Optional[str] = None
+    ) -> Optional[str]:
+        """Check a ``/corpus`` replay's arguments; the dataset to run.
 
-        Lines are parsed as they arrive and fanned out across the pool
-        through a bounded window of in-flight dispatches; output order is
-        exactly input order regardless of which member finishes first.  A
-        malformed line becomes an in-stream ``bad-request`` error record
-        carrying its line number — it never consumes a member, and
-        sibling lines are untouched.
+        Raises ``ValueError`` (→ 400) on an unknown dataset or pipeline;
+        ``""`` and ``"all"`` mean the whole corpus (``None``).
         """
-        self.config_for(pipeline)  # fail before the caller commits to a 200
-        window = max(1, int(window))
-        return self._verify_stream(lines, pipeline, window)
+        from repro.corpus import all_rules
 
-    def _verify_stream(
-        self, lines: Iterable[str], spec: Optional[str], window: int
-    ) -> Iterator[Dict[str, object]]:
-        pending: "deque[Future]" = deque()
-
-        def resolve(future: Future) -> Dict[str, object]:
-            # CancelledError is a BaseException: a pool closed mid-batch
-            # must still answer with in-stream records, never a handler
-            # crash.
-            try:
-                return future.result()
-            except (Exception, CancelledError) as err:  # noqa: BLE001
-                return error_record(
-                    "internal-error", f"{type(err).__name__}: {err}"
+        self.config_for(pipeline)
+        if dataset in ("", "all"):
+            return None
+        if dataset is not None:
+            known = sorted({rule.dataset for rule in all_rules()})
+            if dataset not in known:
+                raise ValueError(
+                    f"unknown dataset {dataset!r}; expected one of {known}"
                 )
-
-        lines_iter = iter(lines)
-        lineno = 0
-        while True:
-            try:
-                raw = next(lines_iter)
-            except StopIteration:
-                break
-            except Exception:
-                # The transport broke mid-body (e.g. malformed chunk
-                # framing): answer every fully received line before
-                # letting the caller report the framing error.
-                while pending:
-                    yield resolve(pending.popleft())
-                raise
-            lineno += 1
-            text = raw.strip()
-            if not text:
-                continue
-            try:
-                obj = json.loads(text)
-                if not isinstance(obj, dict):
-                    raise ValueError("each line must be a JSON object")
-                for key in ("left", "right"):
-                    if key not in obj:
-                        raise ValueError(f"missing required field {key!r}")
-                VerifyRequest.from_json(obj)  # validate before dispatch
-                future = self._executor.submit(
-                    self._dispatch, obj, spec, self._shard_for(obj)
-                )
-            except (KeyError, TypeError, ValueError) as err:
-                future = Future()
-                future.set_result(
-                    error_record("bad-request", str(err), line=lineno)
-                )
-            pending.append(future)
-            while len(pending) >= window:
-                yield resolve(pending.popleft())
-        while pending:
-            yield resolve(pending.popleft())
+        return dataset
 
     def run_corpus(
         self,
@@ -1180,17 +1126,9 @@ class SessionPool:
         ``GET /stats`` shows a full corpus worth of verdict and
         reason-code tallies plus the memo/store warmth it produced.
         """
-        from repro.corpus import all_rules, as_verify_requests
+        from repro.corpus import as_verify_requests
 
-        self.config_for(pipeline)
-        if dataset in ("", "all"):
-            dataset = None
-        if dataset is not None:
-            known = sorted({rule.dataset for rule in all_rules()})
-            if dataset not in known:
-                raise ValueError(
-                    f"unknown dataset {dataset!r}; expected one of {known}"
-                )
+        dataset = self.validate_corpus(dataset, pipeline)
         requests = as_verify_requests(dataset)
         started = time.monotonic()
         futures = []
@@ -1496,14 +1434,13 @@ class _ClientState:
 
 
 class AdmissionGate:
-    """Arrival-ordered admission with per-client fairness and rate limits.
+    """Bounded admission with per-client fairness and rate limits.
 
-    Global backpressure: ``max_inflight`` executing plus ``max_queued``
-    waiting; past that, callers are refused on the spot.  Waiters are
-    served strictly in arrival order through a FIFO ticket queue — a
-    newcomer arriving while anyone is queued can no longer steal a
-    freed slot (the barging bug this replaces: ``try_enter`` used to
-    admit whenever ``_inflight`` dipped, regardless of the queue).
+    Global backpressure: at most ``max_inflight`` admitted requests.
+    The gate never blocks: :meth:`poll_enter` admits or refuses on the
+    spot, and the front door parks saturated requests (up to
+    ``max_queued``) in its own arrival-ordered queue, retrying the head
+    whenever a release listener fires.
 
     Per-client controls (enabled per knob, all optional):
 
@@ -1523,7 +1460,6 @@ class AdmissionGate:
         self,
         max_inflight: int,
         max_queued: Optional[int] = None,
-        wait_timeout: float = 0.5,
         *,
         per_client_inflight: Optional[int] = None,
         rate_limit: Optional[float] = None,
@@ -1534,7 +1470,6 @@ class AdmissionGate:
         self.max_queued = (
             self.max_inflight if max_queued is None else max(0, int(max_queued))
         )
-        self.wait_timeout = max(0.0, float(wait_timeout))
         self.per_client_inflight = (
             None
             if per_client_inflight is None
@@ -1550,8 +1485,7 @@ class AdmissionGate:
         else:
             self.rate_burst = 1.0
         self.max_clients = max(16, int(max_clients))
-        self._cond = threading.Condition()
-        self._waiters: "deque[object]" = deque()
+        self._lock = threading.Lock()
         self._clients: Dict[str, _ClientState] = {}
         self._listeners: List[Callable[[], None]] = []
         self._inflight = 0
@@ -1560,7 +1494,7 @@ class AdmissionGate:
         self.rate_limited = 0
         self.peak_inflight = 0
 
-    # -- per-client bookkeeping (all under self._cond) ---------------------
+    # -- per-client bookkeeping (all under self._lock) ---------------------
 
     def _client_state(self, client: Optional[str]) -> Optional[_ClientState]:
         if client is None:
@@ -1635,97 +1569,36 @@ class AdmissionGate:
 
     # -- admission ---------------------------------------------------------
 
-    def try_enter(
-        self,
-        client: Optional[str] = None,
-        *,
-        wait_timeout: Optional[float] = None,
-    ) -> AdmissionDecision:
-        """Admit, queue (FIFO), or refuse; truthy result iff admitted."""
-        timeout = (
-            self.wait_timeout if wait_timeout is None else max(0.0, wait_timeout)
-        )
-        with self._cond:
-            state = self._client_state(client)
-            refusal = self._client_refusal(state)
-            if refusal is not None:
-                return refusal
-            if self._inflight < self.max_inflight and not self._waiters:
-                return self._admit(state)
-            if len(self._waiters) >= self.max_queued or timeout <= 0:
-                return self._refuse_saturated(state)
-            ticket = object()
-            self._waiters.append(ticket)
-            deadline = time.monotonic() + timeout
-            try:
-                while not (
-                    self._waiters[0] is ticket
-                    and self._inflight < self.max_inflight
-                ):
-                    remaining = deadline - time.monotonic()
-                    if remaining <= 0:
-                        return self._refuse_saturated(state)
-                    self._cond.wait(remaining)
-                return self._admit(state)
-            finally:
-                self._waiters.remove(ticket)
-                self._cond.notify_all()
-
     def poll_enter(self, client: Optional[str] = None) -> AdmissionDecision:
-        """Non-blocking probe for event-loop callers (the front door).
+        """Admit or refuse without blocking; truthy result iff admitted.
 
-        Admits only when a slot is free *and* no FIFO waiter is queued
-        ahead.  A saturated answer is not tallied as a rejection — the
-        caller parks the connection in its own arrival-ordered queue and
-        calls :meth:`record_rejection` only when it actually refuses.
+        A saturated answer is not tallied as a rejection — the caller
+        parks the request in its own arrival-ordered queue and calls
+        :meth:`record_rejection` only when it actually refuses.
         Rate-limit refusals are final and tallied here.
         """
-        with self._cond:
+        with self._lock:
             state = self._client_state(client)
             refusal = self._client_refusal(state)
             if refusal is not None:
                 return refusal
-            if self._inflight < self.max_inflight and not self._waiters:
+            if self._inflight < self.max_inflight:
                 return self._admit(state)
             return AdmissionDecision(False, "saturated", None)
 
     def record_rejection(self, client: Optional[str] = None) -> None:
         """Tally a saturation refusal decided by the caller (parked-queue
         overflow at the front door)."""
-        with self._cond:
+        with self._lock:
             self._refuse_saturated(self._clients.get(client))
 
-    @property
-    def inflight(self) -> int:
-        """Admitted-and-not-yet-left count; the drain path polls this."""
-        with self._cond:
-            return self._inflight
-
-    def wait_idle(self, timeout: float) -> bool:
-        """Block until every admitted request has left, or ``timeout``.
-
-        The graceful-drain primitive: after the listener stops
-        accepting, the server waits here for in-flight work to finish
-        before flushing the store and reaping the pool.  True iff the
-        gate went idle within the timeout.
-        """
-        deadline = time.monotonic() + max(0.0, float(timeout))
-        with self._cond:
-            while self._inflight > 0:
-                remaining = deadline - time.monotonic()
-                if remaining <= 0:
-                    return False
-                self._cond.wait(remaining)
-            return True
-
     def leave(self, client: Optional[str] = None) -> None:
-        with self._cond:
+        with self._lock:
             self._inflight = max(0, self._inflight - 1)
             if client is not None:
                 state = self._clients.get(client)
                 if state is not None:
                     state.inflight = max(0, state.inflight - 1)
-            self._cond.notify_all()
             listeners = tuple(self._listeners)
         for listener in listeners:
             try:
@@ -1737,11 +1610,11 @@ class AdmissionGate:
         """Call ``listener`` after every release (outside the gate lock);
         the front door uses this to wake its event loop and admit the
         head of its parked queue."""
-        with self._cond:
+        with self._lock:
             self._listeners.append(listener)
 
     def snapshot(self) -> Dict[str, object]:
-        with self._cond:
+        with self._lock:
             clients: Dict[str, Dict[str, object]] = {}
             top = sorted(
                 self._clients.items(),
@@ -1758,12 +1631,10 @@ class AdmissionGate:
             return {
                 "max_inflight": self.max_inflight,
                 "max_queued": self.max_queued,
-                "wait_timeout": self.wait_timeout,
                 "per_client_inflight": self.per_client_inflight,
                 "rate_limit": self.rate_limit,
                 "rate_burst": self.rate_burst if self.rate_limit else None,
                 "inflight": self._inflight,
-                "queued": len(self._waiters),
                 "admitted": self.admitted,
                 "rejected": self.rejected,
                 "rate_limited": self.rate_limited,

@@ -1,8 +1,7 @@
 """Server-side statistics: thread-safe counters behind ``GET /stats``.
 
-The HTTP front end serves each request on its own thread
-(:class:`http.server.ThreadingHTTPServer`) and proves on a pool of
-sessions, so every counter here must tolerate concurrent increments.
+The front end counts on its event loop while pool dispatcher threads
+decide requests, so every counter here tolerates concurrent access.
 Verdict and reason-code tallies reuse
 :class:`~repro.udp.trace.ReasonTally`; endpoint and error counts keep
 their own lock.  A snapshot combines the server-level counters with the
@@ -26,7 +25,7 @@ from repro.udp.trace import ReasonTally
 
 
 def service_health(pool=None, *, draining: bool = False) -> Tuple[str, List[str]]:
-    """``(status, problems)`` for ``/healthz``, shared by both front ends.
+    """``(status, problems)`` for ``/healthz``.
 
     ``"ok"`` means fully healthy; ``"degraded"`` (still HTTP 200 — the
     service answers correctly, just without its full durability or

@@ -374,47 +374,39 @@ class ClusterEngine:
         lineno = 0
         for raw in lines:
             lineno += 1
-            text = raw.strip()
-            if not text:
-                continue
-            try:
-                obj = json.loads(text)
-            except ValueError as err:
-                yield _error_payload(
-                    "bad-request", f"invalid JSON line: {err}", line=lineno
-                )
-                continue
-            qid: object = None
-            if isinstance(obj, str):
-                query = obj
-            elif isinstance(obj, dict):
-                if "program" in obj:
-                    yield _error_payload(
-                        "bad-request",
-                        "clustering runs under the server's catalog; "
-                        "per-line 'program' overrides are not supported",
-                        line=lineno,
-                    )
-                    continue
-                query = obj.get("query")
-                if not isinstance(query, str):
-                    yield _error_payload(
-                        "bad-request",
-                        "each line must be a JSON string or an object "
-                        "with a string 'query' field",
-                        line=lineno,
-                    )
-                    continue
-                qid = obj.get("id")
-            else:
-                yield _error_payload(
+            if raw.strip():
+                yield self.place_line(raw, lineno)
+
+    def place_line(self, raw: str, lineno: int) -> Dict[str, object]:
+        """Place one non-empty JSONL line of a stream; its record.
+
+        ``lineno`` is the line's 1-based position in the stream, blank
+        lines included, as :meth:`place_stream` counts it.
+        """
+        try:
+            obj = json.loads(raw)
+        except ValueError as err:
+            return _error_payload(
+                "bad-request", f"invalid JSON line: {err}", line=lineno
+            )
+        query, qid = obj, None
+        if isinstance(obj, dict):
+            if "program" in obj:
+                return _error_payload(
                     "bad-request",
-                    "each line must be a JSON string or an object "
-                    "with a string 'query' field",
+                    "clustering runs under the server's catalog; "
+                    "per-line 'program' overrides are not supported",
                     line=lineno,
                 )
-                continue
-            yield self.place(query, lineno=lineno, qid=qid)
+            query, qid = obj.get("query"), obj.get("id")
+        if not isinstance(query, str):
+            return _error_payload(
+                "bad-request",
+                "each line must be a JSON string or an object "
+                "with a string 'query' field",
+                line=lineno,
+            )
+        return self.place(query, lineno=lineno, qid=qid)
 
     def place_all(self, queries: Sequence[QueryLike]) -> List[Dict[str, object]]:
         """Place a sequence; the records, in input order."""

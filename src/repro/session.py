@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import hashlib
 import itertools
+import math
 import time
 from collections import deque
 from dataclasses import dataclass, field
@@ -102,16 +103,18 @@ class VerifyRequest:
 
     @classmethod
     def from_json(cls, obj: Mapping[str, object]) -> "VerifyRequest":
+        timeout = obj.get("timeout_seconds")
+        if timeout is not None:
+            timeout = float(timeout)  # type: ignore[arg-type]
+            if not math.isfinite(timeout):
+                # NaN would silently disable the cooperative deadline.
+                raise ValueError("'timeout_seconds' must be a finite number")
         return cls(
             left=str(obj["left"]),
             right=str(obj["right"]),
             program=str(obj.get("program", "")),
             request_id=str(obj.get("id", "")),
-            timeout_seconds=(
-                float(obj["timeout_seconds"])  # type: ignore[arg-type]
-                if obj.get("timeout_seconds") is not None
-                else None
-            ),
+            timeout_seconds=timeout,
         )
 
 

@@ -11,7 +11,7 @@ seed, so a failure reproduces with::
 
 The end-to-end gate at the bottom is the PR's acceptance bar: under a
 plan combining store write failures, a member crash, and a member hang,
-with a SIGTERM landing mid-batch, both front ends must return only
+with a SIGTERM landing mid-batch, the server must return only
 structured records (zero 500s, zero dropped in-flight lines), exit 0
 after draining, and a post-recovery replay of the full 91-rule corpus
 must be verdict-identical to a fault-free run.
@@ -41,7 +41,7 @@ from repro.faults import (
     install_fault_plan,
     maybe_fail,
 )
-from repro.server import VerificationServer
+from repro.server import FrontDoorServer
 from repro.server.stats import jittered_retry_after, service_health
 from repro.session import Session
 from repro.store import FailoverStore
@@ -314,7 +314,7 @@ PAIR = {
 
 def test_thread_watchdog_times_out_marks_degraded_and_recovers():
     session = Session.from_program_text(RS_PROGRAM)
-    with VerificationServer(
+    with FrontDoorServer(
         session, pool_size=1, pool_mode="thread", member_timeout=0.5
     ) as server:
         # A clean request first, so the hang hits a warm member.
@@ -358,7 +358,7 @@ def test_thread_watchdog_times_out_marks_degraded_and_recovers():
 
 def test_healthz_degraded_while_store_breaker_open(tmp_path):
     session = Session.from_program_text(RS_PROGRAM)
-    with VerificationServer(
+    with FrontDoorServer(
         session,
         pool_size=1,
         pool_mode="thread",
@@ -651,7 +651,8 @@ CHAOS_SPEC = (
     "member.hang:after=6,count=1,delay=2"
 )
 
-_BANNER = re.compile(r"listening on (http://\S+)")
+#: The start-up line the benchmark's launcher waits for.
+_BANNER = re.compile(r"listening on (http://[\d.]+:\d+)")
 
 
 class _ServeProcess:
@@ -740,7 +741,7 @@ def _fault_free_baseline():
     """id → verdict for the 91-rule corpus with no faults, computed once."""
     if not _BASELINE:
         session = Session()
-        with VerificationServer(
+        with FrontDoorServer(
             session, pool_size=2, pool_mode="thread", max_inflight=8
         ) as server:
             count, body = _corpus_jsonl()
@@ -750,25 +751,26 @@ def _fault_free_baseline():
     return dict(_BASELINE)
 
 
-@pytest.mark.parametrize("front_end", ["threaded", "frontdoor"])
-def test_chaos_gate_end_to_end(front_end, tmp_path):
+def test_chaos_gate_end_to_end(tmp_path):
     """The acceptance bar: faults + SIGTERM mid-batch, only structured
-    records, exit 0 after drain, verdict-identical post-recovery replay."""
-    store_path = str(tmp_path / f"chaos-{front_end}.db")
+    records, exit 0 after drain, verdict-identical post-recovery replay.
+
+    The server starts as the benchmark launches it (``serve
+    --frontdoor``), which pins that flag and the ``listening on`` line.
+    """
     common = [
-        "--store", store_path,
+        "--frontdoor",
+        "--store", str(tmp_path / "chaos.db"),
         "--pool-size", "2",
         "--pool-mode", "process",
         "--member-timeout", "5",
         "--drain-timeout", "30",
     ]
-    if front_end == "frontdoor":
-        common.append("--frontdoor")
 
     count, body = _corpus_jsonl()
     serve = _ServeProcess(
         common + ["--faults", CHAOS_SPEC, "--fault-seed", str(CHAOS_SEED)],
-        tmp_path, f"{front_end}-faulted",
+        tmp_path, "faulted",
     )
     try:
         assert "CHAOS fault plan active" in serve.stderr_text()
@@ -805,7 +807,7 @@ def test_chaos_gate_end_to_end(front_end, tmp_path):
 
     # Post-recovery: a fault-free server over the same store answers the
     # whole corpus verdict-identically to a never-faulted run.
-    replay = _ServeProcess(common, tmp_path, f"{front_end}-recovered")
+    replay = _ServeProcess(common, tmp_path, "recovered")
     try:
         records = _post_batch(replay.url, body)
         assert len(records) == count

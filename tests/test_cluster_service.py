@@ -1,11 +1,10 @@
 """The streaming ``/cluster`` service, end to end.
 
-Four layers under test, all of which must produce the same partition:
+Three layers under test, all of which must produce the same partition:
 
 * :class:`repro.service.clustering.ClusterEngine` driven directly;
 * the historical :func:`repro.frontend.cluster.cluster_queries` shim;
-* ``POST /cluster`` over the threaded :class:`VerificationServer`;
-* ``POST /cluster`` over the event-loop :class:`FrontDoorServer`.
+* ``POST /cluster`` over :class:`FrontDoorServer`.
 
 Plus the two properties the digest index must not break: placement is
 invariant (up to group relabeling) under input permutation when every
@@ -25,7 +24,7 @@ import urllib.request
 
 import pytest
 
-from repro.server import FrontDoorServer, VerificationServer
+from repro.server import FrontDoorServer
 from repro.service.clustering import ClusterEngine, ClusterStats
 from repro.session import Session
 
@@ -244,14 +243,9 @@ def _get_json(url, path):
         return response.status, json.loads(response.read())
 
 
-@pytest.fixture(scope="module", params=["threaded", "frontdoor"])
-def server(request):
-    cls = (
-        VerificationServer
-        if request.param == "threaded"
-        else FrontDoorServer
-    )
-    with cls(
+@pytest.fixture(scope="module")
+def server():
+    with FrontDoorServer(
         Session.from_program_text(RS_PROGRAM),
         pool_size=2,
         pool_mode="thread",

@@ -1,11 +1,11 @@
-"""Differential harness: six entry points, one truth.
+"""Differential harness: five entry points, one truth.
 
-The repo now has six parallel ways to decide a query pair — the legacy
+The repo has five parallel ways to decide a query pair — the legacy
 ``Solver.check`` shim, ``Session.verify``, ``BatchVerifier.run``, the
-single-member HTTP server, the pooled HTTP server (N members, shared
-memo store, forked workers where the platform allows), and the async
-front door (the selectors event loop with digest-sharded dispatch) —
-and nothing but discipline keeps them agreeing.  This suite makes the discipline
+HTTP server with one member, and the HTTP server pooled (2 members,
+digest-sharded dispatch, forked workers and a shared memo store where
+the platform allows) — and nothing but discipline keeps them agreeing.
+This suite makes the discipline
 executable: every entry point is driven over the full evaluation corpus
 (all 91 rules: literature, Calcite, extensions, and the
 ``corpus/bugs.py`` negative cases) under the same legacy pipeline, and
@@ -17,7 +17,7 @@ The shared baseline is the per-rule ``Solver`` result (its own catalog
 per rule, exactly how ``test_corpus.py`` established the Fig. 5
 expectations); the other paths run program-routed sessions, so this also
 exercises sub-session catalog caching against fresh-catalog behavior —
-and, for the pooled path, that fanning rules out across pool members
+and, for the pooled path, that sharding rules out across pool members
 changes nothing but wall-clock time.
 """
 
@@ -32,7 +32,7 @@ from repro import BatchVerifier, PipelineConfig, Session, Solver
 from repro.corpus import all_rules, as_batch_pairs, as_verify_requests, rules_by_dataset
 from repro.corpus.rules import Expectation
 from repro.hashcons_store import install_shared_store
-from repro.server import FrontDoorServer, VerificationServer
+from repro.server import FrontDoorServer
 from repro.session import tactic_invocations
 from repro.store import open_store
 
@@ -90,28 +90,14 @@ def _http_batch_outcomes(server):
 
 def outcome_map_http():
     """rule_id -> (verdict, reason_code) via one streamed HTTP batch."""
-    with VerificationServer(pipeline=PipelineConfig.legacy()) as server:
+    with FrontDoorServer(pipeline=PipelineConfig.legacy()) as server:
         return _http_batch_outcomes(server)
 
 
-def outcome_map_pool_http():
-    """rule_id -> (verdict, reason_code) via the pooled server (2 warm
-    members, forked workers + shared memo store where fork exists)."""
-    with VerificationServer(
-        pipeline=PipelineConfig.legacy(), pool_size=2, pool_mode="auto"
-    ) as server:
-        outcomes = _http_batch_outcomes(server)
-        spread = [m.requests for m in server.pool.members]
-        assert sum(spread) >= len(RULES), spread
-        assert all(count > 0 for count in spread), (
-            f"pool did not dispatch across members: {spread}"
-        )
-        return outcomes
-
-
 def outcome_map_frontdoor():
-    """rule_id -> (verdict, reason_code) via the async front door (the
-    selectors event loop with digest-sharded dispatch over 2 members)."""
+    """rule_id -> (verdict, reason_code) via the pooled server (digest-
+    sharded dispatch over 2 members, forked workers + shared memo store
+    where fork exists)."""
     with FrontDoorServer(
         pipeline=PipelineConfig.legacy(), pool_size=2, pool_mode="auto"
     ) as server:
@@ -120,6 +106,10 @@ def outcome_map_frontdoor():
         assert dispatch["sharding"], dispatch
         assert dispatch["sharded"] + dispatch["fallbacks"] >= len(RULES), (
             f"front door did not shard-dispatch the corpus: {dispatch}"
+        )
+        spread = [m.requests for m in server.pool.members]
+        assert all(count > 0 for count in spread), (
+            f"pool did not dispatch across members: {spread}"
         )
         return outcomes
 
@@ -131,7 +121,6 @@ def outcomes():
         "session": outcome_map_session(),
         "batch": outcome_map_batch(),
         "http": outcome_map_http(),
-        "pool_http": outcome_map_pool_http(),
         "frontdoor": outcome_map_frontdoor(),
     }
 
@@ -143,7 +132,7 @@ def test_corpus_is_the_full_91_rules(outcomes):
 
 
 @pytest.mark.parametrize(
-    "path", ["session", "batch", "http", "pool_http", "frontdoor"]
+    "path", ["session", "batch", "http", "frontdoor"]
 )
 def test_entry_point_matches_solver_verdict_and_reason_code(outcomes, path):
     baseline, candidate = outcomes["solver"], outcomes[path]

@@ -1,16 +1,15 @@
 """End-to-end tests of the async front door (``FrontDoorServer``).
 
-The front door replaces thread-per-connection with one selectors event
-loop, so this suite covers what that architecture promises on top of
-the wire contract the threaded server already pins: the same routes and
-structured records (round trips, in-order batches, structured 400s),
-plus the loop-specific behaviors — hundreds of concurrently open
+The front door serves every route from one selectors event loop.  The
+wire contract (round trips, in-order batches, structured 400s, framing)
+is pinned in ``tests/test_server.py`` and ``tests/test_server_fuzz.py``;
+this suite covers the loop-specific behaviors — hundreds of concurrently open
 connections, proving never blocking the accept path, FIFO parking
 instead of thread-blocked admission waits, per-client 429s with
 ``Retry-After``, the slow-loris idle sweep, the ``max_connections``
 terse 503, digest-shard affinity onto pool members, and autoscaler
 grow/reap.  Verdict identity over the full corpus lives in
-``tests/test_differential.py`` (the front door is its sixth path).
+``tests/test_differential.py``.
 """
 
 from __future__ import annotations
@@ -212,9 +211,8 @@ def test_keep_alive_serves_sequential_requests_on_one_socket(server):
 
 
 def test_truncated_upload_is_structured_400(server):
-    """A client that dies mid-upload gets a 400 naming the truncation —
-    the front door's LengthDecoder flags EOF-before-done just like the
-    threaded server's frame reader."""
+    """A client that dies mid-upload gets a 400 naming the truncation:
+    the LengthDecoder flags EOF-before-done."""
     body = json.dumps({"left": EQ[0], "right": EQ[1]}).encode("utf-8")
     with socket.create_connection(
         (server.host, server.port), timeout=30
@@ -282,31 +280,31 @@ def test_proving_never_blocks_the_accept_path():
 def test_over_capacity_requests_park_fifo_and_complete():
     """Past max_inflight the front door parks requests on the loop (no
     thread blocked, no 503 while the queue has room) and admits them in
-    arrival order as slots free."""
+    arrival order as slots free: with one slot, they finish in arrival
+    order too."""
     with FrontDoorServer(
         Session.from_program_text(RS_PROGRAM),
         pool_size=1,
         pool_mode="thread",
         max_inflight=1,
         max_queued=8,
-        admission_timeout=10.0,
     ) as srv:
-        statuses = []
+        finished = []
 
         def client(n):
-            status, _, _ = post_verify(srv, slow_request(n))
-            statuses.append(status)
+            status, record, _ = post_verify(srv, slow_request(n))
+            finished.append((record.get("id"), status))
 
         threads = [
-            threading.Thread(target=client, args=(n,)) for n in range(3)
+            threading.Thread(target=client, args=(n,)) for n in range(4)
         ]
         for thread in threads:
             thread.start()
-            time.sleep(0.05)  # deterministic arrival order
+            time.sleep(0.08)  # deterministic arrival order
         for thread in threads:
             thread.join(timeout=60)
-        assert statuses == [200, 200, 200]
-        assert srv.parked_peak >= 1, "nothing ever parked"
+        assert finished == [(f"slow-{n}", 200) for n in range(4)]
+        assert srv.parked_peak >= 2, "requests never queued behind each other"
 
 
 def test_stats_reports_parked_requests_as_admission_queued():
@@ -579,15 +577,25 @@ def test_write_stalled_batch_reader_frees_its_admission_slot():
         # past kernel buffers, so emission stalls at the soft limit.
         lines = b"".join(b"not json %d\n" % n for n in range(100_000))
         stalled = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+
+        def upload():
+            # Reads pause once the output backs up, so the upload blocks
+            # in the kernel until the sweep drops the connection.
+            try:
+                stalled.sendall(
+                    b"POST /verify/batch HTTP/1.1\r\n"
+                    b"Content-Length: %d\r\n\r\n" % len(lines)
+                    + lines
+                )
+            except OSError:
+                pass
+
+        uploader = threading.Thread(target=upload)
         try:
             stalled.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
             stalled.settimeout(30)
             stalled.connect((srv.host, srv.port))
-            stalled.sendall(
-                b"POST /verify/batch HTTP/1.1\r\n"
-                b"Content-Length: %d\r\n\r\n" % len(lines)
-                + lines
-            )
+            uploader.start()
             time.sleep(0.3)  # the batch owns the single gate slot now
             # Parks behind the stalled batch, then must be admitted once
             # the sweep reclaims the wedged connection (~idle_timeout).
@@ -601,6 +609,8 @@ def test_write_stalled_batch_reader_frees_its_admission_slot():
             assert srv.idle_closed >= 1, "write-stalled batch never reclaimed"
         finally:
             stalled.close()
+        uploader.join(timeout=30)
+        assert not uploader.is_alive(), "upload never unblocked"
 
 
 def test_bytes_streamed_during_inflight_request_are_capped():

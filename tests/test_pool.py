@@ -33,7 +33,7 @@ import urllib.request
 
 import pytest
 
-from repro.server import VerificationServer
+from repro.server import FrontDoorServer
 from repro.server.pool import (
     AdmissionGate,
     SessionPool,
@@ -165,7 +165,7 @@ def test_stress_clients_verdict_identity_and_no_crosstalk(baseline):
     baseline verdict and reason code — concurrency may reorder work but
     never swap or corrupt answers."""
     rounds = 5
-    with VerificationServer(
+    with FrontDoorServer(
         Session.from_program_text(RS_PROGRAM),
         pool_size=STRESS_POOL_SIZE,
         pool_mode="thread",
@@ -218,7 +218,7 @@ def test_per_request_pipeline_isolation_under_concurrency():
     same pair each get their own pipeline's answer — member reuse must
     not leak one request's configuration into another's."""
     neq = ("SELECT * FROM r x WHERE x.a = 1", "SELECT * FROM r x WHERE x.a = 2")
-    with VerificationServer(
+    with FrontDoorServer(
         Session.from_program_text(RS_PROGRAM),
         pool_size=STRESS_POOL_SIZE,
         pool_mode="thread",
@@ -279,11 +279,11 @@ def test_pooled_batch_identical_to_single_member_baseline():
         record.pop("elapsed_seconds", None)
         return record
 
-    with VerificationServer(
+    with FrontDoorServer(
         Session.from_program_text(RS_PROGRAM), pool_size=1, pool_mode="thread"
     ) as single:
         expected = [strip(r) for r in batch_records(single, lines)]
-    with VerificationServer(
+    with FrontDoorServer(
         Session.from_program_text(RS_PROGRAM),
         pool_size=STRESS_POOL_SIZE,
         pool_mode="thread",
@@ -323,7 +323,7 @@ def test_process_pool_verdict_identity_on_corpus_subset():
         )
         for rule in rules
     ]
-    with VerificationServer(
+    with FrontDoorServer(
         pipeline=PipelineConfig.legacy(), pool_size=2, pool_mode="process"
     ) as server:
         assert server.pool.mode == "process"
@@ -486,13 +486,12 @@ SLOW_REQUEST = {
 
 
 def test_saturation_returns_structured_503_with_retry_after():
-    with VerificationServer(
+    with FrontDoorServer(
         Session.from_program_text(RS_PROGRAM),
         pool_size=1,
         pool_mode="thread",
         max_inflight=1,
         max_queued=0,
-        admission_timeout=0.0,
         retry_after=7,
     ) as server:
         release = threading.Event()
@@ -546,13 +545,12 @@ def test_saturation_returns_structured_503_with_retry_after():
 
 
 def test_queued_request_within_bound_waits_and_succeeds():
-    with VerificationServer(
+    with FrontDoorServer(
         Session.from_program_text(RS_PROGRAM),
         pool_size=1,
         pool_mode="thread",
         max_inflight=1,
         max_queued=1,
-        admission_timeout=10.0,
     ) as server:
         statuses = []
 
@@ -567,73 +565,28 @@ def test_queued_request_within_bound_waits_and_succeeds():
         ]
         threads[0].start()
         time.sleep(0.1)
-        threads[1].start()  # waits in the admission queue, must not 503
+        threads[1].start()  # parks in the admission queue, must not 503
         for thread in threads:
             thread.join(timeout=60)
         assert statuses == [200, 200]
 
 
 def test_admission_gate_unit():
-    gate = AdmissionGate(2, max_queued=1, wait_timeout=0.0)
-    assert gate.try_enter() and gate.try_enter()
-    assert not gate.try_enter()  # full, no waiting allowed
-    gate.leave()
-    assert gate.try_enter()
+    gate = AdmissionGate(2, max_queued=1)
+    assert gate.poll_enter() and gate.poll_enter()
+    refused = gate.poll_enter()  # full: the caller parks or refuses
+    assert not refused and refused.code == "saturated"
+    gate.record_rejection()
+    released = []
+    gate.add_release_listener(lambda: released.append(True))
+    gate.leave()  # wakes the listener: the caller retries its queue head
+    assert released == [True]
+    assert gate.poll_enter()
     snapshot = gate.snapshot()
     assert snapshot["rejected"] == 1
     assert snapshot["admitted"] == 3
     assert snapshot["peak_inflight"] == 2
-
-    waiter = AdmissionGate(1, max_queued=1, wait_timeout=5.0)
-    assert waiter.try_enter()
-    admitted = []
-    thread = threading.Thread(
-        target=lambda: admitted.append(waiter.try_enter())
-    )
-    thread.start()
-    time.sleep(0.1)
-    waiter.leave()  # wakes the queued caller within its timeout
-    thread.join(timeout=10)
-    assert len(admitted) == 1 and admitted[0]
-
-
-def test_queued_waiter_beats_barging_newcomer():
-    """FIFO regression: a freed slot must go to the queued waiter, not to
-    a newcomer that arrives at the exact release instant.
-
-    The old gate handed the slot to whichever thread won the lock race —
-    a ``wait_timeout=0`` newcomer could barge past a patient waiter and
-    starve it through its whole timeout.  The ticketed gate admits in
-    arrival order: while anyone queues, an impatient newcomer is refused
-    immediately.
-    """
-    gate = AdmissionGate(1, max_queued=4, wait_timeout=10.0)
-    assert gate.try_enter()  # occupy the only slot
-
-    order = []
-    started = threading.Event()
-
-    def patient_waiter():
-        started.set()
-        decision = gate.try_enter()
-        order.append(("waiter", bool(decision)))
-
-    thread = threading.Thread(target=patient_waiter)
-    thread.start()
-    started.wait(timeout=10)
-    deadline = time.monotonic() + 5
-    while gate.snapshot()["queued"] == 0:  # the waiter holds a ticket
-        assert time.monotonic() < deadline, "waiter never queued"
-        time.sleep(0.005)
-
-    gate.leave()  # frees the slot with the waiter still queued
-    # A barging newcomer (refuses to wait at all) must NOT steal it.
-    newcomer = gate.try_enter(wait_timeout=0.0)
-    assert not newcomer, "newcomer barged past a queued waiter"
-
-    thread.join(timeout=10)
-    assert order == [("waiter", True)]
-    gate.leave()
+    assert snapshot["inflight"] == 2
 
 
 def test_per_client_fairness_band_under_contention():
@@ -641,9 +594,7 @@ def test_per_client_fairness_band_under_contention():
     no client's concurrency exceeds its cap, and every client makes
     progress (the fairness band: nobody is starved to zero)."""
     clients = [f"client-{i}" for i in range(4)]
-    gate = AdmissionGate(
-        8, max_queued=64, wait_timeout=5.0, per_client_inflight=2
-    )
+    gate = AdmissionGate(8, max_queued=64, per_client_inflight=2)
     progress = {name: 0 for name in clients}
     over_cap = []
     inflight = {name: 0 for name in clients}
@@ -651,7 +602,7 @@ def test_per_client_fairness_band_under_contention():
 
     def hammer(name):
         for _ in range(10):
-            decision = gate.try_enter(name)
+            decision = gate.poll_enter(name)
             if not decision:
                 continue
             with lock:
@@ -686,23 +637,21 @@ def test_rate_limit_answers_rate_limited_with_retry_after():
     """A client over its token bucket gets a 'rate-limited' decision
     carrying retry_after; a different client is unaffected; the bucket
     refills with time."""
-    gate = AdmissionGate(
-        8, max_queued=8, wait_timeout=0.0, rate_limit=2.0, rate_burst=2.0
-    )
+    gate = AdmissionGate(8, max_queued=8, rate_limit=2.0, rate_burst=2.0)
     # Burst capacity (2 tokens) admits the first two...
-    assert gate.try_enter("greedy")
-    assert gate.try_enter("greedy")
+    assert gate.poll_enter("greedy")
+    assert gate.poll_enter("greedy")
     # ...then the bucket is dry: rate-limited, with a retry hint.
-    decision = gate.try_enter("greedy")
+    decision = gate.poll_enter("greedy")
     assert not decision
     assert decision.code == "rate-limited"
     assert decision.retry_after is not None and decision.retry_after > 0
     # An unrelated client has its own bucket.
-    assert gate.try_enter("patient")
+    assert gate.poll_enter("patient")
     gate.leave("patient")
     # Refill: at 2 tokens/sec, ~0.6s buys at least one more admission.
     time.sleep(0.6)
-    assert gate.try_enter("greedy")
+    assert gate.poll_enter("greedy")
     for _ in range(3):
         gate.leave("greedy")
     snapshot = gate.snapshot()

@@ -1,6 +1,6 @@
 """End-to-end tests of the HTTP verification server.
 
-Each module-scoped fixture boots a real :class:`VerificationServer` on an
+The module-scoped fixture boots a real :class:`FrontDoorServer` on an
 ephemeral port in a background thread and talks to it over actual HTTP
 (urllib) — no handler mocking.  Covered: single and batch round-trips,
 JSON schema stability of the ``VerifyResult`` wire record, structured
@@ -17,13 +17,15 @@ clients against the session pool.  Pool-specific concurrency behavior
 from __future__ import annotations
 
 import json
+import math
 import threading
 import urllib.error
 import urllib.request
 
 import pytest
 
-from repro.server import VerificationServer, error_record
+import repro.server.frontdoor as frontdoor
+from repro.server import FrontDoorServer, error_record
 from repro.session import Session, VerifyResult
 
 from tests.conftest import KEYED_PROGRAM, RS_PROGRAM
@@ -56,7 +58,7 @@ def server():
     # max_inflight is raised past the concurrency tests' burst size: this
     # module tests request/response semantics, not backpressure (which
     # tests/test_pool.py covers against a deliberately tight gate).
-    with VerificationServer(
+    with FrontDoorServer(
         Session.from_program_text(RS_PROGRAM), max_inflight=32
     ) as srv:
         yield srv
@@ -274,6 +276,49 @@ def test_batch_pipeline_and_window_query_params(server):
     assert records[0]["reason_code"] == "counterexample-found"
 
 
+def test_batch_body_streams_past_the_buffered_body_cap(server, monkeypatch):
+    """Only buffered bodies are capped: a batch larger than
+    MAX_REQUEST_BYTES still gets a record for every line, while the same
+    cap still answers /verify with a 413."""
+    monkeypatch.setattr(frontdoor, "MAX_REQUEST_BYTES", 1024)
+    lines = [
+        json.dumps({"id": f"big-{n}", "left": EQ[0], "right": EQ[1]})
+        for n in range(40)
+    ]
+    assert len("\n".join(lines)) > 1024
+    records = batch_lines(server, lines)
+    assert [r["id"] for r in records] == [f"big-{n}" for n in range(40)]
+    assert all(r["verdict"] == "proved" for r in records)
+    status, payload = post(server, "/verify", b" " * 2048)
+    assert status == 413
+    assert payload["error"]["code"] == "payload-too-large"
+
+
+@pytest.mark.parametrize(
+    "timeout", [float("nan"), float("inf"), 1e10], ids=["nan", "inf", "1e10"]
+)
+def test_extreme_timeout_never_answers_500(server, timeout):
+    """A non-finite budget is an envelope error (400 on /verify, an
+    in-stream bad-request record in a batch); a huge finite one is
+    clamped below every wait primitive's limit.  Neither is an
+    internal error."""
+    _, before = get(server, "/stats")
+    obj = {"id": "budget", "left": EQ[0], "right": EQ[1],
+           "timeout_seconds": timeout}
+    status, record = post_verify(server, obj)
+    [line_record] = batch_lines(server, [json.dumps(obj)])
+    _, after = get(server, "/stats")
+    assert after["internal_errors"] == before["internal_errors"]
+    if math.isfinite(timeout):
+        assert status == 200 and record["verdict"] == "proved"
+        assert line_record["verdict"] == "proved"
+    else:
+        assert status == 400
+        assert "finite" in record["error"]["reason"]
+        assert line_record["error"]["code"] == "bad-request"
+        assert line_record["error"]["line"] == 1
+
+
 def test_batch_bad_pipeline_is_structured_400(server):
     status, payload = post(
         server, "/verify/batch?pipeline=sorcery", b"{}\n"
@@ -348,9 +393,17 @@ def test_corpus_replay_returns_summary_and_feeds_stats(server):
 
 
 def test_corpus_unknown_dataset_is_structured_400(server):
+    _, before = get(server, "/stats")
     status, payload = post(server, "/corpus?dataset=figments", b"")
     assert status == 400
+    assert payload["error"]["code"] == "bad-request"
     assert "figments" in payload["error"]["reason"]
+    status, payload = post(server, "/corpus?pipeline=nope", b"")
+    assert status == 400
+    assert payload["error"]["code"] == "bad-request"
+    assert "nope" in payload["error"]["reason"]
+    _, after = get(server, "/stats")
+    assert after["internal_errors"] == before["internal_errors"]
 
 
 def test_corpus_get_is_structured_405(server):

@@ -22,8 +22,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-import repro.server.http as server_http
-from repro.server import VerificationServer
+import repro.server.frontdoor as frontdoor
+from repro.server import FrontDoorServer
+from repro.server.framing import BadChunkedBody, ChunkedDecoder
 from repro.session import PipelineConfig, Session
 
 from tests.conftest import RS_PROGRAM
@@ -33,7 +34,7 @@ QUERIES = [f"SELECT * FROM r x WHERE x.a = {n}" for n in range(4)]
 
 @pytest.fixture(scope="module")
 def server():
-    with VerificationServer(
+    with FrontDoorServer(
         Session.from_program_text(RS_PROGRAM, PipelineConfig.legacy()),
         pool_size=2,
         pool_mode="thread",
@@ -236,7 +237,7 @@ def test_chunk_split_inside_multibyte_utf8(server):
 
 
 def test_oversized_line_becomes_one_error_record(server, monkeypatch):
-    monkeypatch.setattr(server_http, "MAX_LINE_BYTES", 256)
+    monkeypatch.setattr(frontdoor, "MAX_LINE_BYTES", 256)
     huge = json.dumps(
         {"id": "x" * 600, "left": QUERIES[0], "right": QUERIES[0]}
     )
@@ -285,6 +286,15 @@ def test_malformed_chunk_framing_mid_stream_is_isolated(server):
     assert records[0]["id"] == "ok"
     assert records[-1]["error"]["code"] == "bad-request"
     assert "chunk" in records[-1]["error"]["reason"]
+
+
+def test_chunked_decoder_keeps_payload_decoded_before_a_framing_error():
+    """The lines a broken chunk stream completed before the violation
+    must still reach the splitter, however the bytes were segmented."""
+    decoder = ChunkedDecoder()
+    with pytest.raises(BadChunkedBody) as caught:
+        decoder.feed(b"3\r\nok\n\r\nZZZ-not-hex\r\n")
+    assert caught.value.partial == b"ok\n"
 
 
 def test_lockstep_client_streams_per_record(server):

@@ -19,7 +19,7 @@ import urllib.request
 import pytest
 
 from repro.hashcons_store import install_shared_store
-from repro.server import VerificationServer
+from repro.server import FrontDoorServer
 from repro.server.pool import SessionPool, resolve_pool_mode
 from repro.session import PipelineConfig, Session
 from repro.store import (
@@ -323,7 +323,7 @@ def test_process_pool_members_share_one_database(tmp_path):
 
 def test_server_stats_surface_verdict_cache(tmp_path):
     path = str(tmp_path / "server.sqlite")
-    with VerificationServer(
+    with FrontDoorServer(
         pipeline=PipelineConfig.legacy(),
         store_path=path,
         store_backend="sqlite",
