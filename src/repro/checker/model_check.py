@@ -2,11 +2,10 @@
 
 Strategy, in order:
 
-1. the empty instance (catches constant-output differences, e.g. the
-   count bug's empty-input corner);
-2. exhaustive tiny instances (≤ 1-2 rows per table over a 2-value pool,
-   constraint-satisfying only);
-3. random instances of growing size.
+1. exhaustive tiny instances (≤ 1-2 rows per table over a 2-value pool,
+   constraint-satisfying only), starting with the empty instance (catches
+   constant-output differences, e.g. the count bug's empty-input corner);
+2. random instances of growing size.
 
 Both queries are evaluated under the from-scratch bag-semantics engine; a
 disagreement is a database where the output *bags* differ.
@@ -15,7 +14,7 @@ disagreement is a database where the output *bags* differ.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, Optional, Tuple, Union
 
 from repro.engine.database import Database, bag_of
 from repro.engine.eval import QueryEvaluator
@@ -68,11 +67,12 @@ class ModelChecker:
         right_query = self._prepare(right)
         generator = DatabaseGenerator(self.catalog, seed=self._seed)
 
-        candidates: List[Database] = [generator.empty()]
+        # The all-empty instance is the first exhaustive candidate; it is
+        # checked on its own only when enumeration is impossible.
         try:
-            candidates.extend(generator.exhaustive_small(exhaustive_rows))
+            candidates = generator.exhaustive_small(exhaustive_rows)
         except EvaluationError:
-            pass
+            candidates = [generator.empty()]
         for database in candidates:
             witness = self._check_one(database, left_query, right_query)
             if witness is not None:

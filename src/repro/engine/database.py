@@ -40,6 +40,20 @@ class Database:
             name: [] for name in catalog.tables()
         }
 
+    @classmethod
+    def of_rows(
+        cls, catalog: Catalog, tables: Iterable[Tuple[str, Iterable[Row]]]
+    ) -> "Database":
+        """An instance holding ``(table, rows)`` pairs without per-row
+        schema checks — for rows generated from the catalog's own schemas.
+        The row dicts are shared with the caller, never mutated here."""
+        database = cls(catalog)
+        for table, rows in tables:
+            if table not in database._tables:
+                raise EvaluationError(f"unknown table {table!r}")
+            database._tables[table] = list(rows)
+        return database
+
     # -- population --------------------------------------------------------
 
     def insert(self, table: str, row: Row) -> None:

@@ -16,11 +16,14 @@ Semantics notes:
   ``min``/``max``) — this is what lets the model checker expose the count
   bug, which the uninterpreted-aggregate prover must not "prove" away;
 * scalar arithmetic (``+ - * /``) is interpreted; unknown functions evaluate
-  to a deterministic opaque token.
+  to a deterministic opaque token;
+* ``LIKE`` matches SQL wildcards (``%``, ``_``) over strings; a non-string
+  operand is an :class:`~repro.errors.EvaluationError`.
 """
 
 from __future__ import annotations
 
+import re
 from typing import Dict, List, Optional, Tuple
 
 from repro.errors import EvaluationError
@@ -245,8 +248,24 @@ def _compare(op: str, left: object, right: object) -> bool:
     except TypeError:
         return False
     if op == "LIKE":
-        return isinstance(left, str) and isinstance(right, str) and right in left
+        if not isinstance(left, str) or not isinstance(right, str):
+            # Ill-typed under SQL; the model checker skips the instance
+            # rather than reading a verdict off an arbitrary truth value.
+            raise EvaluationError(
+                f"LIKE needs string operands, got {left!r} LIKE {right!r}"
+            )
+        return _like_regex(right).fullmatch(left) is not None
     raise EvaluationError(f"unknown comparison {op!r}")
+
+
+def _like_regex(pattern: str) -> "re.Pattern[str]":
+    """SQL ``LIKE`` wildcards: ``%`` any run of characters, ``_`` exactly
+    one; everything else matches itself."""
+    parts = (
+        ".*" if ch == "%" else "." if ch == "_" else re.escape(ch)
+        for ch in pattern
+    )
+    return re.compile("".join(parts), re.DOTALL)
 
 
 def _apply_function(name: str, args: List[object]) -> object:

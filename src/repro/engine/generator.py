@@ -11,11 +11,20 @@ from __future__ import annotations
 
 import itertools
 import random
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import EvaluationError
 from repro.engine.database import Database, Row
+from repro.hashcons import LRUCache, memoization_enabled
 from repro.sql.program import Catalog
+
+#: Row assignments surviving :meth:`DatabaseGenerator.exhaustive_small`'s
+#: constraint filter, keyed by catalog *content*: tables with attribute
+#: names, keys, foreign keys, ``rows_per_table`` and the value pool.
+#: Rows only, never :class:`Database` objects — the evaluator reads views
+#: and table schemas from ``database.catalog``, so each use binds the
+#: rows to the caller's own catalog.
+_CANDIDATE_CACHE = LRUCache("model-check-candidates", maxsize=64)
 
 
 class DatabaseGenerator:
@@ -54,32 +63,109 @@ class DatabaseGenerator:
     def exhaustive_small(self, rows_per_table: int = 1) -> List[Database]:
         """All instances with at most ``rows_per_table`` rows per table over a
         two-value pool — tiny but systematically covers the corner cases
-        (empty tables included)."""
+        (empty tables included).
+
+        The order is that of the full product of per-table options
+        (``itertools.product`` over tables in name order), filtered to the
+        constraint-satisfying ones; the all-empty instance comes first.
+        The surviving row assignments are cached by catalog content and
+        bound to this generator's catalog on every call, so two catalogs
+        with equal tables but different views never share a database.
+        """
         pool = self.value_pool[:2] if len(self.value_pool) >= 2 else self.value_pool
         tables = sorted(self.catalog.tables())
-        per_table_options: List[List[List[Row]]] = []
+        key = (
+            tuple(
+                (t, self.catalog.table_schema(t).attribute_names())
+                for t in tables
+            ),
+            tuple(sorted((c.table, c.attributes) for c in self.catalog.keys)),
+            tuple(
+                sorted(
+                    (c.table, c.attributes, c.ref_table, c.ref_attributes)
+                    for c in self.catalog.foreign_keys
+                )
+            ),
+            rows_per_table,
+            tuple(pool),
+        )
+        memoize = memoization_enabled()
+        assignments = _CANDIDATE_CACHE.get(key) if memoize else None
+        if assignments is None:
+            assignments = self._satisfying_assignments(
+                tables, pool, rows_per_table
+            )
+            if memoize:
+                _CANDIDATE_CACHE.put(key, assignments)
+        return [
+            Database.of_rows(self.catalog, zip(tables, assignment))
+            for assignment in assignments
+        ]
+
+    # -- internals -----------------------------------------------------------
+
+    def _satisfying_assignments(
+        self, tables: List[str], pool: Sequence[object], rows_per_table: int
+    ) -> Tuple[Tuple[Tuple[Row, ...], ...], ...]:
+        """Per-table row tuples of every constraint-satisfying instance.
+
+        Keys are checked per table before the product (an option whose
+        rows repeat a key value is dropped), foreign keys on each raw
+        combination of options; both use ``row.get`` exactly like
+        :meth:`Database.violated_constraints`.
+        """
+        index = {table: i for i, table in enumerate(tables)}
+        per_table_options: List[List[Tuple[Row, ...]]] = []
         for table in tables:
-            schema = self.catalog.table_schema(table)
-            names = schema.attribute_names()
+            names = self.catalog.table_schema(table).attribute_names()
             candidate_rows = [
                 dict(zip(names, values))
                 for values in itertools.product(pool, repeat=len(names))
             ]
-            options: List[List[Row]] = [[]]
+            keys = [c.attributes for c in self.catalog.keys if c.table == table]
+            options: List[Tuple[Row, ...]] = [()]
             for size in range(1, rows_per_table + 1):
                 for combo in itertools.combinations(candidate_rows, size):
-                    options.append([dict(r) for r in combo])
+                    if all(
+                        len({tuple(r.get(a) for a in attrs) for r in combo})
+                        == size
+                        for attrs in keys
+                    ):
+                        options.append(combo)
             per_table_options.append(options)
-        databases: List[Database] = []
-        for assignment in itertools.product(*per_table_options):
-            database = Database(self.catalog)
-            for table, rows in zip(tables, assignment):
-                database.set_table(table, rows)
-            if database.satisfies_constraints():
-                databases.append(database)
-        return databases
-
-    # -- internals -----------------------------------------------------------
+        # Per foreign key: the referencing values of each option of the
+        # source table, and the referenced values of each option of the
+        # target table; a combination survives when every source set is
+        # contained in its target set.
+        fk_checks = []
+        for fk in self.catalog.foreign_keys:
+            if fk.table not in index or fk.ref_table not in index:
+                continue
+            src, ref = index[fk.table], index[fk.ref_table]
+            fk_checks.append((
+                src,
+                ref,
+                [
+                    {tuple(r.get(a) for a in fk.attributes) for r in option}
+                    for option in per_table_options[src]
+                ],
+                [
+                    {tuple(r.get(a) for a in fk.ref_attributes) for r in option}
+                    for option in per_table_options[ref]
+                ],
+            ))
+        survivors = []
+        for choice in itertools.product(
+            *(range(len(options)) for options in per_table_options)
+        ):
+            if all(
+                values[choice[src]] <= referenced[choice[ref]]
+                for src, ref, values, referenced in fk_checks
+            ):
+                survivors.append(tuple(
+                    options[i] for options, i in zip(per_table_options, choice)
+                ))
+        return tuple(survivors)
 
     def _generate_once(self, max_rows: int) -> Database:
         database = Database(self.catalog)
@@ -152,3 +238,4 @@ class DatabaseGenerator:
                 used_key_values[tuple(key)].add(tuple(row[a] for a in key))
             rows.append(row)
         return rows
+

@@ -68,6 +68,10 @@ _MAX_ROUNDS = 100
 #: cold run's proof steps for replay, exactly like the normalize memo.
 _CANONIZE_CACHE = LRUCache("canonize", maxsize=4096)
 
+#: Memo table for :func:`_canonical_agg`, keyed on ``(aggregate,
+#: constraint digest, sorted schemas of the aggregate's free variables)``.
+_CANONICAL_AGG_CACHE = LRUCache("canonize-agg", maxsize=4096)
+
 #: Recursion depth per thread; the shared cross-process store is only
 #: consulted/fed for root forms (see the twin note in
 #: :mod:`repro.usr.spnf` — inner squash/negation recursion is subsumed
@@ -260,7 +264,39 @@ def canonical_rename_form(form: NormalForm) -> NormalForm:
 def _canonical_agg(
     agg: Agg, constraints: ConstraintSet, var_schemas: SchemaEnv
 ) -> Agg:
-    """Normalize + canonize + canonically rename an aggregate's body."""
+    """Normalize + canonize + canonically rename an aggregate's body.
+
+    Memoized on (aggregate × constraint digest × schemas of the
+    aggregate's free variables) — the body's canonical form reads no
+    other schema.  A canonical aggregate is a fixpoint, so each result is
+    also stored under its own key: the re-canonization of an
+    already-canonical aggregate (mostly :func:`_apply_squash_invariance`
+    re-canonizing a flattened body) is then a hit.
+    """
+    if not memoization_enabled():
+        return _canonical_agg_impl(agg, constraints, var_schemas)
+    digest = constraints.digest()
+    key = _agg_key(agg, digest, var_schemas)
+    hit = _CANONICAL_AGG_CACHE.get(key)
+    if hit is not None:
+        return hit
+    canonical = _canonical_agg_impl(agg, constraints, var_schemas)
+    _CANONICAL_AGG_CACHE.put(key, canonical)
+    _CANONICAL_AGG_CACHE.put(_agg_key(canonical, digest, var_schemas), canonical)
+    return canonical
+
+
+def _agg_key(agg: Agg, digest: str, var_schemas: SchemaEnv) -> Tuple:
+    return (
+        agg,
+        digest,
+        tuple(sorted((v, var_schemas.get(v)) for v in agg.free_tuple_vars())),
+    )
+
+
+def _canonical_agg_impl(
+    agg: Agg, constraints: ConstraintSet, var_schemas: SchemaEnv
+) -> Agg:
     from repro.usr.spnf import form_to_uexpr
 
     env = dict(var_schemas)

@@ -4,6 +4,7 @@ import pytest
 
 from repro.engine import Database, DatabaseGenerator, QueryEvaluator, evaluate_query
 from repro.engine.database import bag_of, freeze_row
+from repro.engine.eval import _compare
 from repro.errors import EvaluationError, SchemaError
 from repro.sql.desugar import desugar_query
 from repro.sql.parser import parse_query
@@ -156,6 +157,47 @@ def test_comparisons(db):
     assert len(run(db, "SELECT * FROM r x WHERE x.a < 1")) == 1
     assert len(run(db, "SELECT * FROM r x WHERE x.a <= 1")) == 4
     assert len(run(db, "SELECT * FROM r x WHERE x.a <> 0")) == 3
+
+
+@pytest.mark.parametrize(
+    "text, pattern, expected",
+    [
+        ("abc", "%", True),
+        ("", "%", True),
+        ("abc", "a%", True),
+        ("abc", "%c", True),
+        ("abc", "%b%", True),
+        ("abc", "b%", False),
+        ("abc", "_bc", True),
+        ("abc", "a_c", True),
+        ("abc", "___", True),
+        ("abc", "__", False),
+        ("", "_", False),
+        ("abc", "abc", True),
+        ("abcd", "bc", False),
+        ("ABC", "abc", False),
+        ("a.c", "a.c", True),
+        ("abc", "a.c", False),
+        ("a*c", "a*c", True),
+    ],
+)
+def test_like_wildcards(text, pattern, expected):
+    """``%`` matches any run, ``_`` one character, the rest literally —
+    the whole string, not a substring."""
+    assert _compare("LIKE", text, pattern) is expected
+
+
+@pytest.mark.parametrize("left, right", [(0, "%"), ("a", 0), (None, "%")])
+def test_like_over_non_string_raises(left, right):
+    with pytest.raises(EvaluationError):
+        _compare("LIKE", left, right)
+
+
+def test_like_in_where(catalog):
+    database = Database(catalog)
+    database.insert_all("r", [{"a": "apple", "b": 0}, {"a": "banana", "b": 1}])
+    assert [row["b"] for row in run(database, "SELECT * FROM r x WHERE x.a LIKE 'a%'")] == [0]
+    assert [row["b"] for row in run(database, "SELECT * FROM r x WHERE x.a LIKE '_anana'")] == [1]
 
 
 # -- generator ------------------------------------------------------------------
