@@ -16,10 +16,10 @@ test-server:
 test-frontdoor:
 	$(PYTHON) -m pytest -x -q tests/test_frontdoor.py
 
-## Durable-store suites: SQLite backend mechanics, verdict-cache
-## replay semantics (both backends), flock-store hardening.
+## Durable-store suites: SQLite store mechanics and verdict-cache
+## replay semantics.
 test-store:
-	$(PYTHON) -m pytest -x -q tests/test_store_sqlite.py tests/test_verdict_cache.py tests/test_memo_store.py
+	$(PYTHON) -m pytest -x -q tests/test_store_sqlite.py tests/test_verdict_cache.py
 
 ## Clustering suites: the offline shim contract plus the streaming
 ## /cluster service end to end — engine direct, over HTTP, durable
@@ -83,7 +83,7 @@ bench-kernel:
 ## Warm-restart gate for the durable verdict cache: a fresh process
 ## over a populated store must replay the full 91-rule corpus >= 5x
 ## faster than the cold pass, verdict-identical, with zero tactic
-## invocations (both backends; report in benchmarks/out/).
+## invocations (report in benchmarks/out/).
 bench-store:
 	$(PYTHON) benchmarks/bench_store.py --gate
 

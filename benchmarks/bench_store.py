@@ -3,7 +3,7 @@
 The durability claim is only meaningful across a real process boundary:
 an in-process "restart" would inherit every warm LRU and prove nothing.
 This harness therefore spawns two *separate* interpreter processes over
-one store file:
+one SQLite store file:
 
 * **cold** — an empty store; the full 91-rule corpus is proved from
   scratch and every verdict published to the store;
@@ -11,11 +11,10 @@ one store file:
   must answer from the verdict cache with **zero tactic invocations**,
   verdict- and reason-code-identical to the cold pass.
 
-Both backends run (``sqlite`` — the durable default — and the legacy
-``flock`` file).  Report lands in ``benchmarks/out/store_warm_restart.txt``.
-``--gate`` exits 1 unless, for every backend: the warm pass is at least
-5x faster than the cold pass, all 91 rules hit the cache, no tactic
-runs, and the verdict maps are identical.
+Report lands in ``benchmarks/out/store_warm_restart.txt``.  ``--gate``
+exits 1 unless the warm pass is at least 5x faster than the cold pass,
+all 91 rules hit the cache, no tactic runs, and the verdict maps are
+identical.
 
 Run::
 
@@ -34,7 +33,6 @@ import tempfile
 import time
 
 SPEEDUP_BAR = 5.0
-BACKENDS = ("sqlite", "flock")
 
 
 # ---------------------------------------------------------------------------
@@ -42,14 +40,13 @@ BACKENDS = ("sqlite", "flock")
 # ---------------------------------------------------------------------------
 
 
-def run_phase(phase: str, store_path: str, backend: str) -> dict:
+def run_phase(phase: str, store_path: str) -> dict:
     from repro import PipelineConfig, Session
     from repro.corpus import as_verify_requests
-    from repro.hashcons_store import install_shared_store
     from repro.session import tactic_invocations
-    from repro.store import open_store
+    from repro.store import install_shared_store, open_store
 
-    store = open_store(store_path, backend=backend)
+    store = open_store(store_path)
     install_shared_store(store)
     session = Session(config=PipelineConfig.legacy())
     started = time.monotonic()
@@ -60,7 +57,6 @@ def run_phase(phase: str, store_path: str, backend: str) -> dict:
     elapsed_ms = (time.monotonic() - started) * 1000.0
     result = {
         "phase": phase,
-        "backend": backend,
         "elapsed_ms": round(elapsed_ms, 3),
         "rules": len(verdicts),
         "cache_hits": session.stats.verdict_cache_hits,
@@ -78,7 +74,7 @@ def run_phase(phase: str, store_path: str, backend: str) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def spawn_phase(phase: str, store_path: str, backend: str) -> dict:
+def spawn_phase(phase: str, store_path: str) -> dict:
     env = dict(os.environ)
     src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
     env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
@@ -90,8 +86,6 @@ def spawn_phase(phase: str, store_path: str, backend: str) -> dict:
             phase,
             "--store",
             store_path,
-            "--backend",
-            backend,
         ],
         env=env,
         capture_output=True,
@@ -101,22 +95,22 @@ def spawn_phase(phase: str, store_path: str, backend: str) -> dict:
     )
     if completed.returncode != 0:
         raise RuntimeError(
-            f"{backend}/{phase} child failed "
+            f"{phase} child failed "
             f"(rc={completed.returncode}):\n{completed.stderr}"
         )
     return json.loads(completed.stdout.splitlines()[-1])
 
 
-def bench_backend(backend: str) -> dict:
+def bench_restart() -> dict:
     with tempfile.TemporaryDirectory(prefix="udp-bench-store-") as tmp:
-        store_path = os.path.join(tmp, f"verdicts.{backend}")
-        cold = spawn_phase("cold", store_path, backend)
-        warm = spawn_phase("warm", store_path, backend)
+        store_path = os.path.join(tmp, "verdicts.sqlite")
+        cold = spawn_phase("cold", store_path)
+        warm = spawn_phase("warm", store_path)
     speedup = cold["elapsed_ms"] / max(warm["elapsed_ms"], 1e-9)
     return {"cold": cold, "warm": warm, "speedup": speedup}
 
 
-def check_backend(backend: str, result: dict) -> list:
+def check_restart(result: dict) -> list:
     cold, warm = result["cold"], result["warm"]
     problems = []
     if warm["verdicts"] != cold["verdicts"]:
@@ -125,20 +119,20 @@ def check_backend(backend: str, result: dict) -> list:
             for rule_id in cold["verdicts"]
             if warm["verdicts"].get(rule_id) != cold["verdicts"][rule_id]
         }
-        problems.append(f"{backend}: warm verdicts drifted: {drift}")
+        problems.append(f"warm verdicts drifted: {drift}")
     if warm["cache_hits"] != warm["rules"]:
         problems.append(
-            f"{backend}: only {warm['cache_hits']}/{warm['rules']} "
+            f"only {warm['cache_hits']}/{warm['rules']} "
             "rules answered from the verdict cache"
         )
     if warm["tactic_invocations"] != 0:
         problems.append(
-            f"{backend}: warm restart ran "
-            f"{warm['tactic_invocations']} tactic(s); expected 0"
+            f"warm restart ran {warm['tactic_invocations']} tactic(s); "
+            "expected 0"
         )
     if result["speedup"] < SPEEDUP_BAR:
         problems.append(
-            f"{backend}: warm speedup {result['speedup']:.1f}x "
+            f"warm speedup {result['speedup']:.1f}x "
             f"misses the {SPEEDUP_BAR:.0f}x bar"
         )
     return problems
@@ -149,35 +143,26 @@ def main() -> int:
     parser.add_argument("--phase", choices=("cold", "warm"))
     parser.add_argument("--store", help="store path (child mode)")
     parser.add_argument(
-        "--backend", choices=BACKENDS, help="store backend (child mode)"
-    )
-    parser.add_argument(
         "--gate", action="store_true", help="exit 1 on a missed bar"
     )
     args = parser.parse_args()
     if args.phase:
-        print(json.dumps(run_phase(args.phase, args.store, args.backend)))
+        print(json.dumps(run_phase(args.phase, args.store)))
         return 0
 
     from conftest import format_table, write_report
 
-    results = {backend: bench_backend(backend) for backend in BACKENDS}
-    problems = []
-    rows = []
-    for backend, result in results.items():
-        problems.extend(check_backend(backend, result))
-        cold, warm = result["cold"], result["warm"]
-        rows.append(
-            [
-                backend,
-                f"{cold['elapsed_ms']:.1f}",
-                f"{warm['elapsed_ms']:.1f}",
-                f"{result['speedup']:.1f}x",
-                f"{warm['cache_hits']}/{warm['rules']}",
-                str(warm["tactic_invocations"]),
-                "identical" if warm["verdicts"] == cold["verdicts"] else "DRIFT",
-            ]
-        )
+    result = bench_restart()
+    problems = check_restart(result)
+    cold, warm = result["cold"], result["warm"]
+    row = [
+        f"{cold['elapsed_ms']:.1f}",
+        f"{warm['elapsed_ms']:.1f}",
+        f"{result['speedup']:.1f}x",
+        f"{warm['cache_hits']}/{warm['rules']}",
+        str(warm["tactic_invocations"]),
+        "identical" if warm["verdicts"] == cold["verdicts"] else "DRIFT",
+    ]
     lines = [
         "Warm-restart verdict cache: full 91-rule corpus, two processes",
         f"(bar: warm >= {SPEEDUP_BAR:.0f}x cold, all rules cached, "
@@ -185,7 +170,6 @@ def main() -> int:
         "",
         format_table(
             [
-                "backend",
                 "cold ms",
                 "warm ms",
                 "speedup",
@@ -193,7 +177,7 @@ def main() -> int:
                 "tactics",
                 "verdicts",
             ],
-            rows,
+            [row],
         ),
     ]
     if problems:
@@ -201,7 +185,7 @@ def main() -> int:
         lines.extend(f"FAIL: {problem}" for problem in problems)
     else:
         lines.append("")
-        lines.append("PASS: every backend met the warm-restart bar")
+        lines.append("PASS: the warm restart met the bar")
     write_report("store_warm_restart.txt", "\n".join(lines) + "\n")
     if problems and args.gate:
         return 1

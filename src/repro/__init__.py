@@ -70,7 +70,11 @@ Public surface:
   hash-consing/memoization layer of :mod:`repro.hashcons`;
 * :mod:`repro.server` — the long-lived HTTP verification service
   (``udp-prove serve``: ``POST /verify``, streamed ``POST /verify/batch``,
-  ``GET /healthz``/``/stats``) over one warm session, stdlib-only.
+  ``GET /healthz``/``/stats``) over a pool of warm sessions, stdlib-only;
+* :mod:`repro.store` — the durable SQLite memo + verdict store
+  (:func:`~repro.store.open_store`, installed with
+  :func:`~repro.store.install_shared_store`) that pool members, batch
+  runs and restarts share.
 """
 
 from repro.errors import (
@@ -87,9 +91,8 @@ from repro.errors import (
 from repro.client import ClientError, RetryPolicy, VerifyClient
 from repro.frontend.solver import Solver, VerificationOutcome, prove
 from repro.hashcons import cache_stats, clear_caches, set_memoization
-from repro.hashcons_store import SharedMemoStore, install_shared_store
 from repro.service import BatchPair, BatchRecord, BatchVerifier
-from repro.store import SQLiteMemoStore, open_store
+from repro.store import SQLiteMemoStore, install_shared_store, open_store
 from repro.session import (
     PipelineConfig,
     Session,
@@ -131,7 +134,6 @@ __all__ = [
     "SchemaError",
     "Session",
     "SessionStats",
-    "SharedMemoStore",
     "Solver",
     "UnsupportedFeatureError",
     "Verdict",

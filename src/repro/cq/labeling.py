@@ -422,7 +422,7 @@ def term_digest(term: NormalTerm) -> str:
     Equal digests exhibit a binder bijection making the two terms
     byte-identical, so digest equality soundly short-circuits TDP; the
     digests also key the decision-procedure memo layers, in-process and
-    in the cross-process :class:`~repro.hashcons_store.SharedMemoStore`.
+    in the cross-process shared store (:mod:`repro.store`).
     """
     cached = term.__dict__.get("_canon_digest")
     if cached is not None:

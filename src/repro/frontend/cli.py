@@ -61,6 +61,7 @@ from repro.session import (
     available_tactics,
     parse_pipeline_spec,
 )
+from repro.store import install_shared_store, open_store
 from repro.udp.decide import DecisionOptions
 from repro.udp.trace import Verdict
 
@@ -162,14 +163,6 @@ def build_batch_parser() -> argparse.ArgumentParser:
             "verdict cache without re-proving"
         ),
     )
-    parser.add_argument(
-        "--store-backend", choices=("auto", "sqlite", "flock"),
-        default="auto",
-        help=(
-            "store implementation: sqlite (WAL database; what auto "
-            "picks) or flock (legacy flat file, POSIX-only)"
-        ),
-    )
     return parser
 
 
@@ -227,13 +220,6 @@ def build_cluster_parser() -> argparse.ArgumentParser:
             "decision-procedure calls"
         ),
     )
-    parser.add_argument(
-        "--store-backend", choices=("auto", "sqlite"), default="auto",
-        help=(
-            "store implementation (sqlite is the only group-capable "
-            "backend; what auto picks)"
-        ),
-    )
     return parser
 
 
@@ -276,13 +262,10 @@ def run_cluster(argv: List[str]) -> int:
         lines = close_input
     store = previous_store = None
     if args.store:
-        from repro.hashcons_store import install_shared_store
-        from repro.store import open_store
-
         # Installed as the shared memo store too, so residual decisions
         # benefit from the durable memo/verdict layers alongside the
         # durable group index.
-        store = open_store(args.store, backend=args.store_backend)
+        store = open_store(args.store)
         previous_store = install_shared_store(store)
     engine = ClusterEngine(
         session, store=store, digest_buckets=not args.no_digests
@@ -303,8 +286,6 @@ def run_cluster(argv: List[str]) -> int:
         if close_input is not None:
             close_input.close()
         if store is not None:
-            from repro.hashcons_store import install_shared_store
-
             install_shared_store(previous_store)
             store.close()
     stats = engine.stats
@@ -444,14 +425,6 @@ def build_serve_parser() -> argparse.ArgumentParser:
         ),
     )
     parser.add_argument(
-        "--store-backend", choices=("auto", "sqlite", "flock"),
-        default="auto",
-        help=(
-            "store implementation: sqlite (WAL database; what auto "
-            "picks) or flock (legacy flat file, POSIX-only)"
-        ),
-    )
-    parser.add_argument(
         "--host", default=DEFAULT_HOST,
         help=f"bind address (default {DEFAULT_HOST})",
     )
@@ -575,7 +548,6 @@ def run_serve(argv: List[str]) -> int:
             member_timeout=args.member_timeout or None,
             shared_store=False if args.no_shared_store else None,
             store_path=args.store,
-            store_backend=args.store_backend,
             shard_dispatch=not args.no_shard_dispatch,
             max_inflight=args.max_inflight or None,
             max_queued=None if args.max_queued < 0 else args.max_queued,
@@ -704,13 +676,10 @@ def run_batch(argv: List[str]) -> int:
         return 2
     store = previous_store = None
     if args.store:
-        from repro.hashcons_store import install_shared_store
-        from repro.store import open_store
-
         # Installed before the verifier starts so forked workers
         # inherit it; the verdict cache then answers repeated pairs
         # across batch runs without re-proving.
-        store = open_store(args.store, backend=args.store_backend)
+        store = open_store(args.store)
         previous_store = install_shared_store(store)
     verifier = BatchVerifier(workers=args.workers, pipeline=pipeline)
     try:
@@ -720,8 +689,6 @@ def run_batch(argv: List[str]) -> int:
             records = verifier.run(pairs, sink=sys.stdout)
     finally:
         if store is not None:
-            from repro.hashcons_store import install_shared_store
-
             install_shared_store(previous_store)
             store.close()
     counts: dict = {}

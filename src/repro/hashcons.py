@@ -355,7 +355,7 @@ def _locks_to_hold() -> List:
         cache._lock
         for _, cache in sorted(_CACHE_REGISTRY.items())
     ]
-    from repro.hashcons_store import active_store  # local: import cycle
+    from repro.store import active_store  # local: import cycle
 
     store = active_store()
     if store is not None:
@@ -398,11 +398,11 @@ def clear_caches() -> None:
     catalog mutated in place after solving started (constraint digests
     enter memo keys, but schema objects reachable from cached forms do
     not re-verify themselves).  Also invalidates the installed
-    cross-process shared memo store (:mod:`repro.hashcons_store`), if
+    cross-process shared memo store (:mod:`repro.store`), if
     any — its epoch bump propagates the clear to every pool member.
     """
     for cache in _CACHE_REGISTRY.values():
         cache.clear()
-    from repro.hashcons_store import clear_active_store  # local: import cycle
+    from repro.store import clear_active_store  # local: import cycle
 
     clear_active_store()

@@ -270,7 +270,7 @@ class FrontDoorServer:
     ``pool`` (the server then does not close it).  The remaining knobs:
 
     * ``pool_size``/``pool_mode``/``pool_max``/``member_timeout``,
-      ``shared_store``/``store_path``/``store_backend`` and
+      ``shared_store``/``store_path`` and
       ``shard_dispatch`` shape the :class:`SessionPool`;
     * ``max_inflight`` bounds admitted requests, ``max_queued`` the
       parked ones behind them, and ``per_client_inflight``,
@@ -302,7 +302,6 @@ class FrontDoorServer:
         member_timeout: Optional[float] = None,
         shared_store=None,
         store_path: Optional[str] = None,
-        store_backend: str = "auto",
         shard_dispatch: bool = True,
         max_inflight: Optional[int] = None,
         max_queued: Optional[int] = None,
@@ -329,7 +328,6 @@ class FrontDoorServer:
                 pipeline=pipeline,
                 shared_store=shared_store,
                 store_path=store_path,
-                store_backend=store_backend,
                 member_timeout=member_timeout,
                 pool_max=pool_max,
                 shard_dispatch=shard_dispatch,

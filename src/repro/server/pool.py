@@ -5,10 +5,10 @@ but one core.  The UDP decision procedure is embarrassingly parallel
 across query pairs, so this module replaces the lock with a
 :class:`SessionPool`: N warm per-catalog :class:`~repro.session.Session`
 members, an idle queue that hands each work item to exactly one member,
-and a shared cross-process memo store
-(:class:`repro.hashcons_store.SharedMemoStore`) so members warm each
-other's normalize/canonize caches instead of each owning a cold private
-LRU.
+and a shared cross-process memo store (:func:`repro.store.open_store`,
+installed via :func:`repro.store.install_shared_store`) so members warm
+each other's normalize/canonize caches instead of each owning a cold
+private LRU.
 
 Member kinds
 ------------
@@ -73,7 +73,6 @@ from typing import (
 )
 
 from repro.faults import FaultError, fault_hit
-from repro.hashcons_store import active_store, install_shared_store
 from repro.session import (
     PipelineConfig,
     Session,
@@ -81,6 +80,7 @@ from repro.session import (
     VerifyResult,
     parse_pipeline_spec,
 )
+from repro.store import active_store, install_shared_store, open_store
 from repro.udp.trace import ReasonCode, ReasonTally, Verdict
 
 POOL_MODES = ("auto", "thread", "process")
@@ -707,7 +707,6 @@ class SessionPool:
         program: Optional[str] = None,
         shared_store=None,
         store_path: Optional[str] = None,
-        store_backend: str = "auto",
         member_timeout: Optional[float] = None,
         pool_max: Optional[int] = None,
         shard_dispatch: bool = True,
@@ -753,10 +752,8 @@ class SessionPool:
 
         # The shared store must be installed *before* members fork so
         # they inherit it.  None = auto (process mode, or whenever an
-        # explicit path/backend asks for durability), False = off,
-        # True = on, or pass a ready store object.  ``store_backend``
-        # picks the implementation (``auto`` resolves to the durable
-        # SQLite backend; ``flock`` is the legacy flat file).
+        # explicit path asks for durability), False = off, True = on, or
+        # pass a ready store object.
         self._owns_store = False
         self._previous_store = None
         self._installed_store = False
@@ -765,9 +762,7 @@ class SessionPool:
         if shared_store is False:
             self.store = None
         elif shared_store is True:
-            from repro.store import open_store  # local: keep import light
-
-            self.store = open_store(store_path, backend=store_backend)
+            self.store = open_store(store_path)
             self._owns_store = True
         else:
             self.store = shared_store
@@ -1327,7 +1322,6 @@ class SessionPool:
                     "misses": 0,
                     "publishes": 0,
                     "dropped": 0,
-                    "compactions": 0,
                     "expired": 0,
                     "errors": 0,
                 }

@@ -51,16 +51,16 @@ from typing import (
 from repro.constraints.model import ConstraintSet, constraints_from_catalog
 from repro.errors import ReproError, UnsupportedFeatureError
 from repro.hashcons import LRUCache, fingerprint, memoization_enabled
-from repro.hashcons_store import (
-    verdict_cache_enabled,
-    verdict_cache_get,
-    verdict_cache_put,
-)
 from repro.sql.ast import Query
 from repro.sql.desugar import desugar_query
 from repro.sql.parser import parse_program, parse_query
 from repro.sql.program import Catalog
 from repro.sql.scope import resolve_query
+from repro.store import (
+    verdict_cache_enabled,
+    verdict_cache_get,
+    verdict_cache_put,
+)
 from repro.udp.decide import DecisionOptions, decide_equivalence
 from repro.udp.trace import DecisionResult, ProofTrace, ReasonCode, Verdict
 from repro.usr.compile import Compiler
@@ -485,9 +485,9 @@ def _tactic_model_check(
 # The verdict cache: key derivation
 # ---------------------------------------------------------------------------
 #
-# When a verdict-capable store is installed (the SQLite backend, or the
-# flock backend's verdict namespace), Session.verify consults a durable
-# top-level cache before running any tactic, under two key tiers:
+# When a verdict-capable store is installed (:mod:`repro.store`),
+# Session.verify consults a durable top-level cache before running any
+# tactic, under two key tiers:
 #
 # * **text** — blake2b over the literal program/query texts plus the
 #   pipeline's verdict-affecting knobs.  Consulted before any parsing,

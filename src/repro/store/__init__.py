@@ -1,73 +1,188 @@
-"""Durable store backends behind the ``SharedMemoStore`` interface.
+"""The durable shared store and the hooks the memo layers call into it.
 
-Two interchangeable backends share one surface (``get``/``put``/
-``clear``/``stats``/``forget_descriptor``/``close`` plus, where
-supported, the ``verdict_get``/``verdict_put``/``verdict_stats`` verdict
-cache):
+One backend: :class:`repro.store.sqlite.SQLiteMemoStore`, a WAL-mode
+SQLite database with concurrent readers, ``busy_timeout``-queued writers,
+a durable verdict cache with TTLs and historical tallies, and the
+cluster-group index.  :func:`open_store` wraps it in a
+:class:`repro.store.failover.FailoverStore` circuit breaker — the pool,
+the CLI, and the benchmarks all go through it.
 
-* ``sqlite`` — :class:`repro.store.sqlite.SQLiteMemoStore`: one WAL-mode
-  database, concurrent readers, ``busy_timeout``-queued writers, durable
-  verdict cache with TTLs and historical tallies.  The default.
-* ``flock`` — :class:`repro.hashcons_store.SharedMemoStore`: the flat
-  append-only file coordinated by BSD ``flock``.  Kept as the fallback
-  for platforms or filesystems where SQLite locking misbehaves (some
-  network mounts); note ``fcntl`` is POSIX-only, so on platforms without
-  it this backend degrades to a private in-process store.
-
-:func:`open_store` is the one place that maps a backend name to a
-class — the pool, the CLI, and the benchmarks all go through it.
+The normalize/canonize/tdp memo layers (:mod:`repro.usr.spnf`,
+:mod:`repro.udp.canonize`, :mod:`repro.udp.decide`) are per-process LRU
+dicts: fast, but private.  A session pool that forks one worker per core
+would otherwise pay the cold path once *per member*.  The hooks below
+are the cross-process second level: install a store with
+:func:`install_shared_store`, and the memo layers call
+:func:`shared_memo_get` / :func:`shared_memo_put` on their private-LRU
+misses, keyed on the run-stable :func:`repro.hashcons.fingerprint`
+digests — the only keys that mean the same thing in every process
+regardless of ``PYTHONHASHSEED``.  :meth:`repro.session.Session.verify`
+consults :func:`verdict_cache_get` before running any tactic and
+publishes with :func:`verdict_cache_put`.  With no store installed every
+hook is a no-op, and a store that raises never breaks proving.
 """
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Any, Mapping, Optional
 
-from repro.hashcons_store import SharedMemoStore
+from repro.hashcons import fingerprint
 from repro.store.failover import FailoverStore
-from repro.store.sqlite import SQLiteMemoStore
+from repro.store.sqlite import (
+    DEFAULT_NEGATIVE_TTL,
+    DEFAULT_TIMEOUT_TTL,
+    SQLiteMemoStore,
+)
 
-#: Recognized ``--store-backend`` values; ``auto`` resolves to sqlite.
-STORE_BACKENDS = ("auto", "sqlite", "flock")
 
-
-def open_store(
-    path: Optional[str] = None,
-    *,
-    backend: str = "auto",
-    failover: bool = True,
-    **kwargs,
-):
-    """Open a store of the requested backend over ``path``.
+def open_store(path: Optional[str] = None, **kwargs) -> FailoverStore:
+    """Open the durable store over ``path``, behind a circuit breaker.
 
     ``path=None`` creates a temporary store owned (unlinked on close) by
-    the caller; an explicit path is shared and kept.  Extra keyword
-    arguments go to the backend constructor (``max_bytes``,
-    ``busy_timeout_ms``, ``negative_ttl``, ...); unknown ones raise.
+    the caller; an explicit path is shared and kept.  Keyword arguments
+    go to :class:`SQLiteMemoStore` (``busy_timeout_ms``,
+    ``negative_ttl``, ``timeout_ttl``); unknown ones raise ``TypeError``.
 
-    By default the backend is wrapped in a :class:`FailoverStore`
-    circuit breaker: repeated operational errors degrade the store
-    loudly to a private in-memory view (serving never fails on store
-    failure) and recovery is probed with capped exponential backoff.
-    ``failover=False`` returns the bare backend (the store mechanics
-    suites test the backends directly).
+    The :class:`FailoverStore` wrapper degrades repeated operational
+    errors loudly to a private in-memory view (serving never fails on
+    store failure) and probes recovery with capped exponential backoff.
     """
-    name = (backend or "auto").lower()
-    if name in ("auto", "sqlite"):
-        store = SQLiteMemoStore(path, **kwargs)
-    elif name == "flock":
-        kwargs.pop("busy_timeout_ms", None)
-        store = SharedMemoStore(path, **kwargs)
-    else:
-        raise ValueError(
-            f"unknown store backend {backend!r}; choose from {STORE_BACKENDS}"
-        )
-    return FailoverStore(store) if failover else store
+    return FailoverStore(SQLiteMemoStore(path, **kwargs))
+
+
+# ---------------------------------------------------------------------------
+# The installed store and the memo-layer hooks
+# ---------------------------------------------------------------------------
+
+#: The installed store: an :func:`open_store` result, a bare
+#: :class:`SQLiteMemoStore`, or anything else with the same surface.
+_ACTIVE: Optional[Any] = None
+
+
+def install_shared_store(store: Optional[Any]) -> Optional[Any]:
+    """Make ``store`` the process's active second-level memo (or ``None``
+    to uninstall).  Returns the previously installed store.  A store
+    installed before ``fork`` is inherited — exactly how a session pool
+    arranges for its members to share one database.  Any object with the
+    ``get``/``put``/``clear`` surface works; one that also has
+    ``supports_verdicts`` enables the verdict cache.
+    """
+    global _ACTIVE
+    previous = _ACTIVE
+    _ACTIVE = store
+    return previous
+
+
+def active_store() -> Optional[Any]:
+    return _ACTIVE
+
+
+def shared_memo_get(namespace: str, key_obj: Any) -> Optional[Any]:
+    """Second-level lookup for a memo layer; ``None`` when absent/off.
+
+    The key is the run-stable fingerprint of ``key_obj`` under a
+    per-layer namespace, so the normalize and canonize layers can never
+    collide even on structurally identical key objects.
+    """
+    store = _ACTIVE
+    if store is None:
+        return None
+    try:
+        return store.get(namespace + ":" + fingerprint(key_obj))
+    except Exception:  # noqa: BLE001 - the store must never break proving
+        return None
+
+
+def shared_memo_put(namespace: str, key_obj: Any, value: Any) -> None:
+    """Publish a freshly computed memo value to the active store."""
+    store = _ACTIVE
+    if store is None:
+        return
+    try:
+        store.put(namespace + ":" + fingerprint(key_obj), value)
+    except Exception:  # noqa: BLE001 - the store must never break proving
+        pass
+
+
+def clear_active_store() -> None:
+    """Invalidate the installed store (part of ``repro.clear_caches``)."""
+    store = _ACTIVE
+    if store is not None:
+        store.clear()
+
+
+# ---------------------------------------------------------------------------
+# The verdict cache hooks (consumed by Session.verify)
+# ---------------------------------------------------------------------------
+
+
+def verdict_cache_enabled() -> bool:
+    """Whether the installed store can answer verdict-cache lookups."""
+    store = _ACTIVE
+    return store is not None and getattr(store, "supports_verdicts", False)
+
+
+def verdict_cache_get(key: str) -> Optional[Mapping[str, Any]]:
+    """The cached verdict record under ``key``, or ``None``."""
+    store = _ACTIVE
+    if store is None:
+        return None
+    getter = getattr(store, "verdict_get", None)
+    if getter is None:
+        return None
+    try:
+        return getter(key)
+    except Exception:  # noqa: BLE001 - the cache must never break proving
+        return None
+
+
+def verdict_ttl_for(store: Any, verdict: str) -> Optional[float]:
+    """The storage TTL policy for one verdict.
+
+    Proofs and unsupported-fragment answers are deterministic — keep
+    them forever.  ``not_proved`` is only as durable as the budget that
+    produced it; ``timeout`` is the most transient outcome of all.
+    ``error`` returns ``0`` — the sentinel for *do not store*.
+    """
+    if verdict in ("proved", "unsupported"):
+        return None
+    if verdict == "not_proved":
+        return float(getattr(store, "negative_ttl", DEFAULT_NEGATIVE_TTL))
+    if verdict == "timeout":
+        return float(getattr(store, "timeout_ttl", DEFAULT_TIMEOUT_TTL))
+    return 0.0
+
+
+def verdict_cache_put(
+    key: str, verdict: str, record: Mapping[str, Any]
+) -> None:
+    """Publish a verdict record under the TTL policy for its verdict."""
+    store = _ACTIVE
+    if store is None:
+        return
+    putter = getattr(store, "verdict_put", None)
+    if putter is None:
+        return
+    try:
+        ttl = verdict_ttl_for(store, verdict)
+        if ttl is not None and ttl <= 0:
+            return
+        putter(key, record, ttl)
+    except Exception:  # noqa: BLE001 - the cache must never break proving
+        pass
 
 
 __all__ = [
     "FailoverStore",
-    "STORE_BACKENDS",
     "SQLiteMemoStore",
-    "SharedMemoStore",
+    "active_store",
+    "clear_active_store",
+    "install_shared_store",
     "open_store",
+    "shared_memo_get",
+    "shared_memo_put",
+    "verdict_cache_enabled",
+    "verdict_cache_get",
+    "verdict_cache_put",
+    "verdict_ttl_for",
 ]

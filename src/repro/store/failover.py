@@ -1,8 +1,8 @@
-"""Store failover: a circuit breaker around any shared-store backend.
+"""Store failover: a circuit breaker around the shared-store backend.
 
-The durable backends already swallow their own operational errors per
-call (``sqlite3.Error`` → ``self.errors``, ``OSError`` → miss/drop),
-which keeps one bad call from breaking a prove — but a *sick* store
+The durable backend already swallows its own operational errors per
+call (``sqlite3.Error`` → ``self.errors`` plus a miss or drop), which
+keeps one bad call from breaking a prove — but a *sick* store
 (disk full, corruption, a network mount gone away) then fails every
 call forever, and each failure still pays the full syscall + timeout
 cost on the serving path.  :class:`FailoverStore` wraps the backend in
@@ -19,16 +19,21 @@ an explicit error boundary with circuit-breaker state:
     shadow view (puts land there, gets read from there) without touching
     the sick backend at all — serving never 500s and never waits on a
     dead disk; verdicts stay correct, they are just no longer durable or
-    shared.  The degradation is **loud**: a warning log on every trip,
-    and ``health()`` (surfaced under ``store.health`` in ``GET /stats``
-    and in ``/healthz``) reports the state, trip count, and last error.
+    shared.  Shadow verdicts keep the TTL they were written with: an
+    expired ``timeout`` or ``not_proved`` record is a miss here exactly
+    as it would be in the backend.  The degradation is **loud**: a
+    warning log on every trip, and ``health()`` (surfaced under
+    ``store.health`` in ``GET /stats`` and in ``/healthz``) reports the
+    state, trip count, and last error.
 
 ``recovering``
     Once the capped-exponential-backoff probe interval elapses, the next
     operation is sent through to the backend as a probe.  Success closes
     the circuit — shadow writes accumulated while degraded are replayed
     into the backend so nothing proven during the outage is lost — and
-    failure reopens it with a doubled (capped) backoff.
+    failure reopens it with a doubled (capped) backoff.  Replayed
+    verdicts carry the TTL they have left; expired ones are not
+    replayed.
 
 Group operations (the clustering index) are *not* shadowed: the cluster
 engine keeps its own authoritative in-memory partition, so while
@@ -58,6 +63,9 @@ _LOG = logging.getLogger("repro.store.failover")
 #: Shadow-view entry caps while degraded: enough to keep a busy window
 #: warm, bounded so an extended outage cannot eat the heap.
 _SHADOW_MAX_ENTRIES = 50_000
+
+
+_ShadowVerdict = Tuple[Dict[str, Any], Optional[float]]
 
 
 class _SwallowedBackendError(RuntimeError):
@@ -98,7 +106,8 @@ class FailoverStore:
         self.replay_dropped = 0
         self.last_error: Optional[str] = None
         self._shadow: Dict[str, Any] = {}
-        self._shadow_verdicts: Dict[str, Dict[str, Any]] = {}
+        #: key → (record, expiry on ``clock`` or ``None`` for never).
+        self._shadow_verdicts: Dict[str, _ShadowVerdict] = {}
 
     # -- delegation for everything not wrapped ------------------------------
 
@@ -142,7 +151,7 @@ class FailoverStore:
 
     def _record_success(self) -> None:
         replay: Optional[
-            Tuple[List[Tuple[str, Any]], List[Tuple[str, Dict[str, Any]]]]
+            Tuple[List[Tuple[str, Any]], List[Tuple[str, _ShadowVerdict]]]
         ] = None
         with self._lock:
             self._consecutive = 0
@@ -175,9 +184,13 @@ class FailoverStore:
     def _replay(
         self,
         memos: List[Tuple[str, Any]],
-        verdicts: List[Tuple[str, Dict[str, Any]]],
+        verdicts: List[Tuple[str, _ShadowVerdict]],
     ) -> None:
-        """Push shadow writes into the recovered backend, best effort."""
+        """Push shadow writes into the recovered backend, best effort.
+
+        A verdict goes back with the TTL it has left, so an outage never
+        extends a transient verdict's life; one already expired is gone.
+        """
         for key, value in memos:
             try:
                 self.inner.put(key, value)
@@ -186,12 +199,13 @@ class FailoverStore:
                 self.replay_dropped += 1
         if not self.supports_verdicts:
             return
-        from repro.hashcons_store import verdict_ttl_for  # local: no cycle
-
-        for key, record in verdicts:
+        now = self._clock()
+        for key, (record, expires) in verdicts:
+            ttl = None if expires is None else expires - now
+            if ttl is not None and ttl <= 0:
+                continue
             try:
-                ttl = verdict_ttl_for(self.inner, str(record.get("verdict", "")))
-                self.inner.verdict_put(key, record, ttl=ttl)
+                self.inner.verdict_put(key, record, ttl)
                 self.replayed += 1
             except Exception:  # noqa: BLE001
                 self.replay_dropped += 1
@@ -238,15 +252,14 @@ class FailoverStore:
             lambda: self._shadow.get(key),
         )
 
-    def put(self, key: str, value: Any, **kwargs: Any) -> None:
+    def put(self, key: str, value: Any) -> None:
         def shadow_put() -> None:
             with self._lock:
                 if len(self._shadow) < _SHADOW_MAX_ENTRIES:
                     self._shadow[key] = value
 
         return self._call(
-            "write", "put", lambda: self.inner.put(key, value, **kwargs),
-            shadow_put,
+            "write", "put", lambda: self.inner.put(key, value), shadow_put
         )
 
     def clear(self) -> None:
@@ -264,9 +277,20 @@ class FailoverStore:
     # -- the verdict cache ---------------------------------------------------
 
     def verdict_get(self, key: str) -> Optional[Dict[str, Any]]:
+        def shadow_get() -> Optional[Dict[str, Any]]:
+            with self._lock:
+                entry = self._shadow_verdicts.get(key)
+                if entry is None:
+                    return None
+                record, expires = entry
+                if expires is not None and self._clock() >= expires:
+                    del self._shadow_verdicts[key]
+                    return None
+                return record
+
         return self._call(
             "read", "verdict_get", lambda: self.inner.verdict_get(key),
-            lambda: self._shadow_verdicts.get(key),
+            shadow_get,
         )
 
     def verdict_put(
@@ -274,16 +298,16 @@ class FailoverStore:
         key: str,
         record: Mapping[str, Any],
         ttl: Optional[float] = None,
-        **kwargs: Any,
     ) -> None:
         def shadow_put() -> None:
             with self._lock:
                 if len(self._shadow_verdicts) < _SHADOW_MAX_ENTRIES:
-                    self._shadow_verdicts[key] = dict(record)
+                    expires = None if ttl is None else self._clock() + ttl
+                    self._shadow_verdicts[key] = (dict(record), expires)
 
         return self._call(
             "write", "verdict_put",
-            lambda: self.inner.verdict_put(key, record, ttl, **kwargs),
+            lambda: self.inner.verdict_put(key, record, ttl),
             shadow_put,
         )
 

@@ -1,21 +1,20 @@
 """A durable SQLite-backed memo + verdict store (WAL mode).
 
-The flock-coordinated :class:`~repro.hashcons_store.SharedMemoStore` is a
-flat append-only file: fine as a crash-tolerant second memo level, but it
-cannot answer structured questions ("how many proved verdicts have we
-ever served?"), it cannot expire entries, and its whole-file lock
-serializes every reader behind every writer.  This module provides the
-durable backend ROADMAP item 1 asks for: one SQLite database opened in
-WAL mode with a ``busy_timeout``, so any number of processes — pool
-members, batch runs, CLI one-shots — share one store with concurrent
-readers and a single queued writer, and the store *outlives* them all.
+The memo layers and the verdict cache need a second level that outlives
+any one process and that every process can share.  This module provides
+it as one SQLite database opened in WAL mode with a ``busy_timeout``, so
+any number of processes — pool members, batch runs, CLI one-shots —
+share one store with concurrent readers and a single queued writer, and
+the store *outlives* them all.  Being a database, it can also expire
+entries and answer structured questions ("how many proved verdicts have
+we ever served?").
 
 Three maps live in the database:
 
-* ``memo`` — the same fingerprint → pickled-value map the flock store
-  keeps, consumed by the normalize/canonize/tdp memo layers through
-  :func:`repro.hashcons_store.shared_memo_get` /
-  :func:`~repro.hashcons_store.shared_memo_put`.
+* ``memo`` — the run-stable fingerprint → pickled-value map consumed by
+  the normalize/canonize/tdp memo layers through
+  :func:`repro.store.shared_memo_get` /
+  :func:`~repro.store.shared_memo_put`.
 * ``verdicts`` — the top-level verdict cache: cache key → full JSON
   verdict record (:meth:`repro.session.VerifyResult.to_json` shape),
   plus the verdict / reason-code columns that power the historical
@@ -32,11 +31,11 @@ Three maps live in the database:
   ``epoch`` column records the store epoch the group was formed under
   (``clear()`` drops groups along with everything else).
 
-Epoch invalidation mirrors the flock store: ``clear()`` bumps a counter
-in the ``meta`` table and deletes both maps; every operation compares
-the database epoch against the process-local view and drops the local
-object cache when they diverge, so ``repro.clear_caches()`` in any
-process empties the warm view of every process.
+Epoch invalidation: ``clear()`` bumps a counter in the ``meta`` table
+and deletes every map; every operation compares the database epoch
+against the process-local view and drops the local object cache when
+they diverge, so ``repro.clear_caches()`` in any process empties the
+warm view of every process.
 
 Concurrency and fork-safety
 ---------------------------
@@ -124,15 +123,15 @@ CREATE TABLE IF NOT EXISTS groups (
 class SQLiteMemoStore:
     """Durable fingerprint → value map plus verdict cache over SQLite.
 
-    Implements the :class:`~repro.hashcons_store.SharedMemoStore`
-    surface (``get``/``put``/``clear``/``stats``/``forget_descriptor``/
-    ``close``) so it drops in behind :func:`install_shared_store`, and
-    adds the verdict-cache surface (``verdict_get``/``verdict_put``/
-    ``verdict_stats``) that :meth:`repro.session.Session.verify`
-    consults before running any tactic.  ``path=None`` creates (and owns,
-    i.e. unlinks on :meth:`close`) a temporary database; pass an explicit
-    path to share a store between independently started processes — and
-    to keep it across restarts, which is the whole point.
+    The memo surface (``get``/``put``/``clear``/``stats``/
+    ``forget_descriptor``/``close``) is what
+    :func:`repro.store.install_shared_store` needs; the verdict-cache
+    surface (``verdict_get``/``verdict_put``/``verdict_stats``) is what
+    :meth:`repro.session.Session.verify` consults before running any
+    tactic.  ``path=None`` creates (and owns, i.e. unlinks on
+    :meth:`close`) a temporary database; pass an explicit path to share
+    a store between independently started processes — and to keep it
+    across restarts, which is the whole point.
     """
 
     backend = "sqlite"
@@ -146,13 +145,11 @@ class SQLiteMemoStore:
         busy_timeout_ms: int = DEFAULT_BUSY_TIMEOUT_MS,
         negative_ttl: float = DEFAULT_NEGATIVE_TTL,
         timeout_ttl: float = DEFAULT_TIMEOUT_TTL,
-        max_bytes: int = 0,  # accepted for open_store() symmetry; unused
     ) -> None:
         self._lock = threading.RLock()
         self.busy_timeout_ms = int(busy_timeout_ms)
         self.negative_ttl = float(negative_ttl)
         self.timeout_ttl = float(timeout_ttl)
-        self.max_bytes = int(max_bytes)
         if path is None:
             fd, path = tempfile.mkstemp(prefix="udp-memo-", suffix=".sqlite")
             os.close(fd)
@@ -173,7 +170,6 @@ class SQLiteMemoStore:
         self.publishes = 0
         self.dropped = 0
         self.refreshes = 0
-        self.compactions = 0
         self.expired = 0
         self.errors = 0
         _INSTANCES.add(self)
@@ -724,11 +720,11 @@ class SQLiteMemoStore:
                 return len(self._objects)
 
     def stats(self) -> Dict[str, Any]:
-        """Counter snapshot, key-compatible with the flock store's.
+        """Counter snapshot.
 
         ``entries``/``bytes``/``epoch`` describe the shared database;
         the counters are per-process (each pool member reports its own
-        hit/miss traffic, exactly like the flock backend).
+        hit/miss traffic).
         """
         with self._lock:
             entries = len(self._objects)
@@ -758,7 +754,6 @@ class SQLiteMemoStore:
                 "publishes": self.publishes,
                 "dropped": self.dropped,
                 "refreshes": self.refreshes,
-                "compactions": self.compactions,
                 "expired": self.expired,
                 "errors": self.errors,
             }

@@ -29,9 +29,9 @@ from typing import Dict, List, Optional, Set, Tuple
 
 from repro.constraints.model import ConstraintSet
 from repro.hashcons import LRUCache, memoization_enabled
-from repro.hashcons_store import shared_memo_get, shared_memo_put
 from repro.logic.congruence import CongruenceClosure
 from repro.sql.schema import Schema
+from repro.store import shared_memo_get, shared_memo_put
 from repro.udp.trace import ProofTrace
 from repro.usr.predicates import AtomPred, EqPred, NePred, Predicate
 from repro.usr.spnf import (

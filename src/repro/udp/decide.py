@@ -31,8 +31,8 @@ from repro.cq.labeling import DIGEST_MIN_VARS, form_digest, term_digest
 from repro.cq.minimize import minimize_term
 from repro.errors import DecisionTimeout
 from repro.hashcons import LRUCache, memoization_enabled
-from repro.hashcons_store import shared_memo_get, shared_memo_put
 from repro.sql.schema import Schema
+from repro.store import shared_memo_get, shared_memo_put
 from repro.udp.canonize import SchemaEnv, canonize_form
 from repro.udp.trace import DecisionResult, ProofTrace, ReasonCode, Verdict
 from repro.usr.spnf import NormalForm, normalize
@@ -43,8 +43,8 @@ from repro.usr.values import TupleVar
 #: Memo table for whole TDP matchings: ``(left form digest, right form
 #: digest, sdp strategy) → bool``.  The canonical digests are run-stable
 #: (they ride :func:`repro.hashcons.fingerprint`), so the same key also
-#: works in the cross-process :class:`~repro.hashcons_store.SharedMemoStore`
-#: — a session-pool member can skip a whole backtracking search its
+#: works in the cross-process shared store (:mod:`repro.store`) — a
+#: session-pool member can skip a whole backtracking search its
 #: sibling already finished, not just the normalize/canonize prefix.
 _MATCH_CACHE = LRUCache("tdp-match", maxsize=8192)
 

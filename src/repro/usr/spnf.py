@@ -40,8 +40,8 @@ from repro.hashcons import (
     cached_structural_hash,
     memoization_enabled,
 )
-from repro.hashcons_store import shared_memo_get, shared_memo_put
 from repro.sql.schema import Schema
+from repro.store import shared_memo_get, shared_memo_put
 from repro.udp.trace import ProofTrace
 from repro.usr.predicates import AtomPred, EqPred, NePred, Predicate
 from repro.usr.substitute import fresh_name, subst_predicate, subst_value
@@ -443,7 +443,7 @@ def normalize(expr: UExpr, trace: Optional[ProofTrace] = None) -> NormalForm:
     steps to ``trace``.
 
     Two memo levels: the private in-process LRU first, then — when a
-    :mod:`repro.hashcons_store` store is installed (session pools) — the
+    :mod:`repro.store` store is installed (session pools) — the
     cross-process shared store, keyed on the run-stable fingerprint so
     pool members warm each other instead of each normalizing cold.
     """

@@ -44,7 +44,7 @@ from repro.faults import (
 from repro.server import FrontDoorServer
 from repro.server.stats import jittered_retry_after, service_health
 from repro.session import Session
-from repro.store import FailoverStore
+from repro.store import FailoverStore, SQLiteMemoStore
 
 from tests.conftest import RS_PROGRAM
 
@@ -154,7 +154,7 @@ class _FlakyStore:
         self._guard()
         return self.data.get(key)
 
-    def put(self, key, value, **kwargs):
+    def put(self, key, value):
         self._guard()
         self.data[key] = value
 
@@ -251,6 +251,54 @@ def test_store_fault_points_fire_inside_the_wrapper():
     assert store.health()["state"] == "ok"
     assert inner.data["probe"] == 1
     assert all(f"k{i}" in inner.data for i in range(3))
+
+
+def test_shadow_verdicts_expire_and_replay_with_their_remaining_ttl(tmp_path):
+    """A transient verdict recorded during an outage lives no longer than
+    its TTL: the degraded view stops serving it once expired, and on
+    recovery only unexpired records are replayed, with the TTL left."""
+    clock = _FakeClock()
+    inner = SQLiteMemoStore(
+        str(tmp_path / "v.sqlite"), negative_ttl=100.0, timeout_ttl=10.0
+    )
+    store = FailoverStore(
+        inner, trip_after=3, probe_base=50.0, probe_cap=50.0, clock=clock
+    )
+    install_fault_plan(
+        FaultPlan([FaultRule("store.write", count=3)], seed=CHAOS_SEED)
+    )
+    try:
+        for i in range(3):
+            store.put(f"k{i}", i)
+        assert store.health()["state"] == "degraded"
+        install_fault_plan(None)
+        store.verdict_put("t", {"verdict": "timeout"}, inner.timeout_ttl)
+        store.verdict_put("n", {"verdict": "not_proved"}, inner.negative_ttl)
+        store.verdict_put("p", {"verdict": "proved"}, None)
+        assert store.verdict_get("t") == {"verdict": "timeout"}
+
+        clock.now += 20.0  # past the timeout TTL, still degraded
+        assert store.health()["state"] == "degraded"
+        assert store.verdict_get("t") is None
+        assert store.verdict_get("n") == {"verdict": "not_proved"}
+
+        clock.now += 40.0  # past the probe: the next op recovers
+        store.put("probe", 1)
+        assert store.health()["state"] == "ok"
+        assert inner.verdict_get("t") is None
+        assert inner.verdict_get("p") == {"verdict": "proved"}
+        assert inner.verdict_get("n") == {"verdict": "not_proved"}
+        # 60 of the 100 s were spent in the outage: 40 s are left.
+        conn = sqlite3.connect(inner.path)
+        try:
+            ttl_left, = conn.execute(
+                "SELECT expires - created FROM verdicts WHERE key = 'n'"
+            ).fetchone()
+        finally:
+            conn.close()
+        assert ttl_left == pytest.approx(40.0, abs=1.0)
+    finally:
+        store.close()
 
 
 # -- /healthz + service_health ------------------------------------------------
@@ -540,14 +588,13 @@ CLUSTER_CORPUS = [
 
 _KILL_CHILD = """
 import json, os, signal, sys
-from repro.hashcons_store import install_shared_store
 from repro.service.clustering import ClusterEngine
 from repro.session import Session
-from repro.store import open_store
+from repro.store import install_shared_store, open_store
 
 program, store_path, kill_after = sys.argv[1], sys.argv[2], int(sys.argv[3])
 queries = json.load(sys.stdin)
-store = open_store(store_path, backend="sqlite")
+store = open_store(store_path)
 install_shared_store(store)
 engine = ClusterEngine(Session.from_program_text(program), store=store)
 for index, query in enumerate(queries):
@@ -561,14 +608,13 @@ sys.exit(3)
 
 _RESUME_CHILD = """
 import json, sys
-from repro.hashcons_store import install_shared_store
 from repro.service.clustering import ClusterEngine
 from repro.session import Session, tactic_invocations
-from repro.store import open_store
+from repro.store import install_shared_store, open_store
 
 program, store_path = sys.argv[1], sys.argv[2]
 queries = json.load(sys.stdin)
-store = open_store(store_path, backend="sqlite")
+store = open_store(store_path)
 install_shared_store(store)
 engine = ClusterEngine(Session.from_program_text(program), store=store)
 records = engine.place_all(queries)

@@ -162,14 +162,13 @@ def test_place_stream_reports_malformed_lines_in_stream():
 
 _CHILD = """
 import json, sys
-from repro.hashcons_store import install_shared_store
 from repro.service.clustering import ClusterEngine
 from repro.session import Session, tactic_invocations
-from repro.store import open_store
+from repro.store import install_shared_store, open_store
 
 program, store_path = sys.argv[1], sys.argv[2]
 queries = json.load(sys.stdin)
-store = open_store(store_path, backend="sqlite")
+store = open_store(store_path)
 install_shared_store(store)
 session = Session.from_program_text(program)
 engine = ClusterEngine(session, store=store)

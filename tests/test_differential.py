@@ -31,10 +31,9 @@ import pytest
 from repro import BatchVerifier, PipelineConfig, Session, Solver
 from repro.corpus import all_rules, as_batch_pairs, as_verify_requests, rules_by_dataset
 from repro.corpus.rules import Expectation
-from repro.hashcons_store import install_shared_store
 from repro.server import FrontDoorServer
 from repro.session import tactic_invocations
-from repro.store import open_store
+from repro.store import install_shared_store, open_store
 
 RULES = all_rules()
 RULE_IDS = [rule.rule_id for rule in RULES]
@@ -183,24 +182,21 @@ def test_every_entry_point_meets_the_corpus_expectations(outcomes):
 
 
 # ---------------------------------------------------------------------------
-# Verdict-cache differential: cold vs warm restart, both store backends
+# Verdict-cache differential: cold vs warm restart over the durable store
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("backend", ["flock", "sqlite"])
 def test_warm_restart_replays_the_full_corpus_without_tactics(
-    outcomes, backend, tmp_path
+    outcomes, tmp_path
 ):
     """The durable-store acceptance bar: run the corpus cold with a
     shared store installed, then open a *fresh* store view over the same
     file (a restarted process) and run it again.  The warm pass must
     answer all 91 rules from the verdict cache — zero tactic
     invocations — and be verdict- AND reason-code-identical to the cold
-    pass and to the Solver baseline.  Parametrized over both backends:
-    durability is not allowed to depend on which store file format the
-    deployment picked."""
-    path = str(tmp_path / f"verdicts-{backend}.store")
-    store = open_store(path, backend=backend)
+    pass and to the Solver baseline."""
+    path = str(tmp_path / "verdicts.sqlite")
+    store = open_store(path)
     previous = install_shared_store(store)
     try:
         cold = outcome_map_session()
@@ -208,7 +204,7 @@ def test_warm_restart_replays_the_full_corpus_without_tactics(
         install_shared_store(previous)
         store.close()
     assert cold == outcomes["solver"], "cold pass drifted under the store"
-    fresh = open_store(path, backend=backend)
+    fresh = open_store(path)
     previous = install_shared_store(fresh)
     try:
         session = Session(config=PipelineConfig.legacy())

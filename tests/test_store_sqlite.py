@@ -1,12 +1,11 @@
 """The durable SQLite store: WAL concurrency, epochs, verdicts, pools.
 
-The store's contract is stronger than the flock file's: it must survive
-process restarts (durability is the point), serve concurrent writers
-from N processes without a single ``database is locked`` escape
-(``busy_timeout`` + WAL), and propagate epoch invalidation to every
-process's warm view.  The multiprocess tests fork real workers —
-thread-level interleaving cannot exercise sqlite's cross-process
-locking.
+The store's contract: it must survive process restarts (durability is
+the point), serve concurrent writers from N processes without a single
+``database is locked`` escape (``busy_timeout`` + WAL), and propagate
+epoch invalidation to every process's warm view.  The multiprocess
+tests fork real workers — thread-level interleaving cannot exercise
+sqlite's cross-process locking.
 """
 
 from __future__ import annotations
@@ -18,14 +17,13 @@ import urllib.request
 
 import pytest
 
-from repro.hashcons_store import install_shared_store
 from repro.server import FrontDoorServer
 from repro.server.pool import SessionPool, resolve_pool_mode
 from repro.session import PipelineConfig, Session
 from repro.store import (
     FailoverStore,
     SQLiteMemoStore,
-    SharedMemoStore,
+    install_shared_store,
     open_store,
 )
 
@@ -54,28 +52,19 @@ def test_put_get_roundtrip_and_counters(tmp_path):
         store.close()
 
 
-def test_open_store_backend_selection(tmp_path):
-    sqlite_store = open_store(str(tmp_path / "a.sqlite"))
-    flock_store = open_store(str(tmp_path / "b.store"), backend="flock")
+def test_open_store_wraps_sqlite_in_failover(tmp_path):
+    store = open_store(str(tmp_path / "a.sqlite"), negative_ttl=5.0)
     try:
-        # Backends come wrapped in the failover circuit breaker by
-        # default; the bare backend sits behind ``.inner``.
-        assert isinstance(sqlite_store, FailoverStore)
-        assert isinstance(sqlite_store.inner, SQLiteMemoStore)
-        assert sqlite_store.backend == "sqlite"
-        assert isinstance(flock_store, FailoverStore)
-        assert isinstance(flock_store.inner, SharedMemoStore)
-        assert flock_store.backend == "flock"
+        # The one backend comes wrapped in the failover circuit breaker;
+        # the bare store sits behind ``.inner`` and gets the keywords.
+        assert isinstance(store, FailoverStore)
+        assert isinstance(store.inner, SQLiteMemoStore)
+        assert store.backend == "sqlite"
+        assert store.inner.negative_ttl == 5.0
     finally:
-        sqlite_store.close()
-        flock_store.close()
-    bare = open_store(str(tmp_path / "c.sqlite"), failover=False)
-    try:
-        assert isinstance(bare, SQLiteMemoStore)
-    finally:
-        bare.close()
-    with pytest.raises(ValueError):
-        open_store(backend="redis")
+        store.close()
+    with pytest.raises(TypeError):
+        open_store(str(tmp_path / "b.sqlite"), backend="sqlite")
 
 
 def test_durability_across_reopen(tmp_path):
@@ -296,7 +285,6 @@ def test_process_pool_members_share_one_database(tmp_path):
         mode="process",
         pipeline=PipelineConfig.legacy(),
         store_path=path,
-        store_backend="sqlite",
     )
     try:
         assert isinstance(pool.store, FailoverStore)
@@ -317,7 +305,7 @@ def test_process_pool_members_share_one_database(tmp_path):
         assert stats["store"]["verdict_cache"]["stores"] >= 1
     finally:
         pool.close()
-    # No flock file, one database: the path (plus WAL sidecars) is all.
+    # One database: the path (plus WAL sidecars) is all.
     assert os.path.exists(path)
 
 
@@ -326,7 +314,6 @@ def test_server_stats_surface_verdict_cache(tmp_path):
     with FrontDoorServer(
         pipeline=PipelineConfig.legacy(),
         store_path=path,
-        store_backend="sqlite",
     ) as server:
         payload = json.dumps(
             {

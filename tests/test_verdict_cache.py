@@ -1,4 +1,4 @@
-"""The top-level verdict cache: replay semantics under both backends.
+"""The top-level verdict cache: replay semantics over the durable store.
 
 ``Session.verify`` consults the installed store's verdict table before
 running any tactic.  The contract under test: a warm key replays the
@@ -16,10 +16,18 @@ import dataclasses
 
 import pytest
 
-from repro.hashcons_store import install_shared_store
+from repro.corpus import as_verify_requests
+from repro.hashcons import clear_caches
 from repro.session import PipelineConfig, Session, tactic_invocations
 from repro.sql.parser import parse_query
-from repro.store import open_store
+from repro.store import (
+    install_shared_store,
+    open_store,
+    shared_memo_get,
+    shared_memo_put,
+    verdict_cache_get,
+    verdict_cache_put,
+)
 
 from tests.conftest import RS_PROGRAM
 
@@ -32,15 +40,11 @@ NEQ_PAIR = (
     "SELECT * FROM r x WHERE x.a = 2",
 )
 
-BACKENDS = ("flock", "sqlite")
 
-
-@pytest.fixture(params=BACKENDS)
-def store(request, tmp_path):
-    """An installed shared store of each backend; uninstalled on exit."""
-    store = open_store(
-        str(tmp_path / f"memo-{request.param}.store"), backend=request.param
-    )
+@pytest.fixture
+def store(tmp_path):
+    """An installed shared store; uninstalled on exit."""
+    store = open_store(str(tmp_path / "memo.sqlite"))
     previous = install_shared_store(store)
     yield store
     install_shared_store(previous)
@@ -154,30 +158,23 @@ def test_pipeline_knobs_scope_the_key(store):
 
 def test_negative_verdicts_honour_the_store_ttl(tmp_path):
     """With ``negative_ttl=0`` a ``not_proved`` verdict is never stored,
-    so the second verify re-proves from scratch (both backends)."""
-    for backend in BACKENDS:
-        store = open_store(
-            str(tmp_path / f"ttl-{backend}.store"),
-            backend=backend,
-            negative_ttl=0.0,
-        )
-        previous = install_shared_store(store)
-        try:
-            session = _session()
-            first = session.verify(*NEQ_PAIR)
-            assert first.verdict.value == "not_proved"
-            session.verify(*NEQ_PAIR)
-            assert session.stats.verdict_cache_hits == 0
-            assert session.stats.verdict_cache_misses == 2
-        finally:
-            install_shared_store(previous)
-            store.close()
+    so the second verify re-proves from scratch."""
+    store = open_store(str(tmp_path / "ttl.sqlite"), negative_ttl=0.0)
+    previous = install_shared_store(store)
+    try:
+        session = _session()
+        first = session.verify(*NEQ_PAIR)
+        assert first.verdict.value == "not_proved"
+        session.verify(*NEQ_PAIR)
+        assert session.stats.verdict_cache_hits == 0
+        assert session.stats.verdict_cache_misses == 2
+    finally:
+        install_shared_store(previous)
+        store.close()
 
 
 def test_proofs_survive_where_negatives_expire(tmp_path):
-    store = open_store(
-        str(tmp_path / "mixed.sqlite"), backend="sqlite", negative_ttl=0.0
-    )
+    store = open_store(str(tmp_path / "mixed.sqlite"), negative_ttl=0.0)
     previous = install_shared_store(store)
     try:
         session = _session()
@@ -209,3 +206,69 @@ def test_no_store_installed_means_no_cache_traffic():
     session.verify(*EQ_PAIR)
     assert session.stats.verdict_cache_hits == 0
     assert session.stats.verdict_cache_misses == 0
+
+
+# -- the store must never break proving ---------------------------------------
+
+
+class _BrokenStore:
+    """A verdict-capable store whose every lookup and publish raises."""
+
+    supports_verdicts = True
+
+    def __init__(self):
+        self.calls = {"get": 0, "put": 0, "verdict_get": 0, "verdict_put": 0}
+
+    def _fail(self, op):
+        self.calls[op] += 1
+        raise OSError(f"{op}: disk on fire")
+
+    def get(self, key):
+        self._fail("get")
+
+    def put(self, key, value):
+        self._fail("put")
+
+    def verdict_get(self, key):
+        self._fail("verdict_get")
+
+    def verdict_put(self, key, record, ttl=None):
+        self._fail("verdict_put")
+
+
+#: Every (verdict, reason code) class the corpus produces.
+_HOOK_RULES = ("bug-01", "bug-02", "cal-01", "cal-21", "cal-33", "lit-01")
+
+
+def _corpus_outcomes():
+    session = Session()
+    requests = [r for r in as_verify_requests() if r.request_id in _HOOK_RULES]
+    return {
+        result.request_id: (result.verdict.value, result.reason_code.value)
+        for result in session.verify_many(requests)
+    }, session
+
+
+def test_a_raising_store_never_changes_a_verdict():
+    """Every hook swallows store failures: with a store whose ``get``,
+    ``put``, ``verdict_get`` and ``verdict_put`` all raise, the corpus
+    rules keep the verdicts and reason codes they get with no store.
+    Caches are cleared before each pass so the memo layers miss their
+    private LRUs and reach the store."""
+    clear_caches()
+    baseline, _ = _corpus_outcomes()
+    assert len(baseline) == len(_HOOK_RULES)
+    clear_caches()
+    broken = _BrokenStore()
+    previous = install_shared_store(broken)
+    try:
+        assert shared_memo_get("spnf", ("key",)) is None
+        shared_memo_put("spnf", ("key",), "value")
+        assert verdict_cache_get("k") is None
+        verdict_cache_put("k", "proved", {"verdict": "proved"})
+        outcomes, session = _corpus_outcomes()
+    finally:
+        install_shared_store(previous)
+    assert outcomes == baseline
+    assert session.stats.verdict_cache_hits == 0
+    assert all(count > 0 for count in broken.calls.values()), broken.calls
