@@ -21,8 +21,8 @@ test-frontdoor:
 test-store:
 	$(PYTHON) -m pytest -x -q tests/test_store_sqlite.py tests/test_verdict_cache.py
 
-## Clustering suites: the offline shim contract plus the streaming
-## /cluster service end to end — engine direct, over HTTP, durable
+## Clustering suites: the offline cluster_queries contract plus the
+## streaming /cluster service end to end — engine direct, over HTTP, durable
 ## restart-resume across a real process boundary.
 test-cluster:
 	$(PYTHON) -m pytest -x -q tests/test_cluster.py tests/test_cluster_service.py
@@ -36,9 +36,9 @@ test-chaos:
 	UDP_CHAOS_SEED=0 $(PYTHON) -m pytest -x -q tests/test_chaos.py
 	UDP_CHAOS_SEED=1 $(PYTHON) -m pytest -x -q tests/test_chaos.py
 
-## Differential corpus check: Solver / Session / BatchVerifier / HTTP
-## server with one member / pooled HTTP server must be verdict- and
-## reason-code-identical on all 91 rules.
+## Differential corpus check: Session / BatchVerifier on a two-member
+## pool / HTTP server with one member / pooled HTTP server must be
+## verdict- and reason-code-identical on all 91 rules.
 test-differential:
 	$(PYTHON) -m pytest -x -q tests/test_differential.py
 

@@ -12,16 +12,15 @@ from __future__ import annotations
 
 import time
 
-from repro import DecisionOptions
 from repro.corpus import Category, Expectation, all_rules
 from repro.udp.trace import Verdict
 
-from conftest import format_table, run_corpus, run_rule, write_report
+from conftest import format_table, legacy, run_corpus, run_rule, write_report
 
 
 def test_ablation_no_constraints(benchmark):
     baseline = run_corpus()
-    ablated = run_corpus(DecisionOptions(use_constraints=False))
+    ablated = run_corpus(legacy(use_constraints=False))
     flipped = []
     unaffected = 0
     for rule_id, (rule, verdict, _) in baseline.items():
@@ -51,12 +50,12 @@ def test_ablation_no_constraints(benchmark):
         "rules that stop proving (all Cond, as expected):\n"
         + format_table(["rule", "name"], rows),
     )
-    benchmark(lambda: run_corpus(DecisionOptions(use_constraints=False)))
+    benchmark(lambda: run_corpus(legacy(use_constraints=False)))
 
 
 def test_ablation_sdp_strategy(benchmark):
-    homomorphism = run_corpus(DecisionOptions(sdp_strategy="homomorphism"))
-    minimize = run_corpus(DecisionOptions(sdp_strategy="minimize"))
+    homomorphism = run_corpus(legacy(sdp_strategy="homomorphism"))
+    minimize = run_corpus(legacy(sdp_strategy="minimize"))
     disagreements = [
         rule_id
         for rule_id in homomorphism
@@ -78,7 +77,7 @@ def test_ablation_sdp_strategy(benchmark):
             ],
         ),
     )
-    benchmark(lambda: run_corpus(DecisionOptions(sdp_strategy="minimize")))
+    benchmark(lambda: run_corpus(legacy(sdp_strategy="minimize")))
 
 
 def test_ablation_decision_budget():
@@ -87,5 +86,5 @@ def test_ablation_decision_budget():
         r for r in all_rules() if r.expectation is Expectation.PROVED
         and Category.DISTINCT_SUB in r.categories
     )
-    verdict, _ = run_rule(rule, DecisionOptions(timeout_seconds=0.0))
+    verdict, _ = run_rule(rule, legacy(timeout_seconds=0.0))
     assert verdict in (Verdict.TIMEOUT, Verdict.PROVED)

@@ -4,19 +4,19 @@ counterexample (the empty-group witness)."""
 
 from __future__ import annotations
 
-from repro import Solver
+from repro import Session
 from repro.checker import ModelChecker
 from repro.corpus.rules import get_rule
 from repro.udp.trace import Verdict
 
-from conftest import write_report
+from conftest import legacy, write_report
 
 
 def refute_count_bug():
     rule = get_rule("bug-01")
-    solver = Solver.from_program_text(rule.program)
-    outcome = solver.check(rule.left, rule.right)
-    checker = ModelChecker(solver.catalog)
+    session = Session.from_program_text(rule.program, legacy())
+    outcome = session.verify(rule.left, rule.right)
+    checker = ModelChecker(session.catalog)
     witness = checker.find_counterexample(rule.left, rule.right)
     return outcome, witness
 
@@ -38,6 +38,6 @@ def test_count_bug_refutation(benchmark):
 def test_null_bugs_unsupported():
     for rule_id in ("bug-02", "bug-03"):
         rule = get_rule(rule_id)
-        solver = Solver.from_program_text(rule.program)
-        outcome = solver.check(rule.left, rule.right)
+        session = Session.from_program_text(rule.program, legacy())
+        outcome = session.verify(rule.left, rule.right)
         assert outcome.verdict is Verdict.UNSUPPORTED

@@ -32,9 +32,9 @@ import argparse
 import sys
 import time
 
-from conftest import write_report
+from conftest import legacy, write_report
 
-from repro import Solver
+from repro import Session
 from repro.hashcons import clear_caches, set_memoization
 from repro.service.clustering import ClusterEngine, ClusterStats
 
@@ -99,10 +99,10 @@ def build_corpus():
 
 def run_mode(corpus, digest_buckets: bool) -> dict:
     clear_caches()
-    solver = Solver.from_program_text(PROGRAM)
+    session = Session.from_program_text(PROGRAM, legacy())
     stats = ClusterStats()
     engine = ClusterEngine(
-        solver, stats=stats, digest_buckets=digest_buckets
+        session, stats=stats, digest_buckets=digest_buckets
     )
     started = time.monotonic()
     for query in corpus:

@@ -13,9 +13,9 @@ check exactly that, and per-category timings are benchmarked.
 
 Run as a script, this file also measures the corpus *pass* end to end —
 the seed-equivalent sequential cold-cache baseline (memoization disabled,
-caches cleared, fresh solver per rule) against the batch service with
-memoization and N workers — asserting every verdict identical between the
-two modes::
+caches cleared, fresh session per rule) against the batch service with
+memoization and N pool members — asserting every verdict identical between
+the two modes::
 
     PYTHONPATH=src python benchmarks/bench_fig7_runtime.py --quick
     PYTHONPATH=src python benchmarks/bench_fig7_runtime.py --workers 4
@@ -30,7 +30,7 @@ import pytest
 from repro.corpus import Category, Expectation, all_rules
 from repro.udp.trace import Verdict
 
-from conftest import format_table, run_rule, write_report
+from conftest import format_table, legacy, run_rule, write_report
 
 
 def timing_table(results):
@@ -126,7 +126,7 @@ def _sequential_cold_pass(rules):
     """The seed-equivalent baseline: no memo, no reuse, traces collected."""
     import time
 
-    from repro import DecisionOptions, Solver, clear_caches, set_memoization
+    from repro import Session, clear_caches, set_memoization
 
     previous = set_memoization(False)
     clear_caches()
@@ -134,8 +134,8 @@ def _sequential_cold_pass(rules):
         verdicts = {}
         started = time.monotonic()
         for rule in rules:
-            solver = Solver.from_program_text(rule.program, DecisionOptions())
-            outcome = solver.check(rule.left, rule.right)
+            session = Session.from_program_text(rule.program, legacy())
+            outcome = session.verify(rule.left, rule.right)
             verdicts[rule.rule_id] = outcome.verdict
         elapsed = time.monotonic() - started
     finally:
@@ -144,17 +144,20 @@ def _sequential_cold_pass(rules):
     return verdicts, elapsed
 
 
-def _batch_pass(rules, workers):
-    """One service-mode pass: memoization on, N workers, no traces."""
+def _batch_pass(rules, verifier):
+    """One service-mode pass on an open verifier: memoization on, no traces.
+
+    The verifier's pool members keep their sessions and memo layers
+    between passes, so the first pass on a verifier is the cold one.
+    """
     import time
 
-    from repro.service import BatchPair, BatchVerifier
+    from repro.service import BatchPair
 
     pairs = [
         BatchPair(rule.rule_id, rule.left, rule.right, rule.program)
         for rule in rules
     ]
-    verifier = BatchVerifier(workers=workers)
     started = time.monotonic()
     records = verifier.run(pairs)
     elapsed = time.monotonic() - started
@@ -168,10 +171,10 @@ def _batch_pass(rules, workers):
 def run_gate(baseline_path, workers, factor=2.0):
     """CI perf-regression gate: memoized corpus pass vs committed baseline.
 
-    Runs the batch service twice (the first pass warms the memo layers,
-    the second is the steady-state measurement the baseline records) and
-    fails — exit code 1 — when the measured pass is more than ``factor``×
-    the committed ``memoized_ms``.  Verdicts are also re-checked against
+    Holds one verifier (a session pool of ``workers`` members) open for
+    a warm-up pass and then three measured passes — the steady state the
+    baseline records — and fails (exit code 1) when the best measured
+    pass is more than ``factor``× the committed ``memoized_ms``.  Verdicts are also re-checked against
     the expected corpus outcomes so a "fast because broken" pass cannot
     sneak through the gate.
     """
@@ -181,14 +184,17 @@ def run_gate(baseline_path, workers, factor=2.0):
         baseline = json.load(handle)
     budget_ms = float(baseline["memoized_ms"]) * factor
 
+    from repro.service import BatchVerifier
+
     rules = list(all_rules())
-    _batch_pass(rules, workers)  # warm the memo layers
     best = None
     verdicts = None
-    for _ in range(3):  # steady state: best of three, robust to CI jitter
-        run_verdicts, elapsed = _batch_pass(rules, workers)
-        if best is None or elapsed < best:
-            best, verdicts = elapsed, run_verdicts
+    with BatchVerifier(workers=workers) as verifier:
+        _batch_pass(rules, verifier)  # warm the members' memo layers
+        for _ in range(3):  # steady state: best of three, robust to CI jitter
+            run_verdicts, elapsed = _batch_pass(rules, verifier)
+            if best is None or elapsed < best:
+                best, verdicts = elapsed, run_verdicts
     measured_ms = best * 1000
 
     expected = {
@@ -203,7 +209,7 @@ def run_gate(baseline_path, workers, factor=2.0):
     ]
     status = "PASS" if measured_ms <= budget_ms and not wrong else "FAIL"
     lines = [
-        f"Fig. 7 perf gate ({len(rules)} rules, {workers} workers requested)",
+        f"Fig. 7 perf gate ({len(rules)} rules, {workers} pool members)",
         f"baseline memoized pass : {baseline['memoized_ms']:8.1f} ms"
         f"  (recorded {baseline.get('recorded', 'unknown')})",
         f"budget ({factor:.1f}x)          : {budget_ms:8.1f} ms",
@@ -248,9 +254,12 @@ def main(argv=None):
         ]
         workers = 1
 
+    from repro.service import BatchVerifier
+
     cold_verdicts, cold_elapsed = _sequential_cold_pass(rules)
-    warm0_verdicts, first_elapsed = _batch_pass(rules, workers)
-    steady_verdicts, steady_elapsed = _batch_pass(rules, workers)
+    with BatchVerifier(workers=workers) as verifier:
+        warm0_verdicts, first_elapsed = _batch_pass(rules, verifier)
+        steady_verdicts, steady_elapsed = _batch_pass(rules, verifier)
 
     mismatches = [
         rule.rule_id for rule in rules
@@ -264,7 +273,7 @@ def main(argv=None):
 
     lines = [
         "Fig. 7 corpus-pass timing "
-        f"({len(rules)} rules, {workers} workers requested)",
+        f"({len(rules)} rules, {workers} pool members)",
         f"sequential cold-cache pass : {cold_elapsed * 1000:8.1f} ms",
         f"batch first (cold memo)    : {first_elapsed * 1000:8.1f} ms "
         f"({cold_elapsed / first_elapsed:.2f}x)",

@@ -41,7 +41,7 @@ import random
 import sys
 import time
 
-from repro import DecisionOptions, Solver, clear_caches, set_memoization
+from repro import DecisionOptions, Session, clear_caches, set_memoization
 from repro.constraints.model import ConstraintSet
 from repro.corpus import all_rules
 from repro.cq.isomorphism import set_kernel_mode
@@ -52,7 +52,7 @@ from repro.usr.spnf import normalize
 from repro.usr.terms import Pred, Rel, big_sum, mul
 from repro.usr.values import Attr, TupleVar
 
-from conftest import write_report
+from conftest import legacy, write_report
 
 SCHEMA = Schema.of("r", "a:int", "b:int")
 
@@ -177,10 +177,10 @@ def cold_corpus_pass(mode, repeats=3):
             try:
                 started = time.monotonic()
                 for rule in rules:
-                    solver = Solver.from_program_text(
-                        rule.program, DecisionOptions()
+                    session = Session.from_program_text(
+                        rule.program, legacy()
                     )
-                    solver.check(rule.left, rule.right)
+                    session.verify(rule.left, rule.right)
                 elapsed = time.monotonic() - started
             finally:
                 set_memoization(memo_previous)

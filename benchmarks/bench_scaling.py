@@ -18,10 +18,10 @@ import time
 
 import pytest
 
-from repro import DecisionOptions, Solver
+from repro import Session
 from repro.udp.trace import Verdict
 
-from conftest import format_table, write_report
+from conftest import format_table, legacy, write_report
 
 PROGRAM = """
 schema rs(a:int, b:int);
@@ -44,12 +44,12 @@ def chain_pair(width: int):
 
 
 def decide_width(width: int) -> float:
-    solver = Solver.from_program_text(
-        PROGRAM, DecisionOptions(timeout_seconds=60.0)
+    session = Session.from_program_text(
+        PROGRAM, legacy(timeout_seconds=60.0)
     )
     left, right = chain_pair(width)
     started = time.monotonic()
-    outcome = solver.check(left, right)
+    outcome = session.verify(left, right)
     elapsed = time.monotonic() - started
     assert outcome.verdict is Verdict.PROVED, f"width {width} failed"
     return elapsed

@@ -10,12 +10,12 @@ from __future__ import annotations
 
 import statistics
 
-from repro import Solver
+from repro import Session
 from repro.corpus import rules_by_dataset
 from repro.usr.size import expr_size, form_size
 from repro.usr.spnf import normalize
 
-from conftest import format_table, write_report
+from conftest import format_table, legacy, write_report
 
 PAPER_GROWTH = {"literature": 4.1, "calcite": 0.7}
 
@@ -23,10 +23,10 @@ PAPER_GROWTH = {"literature": 4.1, "calcite": 0.7}
 def measure_dataset(dataset):
     growths = []
     for rule in rules_by_dataset(dataset):
-        solver = Solver.from_program_text(rule.program)
+        session = Session.from_program_text(rule.program, legacy())
         for text in (rule.left, rule.right):
             try:
-                denotation = solver.compile(text)
+                denotation = session.compile(text)
             except Exception:
                 continue  # unsupported-fragment rules are skipped, as in Sec. 6
             before = expr_size(denotation.body)

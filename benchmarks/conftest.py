@@ -7,13 +7,14 @@ evaluation (Sec. 6).  Results are printed and also appended to
 
 from __future__ import annotations
 
+import dataclasses
 import os
 import time
-from typing import Dict, List, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import pytest
 
-from repro import DecisionOptions, Solver
+from repro import PipelineConfig, Session
 from repro.corpus import (
     Category,
     Expectation,
@@ -36,32 +37,41 @@ def write_report(name: str, text: str) -> None:
     print(text)
 
 
-def run_rule(rule: RewriteRule, options: DecisionOptions = None):
-    """Check one corpus rule; returns (verdict, elapsed_seconds)."""
-    solver = Solver.from_program_text(rule.program, options)
+def legacy(**overrides) -> PipelineConfig:
+    """Algorithms 1-4 alone, with ``overrides`` replacing config fields."""
+    return dataclasses.replace(PipelineConfig.legacy(), **overrides)
+
+
+def run_rule(rule: RewriteRule, config: Optional[PipelineConfig] = None):
+    """Check one corpus rule on a fresh session; (verdict, elapsed_seconds).
+
+    ``config`` defaults to :func:`legacy` — the single ``udp-prove``
+    tactic the paper's figures measure.
+    """
+    session = Session.from_program_text(rule.program, config or legacy())
     started = time.monotonic()
-    outcome = solver.check(rule.left, rule.right)
+    outcome = session.verify(rule.left, rule.right)
     return outcome.verdict, time.monotonic() - started
 
 
-def run_corpus(options: DecisionOptions = None):
+def run_corpus(config: Optional[PipelineConfig] = None):
     """Run every corpus rule once; returns {rule_id: (rule, verdict, secs)}."""
     results = {}
     for rule in all_rules():
-        verdict, elapsed = run_rule(rule, options)
+        verdict, elapsed = run_rule(rule, config)
         results[rule.rule_id] = (rule, verdict, elapsed)
     return results
 
 
-def run_corpus_batch(workers: int = 1, options: DecisionOptions = None):
+def run_corpus_batch(workers: int = 1):
     """One corpus pass through the batch service (the service-mode path).
 
     Returns the same ``{rule_id: (rule, verdict, secs)}`` shape as
     :func:`run_corpus` so the figure harnesses can consume either.
     """
     rules = {rule.rule_id: rule for rule in all_rules()}
-    verifier = BatchVerifier(workers=workers, options=options)
-    records = verifier.run(as_batch_pairs())
+    with BatchVerifier(workers=workers) as verifier:
+        records = verifier.run(as_batch_pairs())
     errored = [r for r in records if r.verdict == "error"]
     assert not errored, "corpus rules errored: " + ", ".join(
         f"{r.pair_id} ({r.reason})" for r in errored

@@ -8,7 +8,7 @@ complementary bounded model checker produces the concrete witness.
 Run:  python examples/count_bug.py
 """
 
-from repro import Solver
+from repro import PipelineConfig, Session
 from repro.checker import ModelChecker
 
 PROGRAM = """
@@ -34,12 +34,12 @@ WHERE p.qoh = temp.ct AND p.pnum = temp.pnum
 
 
 def main() -> None:
-    solver = Solver.from_program_text(PROGRAM)
-    outcome = solver.check(NESTED, UNNESTED)
+    session = Session.from_program_text(PROGRAM, PipelineConfig.legacy())
+    outcome = session.verify(NESTED, UNNESTED)
     print("prover verdict:", outcome.verdict.value)
     assert not outcome.proved, "soundness: the count bug must never be proved"
 
-    checker = ModelChecker(solver.catalog)
+    checker = ModelChecker(session.catalog)
     witness = checker.find_counterexample(NESTED, UNNESTED)
     assert witness is not None
     print()

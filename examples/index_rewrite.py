@@ -9,8 +9,7 @@ SPNF, the canonical forms, and the axioms used in the proof.
 Run:  python examples/index_rewrite.py
 """
 
-from repro import Solver
-from repro.constraints.model import constraints_from_catalog
+from repro import PipelineConfig, Session
 from repro.udp.canonize import canonize_form
 from repro.usr.pretty import pretty_form
 from repro.usr.spnf import normalize
@@ -27,21 +26,21 @@ Q2 = "SELECT t2.* FROM i t1, r t2 WHERE t1.k = t2.k AND t1.a >= 12"
 
 
 def main() -> None:
-    solver = Solver.from_program_text(PROGRAM)
+    session = Session.from_program_text(PROGRAM, PipelineConfig.legacy())
 
     print("Q1 (scan):  ", Q1)
     print("Q2 (index): ", Q2)
     print()
 
-    left = solver.compile(Q1)
-    right = solver.compile(Q2)
+    left = session.compile(Q1)
+    right = session.compile(Q2)
     print("-- U-expression of Q1 (λ%s):" % left.var)
     print("  ", left.body)
     print("-- U-expression of Q2 (λ%s), index view inlined:" % right.var)
     print("  ", right.body)
     print()
 
-    constraints = constraints_from_catalog(solver.catalog)
+    constraints = session.constraint_set()
     print("-- SPNF of Q2:")
     form = normalize(right.body)
     print("  ", pretty_form(form))
@@ -51,7 +50,7 @@ def main() -> None:
     print("  ", pretty_form(canonical))
     print()
 
-    outcome = solver.check(Q1, Q2)
+    outcome = session.verify(Q1, Q2)
     print("verdict:", outcome.verdict.value)
     print("axioms used:", ", ".join(outcome.trace.axioms_used()))
     assert outcome.proved

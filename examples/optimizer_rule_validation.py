@@ -12,7 +12,7 @@ Run:  python examples/optimizer_rule_validation.py
 import sys
 import time
 
-from repro import Solver
+from repro import PipelineConfig, Session
 from repro.corpus import Expectation, all_rules
 from repro.udp.trace import Verdict
 
@@ -21,9 +21,11 @@ def main() -> int:
     per_dataset = {}
     failures = []
     for rule in all_rules():
-        solver = Solver.from_program_text(rule.program)
+        session = Session.from_program_text(
+            rule.program, PipelineConfig.legacy()
+        )
         started = time.monotonic()
-        outcome = solver.check(rule.left, rule.right)
+        outcome = session.verify(rule.left, rule.right)
         elapsed_ms = (time.monotonic() - started) * 1000
         stats = per_dataset.setdefault(
             rule.dataset, {"total": 0, "proved": 0, "unproved": 0, "unsupported": 0}

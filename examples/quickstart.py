@@ -4,9 +4,9 @@ The unified :class:`repro.Session` API takes SQL text in and hands back
 structured results — a verdict, a stable machine-readable reason code,
 the tactic that concluded, and (for refuted pairs) a counterexample.
 
-Migration note: the legacy ``Solver``/``prove`` API keeps working as a
-thin shim (``Solver.check(l, r)`` ≡ ``Session.verify(l, r)`` restricted
-to the ``udp-prove`` tactic), but new code should prefer ``Session``.
+To run Algorithms 1-4 alone (no ``cq-minimize`` fallback, no
+``model-check`` refutation), pass ``PipelineConfig.legacy()`` as the
+session's config.
 
 Run:  python examples/quickstart.py
 """

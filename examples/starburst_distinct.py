@@ -8,7 +8,7 @@ the two queries agree, and that dropping the key makes them disagree.
 Run:  python examples/starburst_distinct.py
 """
 
-from repro import Solver
+from repro import PipelineConfig, Session
 from repro.checker import ModelChecker
 
 PROGRAM = """
@@ -34,21 +34,23 @@ WHERE price.np > 1000 AND price.itemno = itm.itemno
 
 
 def main() -> None:
-    solver = Solver.from_program_text(PROGRAM)
-    outcome = solver.check(Q1, Q2)
+    session = Session.from_program_text(PROGRAM, PipelineConfig.legacy())
+    outcome = session.verify(Q1, Q2)
     print("with key itm(itemno):", outcome.verdict.value)
     print("axioms used:", ", ".join(outcome.trace.axioms_used()))
     assert outcome.proved
 
-    checker = ModelChecker(solver.catalog, seed=5)
+    checker = ModelChecker(session.catalog, seed=5)
     print(
         "engine agreement on random keyed databases:",
         checker.agree_on_random(Q1, Q2, attempts=10),
     )
 
     # Without the key, Q1 can return duplicate rows that Q2 removes.
-    unkeyed = Solver.from_program_text(PROGRAM.replace("key itm(itemno);", ""))
-    outcome = unkeyed.check(Q1, Q2)
+    unkeyed = Session.from_program_text(
+        PROGRAM.replace("key itm(itemno);", ""), PipelineConfig.legacy()
+    )
+    outcome = unkeyed.verify(Q1, Q2)
     print("without the key:", outcome.verdict.value)
     assert not outcome.proved
     witness = ModelChecker(unkeyed.catalog, seed=5).find_counterexample(Q1, Q2)

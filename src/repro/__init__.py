@@ -42,20 +42,21 @@ are sequenced and budgeted by :class:`~repro.session.PipelineConfig`::
 Migration note
 --------------
 
-:class:`~repro.frontend.solver.Solver`, :func:`~repro.frontend.solver.prove`,
-and :class:`~repro.service.batch.BatchVerifier` keep working unchanged as
-thin shims over ``Session`` — same verdicts, reasons, and traces.  New
-code should prefer ``Session``: ``Solver.check(l, r)`` becomes
-``Session.verify(l, r)`` (returning the structured result), and
-``Solver.from_program_text`` becomes ``Session.from_program_text``.
+``Session`` is the one way in; the earlier check-one-pair shim and its
+one-shot helper are gone.  To get their behavior, build
+``Session.from_program_text(text, PipelineConfig.legacy())`` (the single
+``udp-prove`` tactic they ran) and call ``session.verify(left, right)``,
+which returns the structured result.  ``cluster_queries`` comes from
+:mod:`repro.service`.  :class:`~repro.service.batch.BatchVerifier` now
+runs on a :class:`~repro.server.pool.SessionPool` that it owns until
+``close()`` (or the end of a ``with`` block), and takes its decision
+knobs as a ``PipelineConfig`` only.
 
 Public surface:
 
 * :class:`~repro.session.Session` — the unified front end: structured
   requests/results, the pluggable tactic pipeline, streaming
   ``verify_many``;
-* :class:`~repro.frontend.solver.Solver` / :func:`~repro.frontend.solver.prove`
-  — legacy SQL-text-in, verdict-out shims;
 * :func:`~repro.udp.decide.decide_equivalence` — the decision procedure on
   compiled denotations;
 * :mod:`repro.usr` — U-expressions, SPNF, the SQL→U-expression compiler;
@@ -65,9 +66,10 @@ Public surface:
   engine and the bounded counterexample finder (the ``model-check`` tactic);
 * :mod:`repro.corpus` — the evaluation corpus (literature + Calcite + bugs);
 * :mod:`repro.service` — the batch-verification subsystem
-  (:class:`~repro.service.batch.BatchVerifier`: multiprocessing fan-out,
-  per-pair timeouts, streaming JSONL sinks) over ``Session`` and the
-  hash-consing/memoization layer of :mod:`repro.hashcons`;
+  (:class:`~repro.service.batch.BatchVerifier`: ordered fan-out over a
+  session pool, per-pair timeouts, streaming JSONL sinks) and query
+  clustering, over ``Session`` and the hash-consing/memoization layer of
+  :mod:`repro.hashcons`;
 * :mod:`repro.server` — the long-lived HTTP verification service
   (``udp-prove serve``: ``POST /verify``, streamed ``POST /verify/batch``,
   ``GET /healthz``/``/stats``) over a pool of warm sessions, stdlib-only;
@@ -89,7 +91,6 @@ from repro.errors import (
     UnsupportedFeatureError,
 )
 from repro.client import ClientError, RetryPolicy, VerifyClient
-from repro.frontend.solver import Solver, VerificationOutcome, prove
 from repro.hashcons import cache_stats, clear_caches, set_memoization
 from repro.service import BatchPair, BatchRecord, BatchVerifier
 from repro.store import SQLiteMemoStore, install_shared_store, open_store
@@ -134,11 +135,9 @@ __all__ = [
     "SchemaError",
     "Session",
     "SessionStats",
-    "Solver",
     "UnsupportedFeatureError",
     "Verdict",
     "VerifyClient",
-    "VerificationOutcome",
     "VerifyRequest",
     "VerifyResult",
     "available_tactics",
@@ -147,7 +146,6 @@ __all__ = [
     "decide_equivalence",
     "install_shared_store",
     "open_store",
-    "prove",
     "register_tactic",
     "set_memoization",
     "__version__",

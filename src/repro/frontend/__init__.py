@@ -1,10 +1,7 @@
-"""End-to-end front ends: input programs → verdicts.
+"""The command-line front end: ``udp-prove`` (:mod:`repro.frontend.cli`).
 
-:class:`~repro.session.Session` is the primary API (structured results,
-pluggable pipeline); :class:`Solver` remains as the legacy shim.
+Program mode, ``batch``, ``serve`` and ``cluster`` all run on
+:class:`~repro.session.Session` — directly, or through a
+:class:`~repro.server.pool.SessionPool` — which is also the library's one
+way in.
 """
-
-from repro.frontend.solver import Solver, VerificationOutcome
-from repro.session import Session
-
-__all__ = ["Session", "Solver", "VerificationOutcome"]

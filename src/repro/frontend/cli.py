@@ -1,10 +1,12 @@
 """Command-line interface: ``udp-prove program.cos``, ``batch``, ``serve``.
 
 An input file contains declarations and ``verify q1 == q2;`` goals (the
-Fig. 2 statement language).  Exit status is 0 when every goal is proved,
-1 otherwise.
+Fig. 2 statement language), decided on one :class:`~repro.session.Session`
+under the single ``udp-prove`` tactic by default.  Exit status is 0 when
+every goal is proved, 1 otherwise, and 2 (with an ``error: ...`` line) when
+the file cannot be read or parsed.
 
-Two flags expose the unified-session pipeline:
+Two flags reshape the output and the pipeline:
 
 * ``--pipeline udp-prove,cq-minimize,model-check`` picks the tactic order
   (any comma-separated subset of the registry);
@@ -54,7 +56,6 @@ import sys
 from typing import List, Optional
 
 from repro.errors import ReproError
-from repro.frontend.solver import Solver
 from repro.session import (
     PipelineConfig,
     Session,
@@ -62,7 +63,6 @@ from repro.session import (
     parse_pipeline_spec,
 )
 from repro.store import install_shared_store, open_store
-from repro.udp.decide import DecisionOptions
 from repro.udp.trace import Verdict
 
 
@@ -135,7 +135,10 @@ def build_batch_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--workers", type=int, default=1,
-        help="worker processes (default 1 = in-process)",
+        help=(
+            "session-pool members proving in parallel: forked processes "
+            "where fork exists (default 1 = one in-process member)"
+        ),
     )
     parser.add_argument(
         "--timeout", type=float, default=30.0,
@@ -240,7 +243,7 @@ def run_cluster(argv: List[str]) -> int:
     try:
         with open(args.program, "r", encoding="utf-8") as handle:
             program_text = handle.read()
-    except OSError as error:
+    except (OSError, UnicodeDecodeError) as error:
         print(f"error: cannot read {args.program}: {error}", file=sys.stderr)
         return 2
     try:
@@ -505,7 +508,7 @@ def run_serve(argv: List[str]) -> int:
         try:
             with open(args.program, "r", encoding="utf-8") as handle:
                 text = handle.read()
-        except OSError as error:
+        except (OSError, UnicodeDecodeError) as error:
             print(
                 f"error: cannot read {args.program}: {error}", file=sys.stderr
             )
@@ -650,7 +653,7 @@ def run_batch(argv: List[str]) -> int:
         try:
             with open(args.input, "r", encoding="utf-8") as handle:
                 text = handle.read()
-        except OSError as error:
+        except (OSError, UnicodeDecodeError) as error:
             print(f"error: cannot read {args.input}: {error}", file=sys.stderr)
             return 2
         try:
@@ -658,7 +661,7 @@ def run_batch(argv: List[str]) -> int:
                 pairs = pairs_from_jsonl(text.splitlines())
             else:
                 pairs = pairs_from_program(text)
-        except (KeyError, ValueError, ReproError) as error:
+        except (ValueError, ReproError) as error:
             print(
                 f"error: malformed pairs input {args.input}: {error}",
                 file=sys.stderr,
@@ -674,22 +677,20 @@ def run_batch(argv: List[str]) -> int:
     except ValueError as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
-    store = previous_store = None
-    if args.store:
-        # Installed before the verifier starts so forked workers
-        # inherit it; the verdict cache then answers repeated pairs
-        # across batch runs without re-proving.
-        store = open_store(args.store)
-        previous_store = install_shared_store(store)
-    verifier = BatchVerifier(workers=args.workers, pipeline=pipeline)
+    # The pool installs the store as the shared memo and verdict-cache
+    # store before its members fork, so a re-run over the same store
+    # answers repeated pairs without re-proving.
+    store = open_store(args.store) if args.store else None
     try:
-        if args.output:
-            records = verifier.run_to_path(pairs, args.output)
-        else:
-            records = verifier.run(pairs, sink=sys.stdout)
+        with BatchVerifier(
+            workers=args.workers, pipeline=pipeline, store=store
+        ) as verifier:
+            if args.output:
+                records = verifier.run_to_path(pairs, args.output)
+            else:
+                records = verifier.run(pairs, sink=sys.stdout)
     finally:
         if store is not None:
-            install_shared_store(previous_store)
             store.close()
     counts: dict = {}
     for record in records:
@@ -699,8 +700,13 @@ def run_batch(argv: List[str]) -> int:
     return 1 if counts.get(ERROR_VERDICT) else 0
 
 
-def _run_session_mode(args, text: str) -> int:
-    """Program mode through the unified session (--pipeline / --json)."""
+def _run_session_mode(args) -> int:
+    """Program mode: every ``verify`` goal through one session.
+
+    Exits 0 when every goal is proved and 1 when some goal is not.  An
+    input problem — an unreadable file, a declaration or goal that does
+    not parse, an unknown tactic — prints ``error: ...`` and exits 2.
+    """
     try:
         pipeline = _pipeline_config(
             args.pipeline, args.timeout, not args.no_constraints, args.sdp
@@ -709,10 +715,31 @@ def _run_session_mode(args, text: str) -> int:
         print(f"error: {error}", file=sys.stderr)
         return 2
     try:
+        with open(args.program, "r", encoding="utf-8") as handle:
+            text = handle.read()
+    except (OSError, UnicodeDecodeError) as error:
+        print(f"error: cannot read {args.program}: {error}", file=sys.stderr)
+        return 2
+    try:
         session = Session.from_program_text(text, pipeline)
     except ReproError as error:
         print(f"error: {type(error).__name__}: {error}", file=sys.stderr)
         return 2
+    # ``--json`` wins over ``--report``: a script asking for records
+    # gets them.
+    if args.report and not args.json:
+        from repro.udp.report import render_proof_report
+
+        failures = 0
+        for goal in session._program.verify_goals():
+            report = render_proof_report(
+                session, str(goal.left), str(goal.right)
+            )
+            print(report)
+            print()
+            if "Verdict: **proved**" not in report:
+                failures += 1
+        return 0 if failures == 0 else 1
     goals = list(session._program.verify_goals())
     failures = 0
     for index, goal in enumerate(goals, start=1):
@@ -751,48 +778,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         return run_serve(argv[1:])
     if argv and argv[0] == "cluster":
         return run_cluster(argv[1:])
-    args = build_arg_parser().parse_args(argv)
-    with open(args.program, "r", encoding="utf-8") as handle:
-        text = handle.read()
-    if args.pipeline or args.json:
-        return _run_session_mode(args, text)
-    options = DecisionOptions(
-        timeout_seconds=args.timeout,
-        use_constraints=not args.no_constraints,
-        sdp_strategy=args.sdp,
-    )
-    solver = Solver(options=options)
-    if args.report:
-        from repro.sql.parser import parse_program
-        from repro.udp.report import render_proof_report
-
-        program = parse_program(text)
-        solver.catalog = program.build_catalog()
-        failures = 0
-        for index, goal in enumerate(program.verify_goals(), start=1):
-            report = render_proof_report(
-                solver, str(goal.left), str(goal.right)
-            )
-            print(report)
-            print()
-            if "Verdict: **proved**" not in report:
-                failures += 1
-        return 0 if failures == 0 else 1
-    outcomes = solver.run_program(text)
-    failures = 0
-    for index, outcome in enumerate(outcomes, start=1):
-        status = outcome.verdict.value.upper()
-        print(f"goal {index}: {status}  [{outcome.elapsed_seconds * 1000:.1f} ms]")
-        if outcome.reason:
-            print(f"  reason: {outcome.reason}")
-        if args.show_trace and outcome.trace is not None and outcome.proved:
-            for step in outcome.trace.steps:
-                print(f"    {step}")
-        if outcome.verdict is not Verdict.PROVED:
-            failures += 1
-    if not outcomes:
-        print("no verify goals in program")
-    return 0 if failures == 0 else 1
+    return _run_session_mode(build_arg_parser().parse_args(argv))
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -17,7 +17,7 @@ Member kinds
     Members are in-process sessions.  Dispatch, ordering, and
     backpressure behave identically to process mode, but proving shares
     the GIL — use it for ``size == 1``, for tests, and on platforms
-    without ``fork``.
+    without ``fork`` (or where processes cannot be created).
 
 ``process``
     Each member is a forked worker process holding the (copy-on-write)
@@ -38,8 +38,13 @@ Ordering and dispatch
 * :meth:`SessionPool.submit_json` — the same, asynchronously: the front
   door submits each ``/verify`` request and each ``/verify/batch`` line
   and is woken by the future's done-callback.
+* :meth:`SessionPool.map_json` — a stream of payloads through a bounded
+  window of :meth:`submit_json` futures, records back in input order
+  (the engine under :class:`~repro.service.batch.BatchVerifier` and
+  ``udp-prove batch``).
 * :meth:`SessionPool.run_corpus` — the built-in evaluation corpus
-  through the pool, summarized (the ``POST /corpus`` health benchmark).
+  through :meth:`map_json`, summarized (the ``POST /corpus`` health
+  benchmark).
 
 Backpressure
 ------------
@@ -60,12 +65,15 @@ import os
 import queue
 import threading
 import time
+from collections import deque
 from concurrent.futures import CancelledError, Future, ThreadPoolExecutor
 from dataclasses import replace
 from typing import (
     Callable,
+    Deque,
     Dict,
     Iterable,
+    Iterator,
     List,
     Mapping,
     Optional,
@@ -74,6 +82,7 @@ from typing import (
 
 from repro.faults import FaultError, fault_hit
 from repro.session import (
+    DEFAULT_WINDOW,
     PipelineConfig,
     Session,
     VerifyRequest,
@@ -221,6 +230,14 @@ def _timeout_result_record(
         reason_code=ReasonCode.BUDGET_EXHAUSTED,
         reason=reason,
     ).to_json()
+
+
+def _settle(obj: Mapping[str, object], future: Future) -> Dict[str, object]:
+    """The record a submitted payload produced, or an ``error`` record."""
+    try:
+        return future.result()
+    except (Exception, CancelledError) as err:  # noqa: BLE001
+        return _error_result_record(obj, f"{type(err).__name__}: {err}")
 
 
 def _close_inherited_fds(conn) -> None:
@@ -1089,6 +1106,28 @@ class SessionPool:
             shard = self._shard_for(obj)
         return self._executor.submit(self._dispatch, obj, spec, shard)
 
+    def map_json(
+        self,
+        objs: Iterable[Mapping[str, object]],
+        spec: Optional[str] = None,
+    ) -> Iterator[Dict[str, object]]:
+        """Decide a stream of *already validated* payloads, in input order.
+
+        At most ``DEFAULT_WINDOW`` payloads are in flight at once, so
+        unbounded generators run in constant memory while the members
+        stay busy.
+        A dispatch that fails outright (the pool closed under it, say)
+        yields a structured ``error`` record in its slot, so the output
+        always has one record per input.
+        """
+        pending: Deque[Tuple[Mapping[str, object], Future]] = deque()
+        for obj in objs:
+            pending.append((obj, self.submit_json(obj, spec)))
+            if len(pending) >= DEFAULT_WINDOW:
+                yield _settle(*pending.popleft())
+        while pending:
+            yield _settle(*pending.popleft())
+
     def validate_corpus(
         self, dataset: Optional[str], pipeline: Optional[str] = None
     ) -> Optional[str]:
@@ -1124,24 +1163,13 @@ class SessionPool:
         from repro.corpus import as_verify_requests
 
         dataset = self.validate_corpus(dataset, pipeline)
-        requests = as_verify_requests(dataset)
         started = time.monotonic()
-        futures = []
-        for request in requests:
-            obj = request.to_json()
-            futures.append(
-                self._executor.submit(
-                    self._dispatch, obj, pipeline, self._shard_for(obj)
-                )
+        records = list(
+            self.map_json(
+                (request.to_json() for request in as_verify_requests(dataset)),
+                pipeline,
             )
-        records = []
-        for future in futures:
-            try:
-                records.append(future.result())
-            except (Exception, CancelledError) as err:  # noqa: BLE001
-                records.append(
-                    _error_result_record({}, f"{type(err).__name__}: {err}")
-                )
+        )
         elapsed = time.monotonic() - started
         verdicts: Dict[str, int] = {}
         reasons: Dict[str, int] = {}

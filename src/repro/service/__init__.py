@@ -4,13 +4,14 @@ The paper's evaluation (Sec. 6) is fundamentally a *batch* workload:
 hundreds of (program, query, query) triples decided in bulk, with
 per-pair budgets and aggregate statistics.  This package turns that
 pattern into a first-class subsystem, built on the unified
-:class:`~repro.session.Session` API (each worker owns one session; the
-in-process path is :meth:`~repro.session.Session.verify_many`):
+:class:`~repro.session.Session` API and the
+:class:`~repro.server.pool.SessionPool` that also serves
+``udp-prove serve`` (each pool member owns one session):
 
 * :class:`~repro.service.batch.BatchVerifier` — fan any *iterable* of
-  :class:`~repro.service.batch.BatchPair` out over ``multiprocessing``
-  workers, with per-pair timeouts, deterministic result ordering,
-  bounded in-flight windows, and an incrementally-flushed JSON-lines
+  :class:`~repro.service.batch.BatchPair` out over the pool's members,
+  with per-pair timeouts, deterministic result ordering, the pool's
+  bounded in-flight window, and an incrementally-flushed JSON-lines
   result sink; records carry machine-readable reason codes, and a
   :class:`~repro.session.PipelineConfig` can reorder the tactics;
 * :func:`~repro.service.batch.pairs_from_jsonl` /

@@ -1,43 +1,41 @@
-"""Batch verification: fan query pairs out over worker processes.
+"""Batch verification: fan query pairs out over a session pool.
 
 The :class:`BatchVerifier` takes an **iterable** of :class:`BatchPair`
 (program declarations plus two SQL queries) — a list, a generator over a
-million-line corpus file, anything — and decides every pair, either
-in-process (``workers <= 1``) or across a ``multiprocessing`` pool.
-Guarantees, regardless of worker count:
+million-line corpus file, anything — and decides every pair on a
+:class:`~repro.server.pool.SessionPool`, the same fan-out engine behind
+``udp-prove serve``.  Guarantees, regardless of worker count:
 
 * **Deterministic ordering** — results stream back in input order, so
   ``run()`` with 1 worker and with N workers produce identical lists.
-* **Streaming** — input is consumed through a bounded in-flight window
-  (:meth:`~repro.session.Session.verify_many` in-process, ``imap`` over a
-  lazy payload stream for pools) and each record is flushed to the JSONL
-  sink the moment it is decided, so corpus-scale inputs never
-  materialize and partial output survives a crash.
-* **Per-pair isolation** — a pair that times out (the decision budget is
-  cooperative, enforced by the pipeline's budgets) or raises yields a
-  ``timeout`` / ``error`` record without affecting sibling pairs.
-* **Worker-local caching** — each worker keeps one
-  :class:`~repro.session.Session`, whose program-text sub-session cache
-  means a corpus whose rules share a catalog (the Calcite EMP/DEPT
-  rules, say) parses it once per worker; beneath that, the
-  normalize/canonize memo layers (see :mod:`repro.service`) deduplicate
-  repeated subexpressions.
+* **Streaming** — input is consumed through the pool's bounded in-flight
+  window (:meth:`~repro.server.pool.SessionPool.map_json`) and each
+  record is flushed to the JSONL sink the moment it is decided, so
+  corpus-scale inputs never materialize and partial output survives a
+  crash.
+* **Per-pair isolation** — a pair that times out (the cooperative budget
+  of the pipeline, backed by the process members' hard kill deadline)
+  or raises yields a ``timeout`` / ``error`` record without affecting
+  sibling pairs.
+* **Warm members** — the verifier owns its pool until
+  :meth:`BatchVerifier.close`, so repeated runs reuse each member's
+  session (a catalog shared by many rules is parsed once per member)
+  and its normalize/canonize memo layers.
 
-Since the unified-session redesign every record carries the
-machine-readable ``reason_code`` next to the free-text reason, and a
-custom :class:`~repro.session.PipelineConfig` can swap the bulk pipeline
-(e.g. add ``model-check`` refutation to tag definitive non-equivalences).
+Every record carries the machine-readable ``reason_code`` next to the
+free-text reason, and a custom :class:`~repro.session.PipelineConfig`
+can swap the bulk pipeline (e.g. add ``model-check`` refutation to tag
+definitive non-equivalences).
 """
 
 from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass
-from typing import Dict, IO, Iterable, Iterator, List, Optional, Tuple, Union
+from dataclasses import dataclass, replace
+from typing import Dict, IO, Iterable, Iterator, List, Optional, Union
 
-from repro.session import PipelineConfig, Session, VerifyRequest, VerifyResult
-from repro.udp.decide import DecisionOptions
+from repro.session import PipelineConfig, VerifyRequest, VerifyResult
 from repro.udp.trace import Verdict
 
 #: Verdict strings a record can carry: the
@@ -104,95 +102,59 @@ class BatchRecord:
 
 
 # ---------------------------------------------------------------------------
-# Worker side
-# ---------------------------------------------------------------------------
-
-#: Per-process session cache, keyed by pipeline configuration.  Lives at
-#: module level so pool workers (which fork or re-import this module)
-#: reuse one session — and its program-text sub-sessions and compile
-#: caches — across the pairs they are handed.
-_WORKER_SESSIONS: Dict[PipelineConfig, Session] = {}
-
-
-def _session_for(config: PipelineConfig) -> Session:
-    session = _WORKER_SESSIONS.get(config)
-    if session is None:
-        session = Session(config=config)
-        if len(_WORKER_SESSIONS) < 64:
-            _WORKER_SESSIONS[config] = session
-    return session
-
-
-def _check_pair(payload: Tuple[int, BatchPair, PipelineConfig]) -> BatchRecord:
-    """Decide one pair; never raises (errors become ``error`` records)."""
-    index, pair, config = payload
-    session = _session_for(config)
-    return BatchRecord.from_result(index, session.verify(pair.to_request()))
-
-
-# ---------------------------------------------------------------------------
 # The verifier
 # ---------------------------------------------------------------------------
 
 
 class BatchVerifier:
-    """Decide many query pairs, optionally across worker processes.
+    """Decide many query pairs, in input order, on a session pool.
 
-    Attributes:
-        workers: process count; ``<= 1`` runs in-process (no pool).
-        options: legacy decision options shared by all pairs (per-pair
-            ``timeout_seconds`` overrides the budget); folded into the
-            pipeline configuration.
-        pipeline: full :class:`~repro.session.PipelineConfig` control of
-            tactic order and budgets.  The default is the single
-            ``udp-prove`` tactic with traces off — bulk verification
-            consumes verdicts, not proof replays.
-        chunk_size: pairs handed to a worker per dispatch; higher
-            amortizes IPC, lower balances better when pair costs vary.
+    A thin ordered adapter over a :class:`~repro.server.pool.SessionPool`
+    of ``workers`` members, built at construction and released by
+    :meth:`close` (or by leaving a ``with`` block).  The pool's ``auto``
+    mode picks the member kind: one in-process thread member at
+    ``workers=1``, else forked process members where ``fork`` exists
+    and thread members where processes cannot be created.
+
+    ``pipeline`` defaults to the single ``udp-prove`` tactic with traces
+    off — bulk verification consumes verdicts, not proof replays.
+    ``store`` is a durable store the pool installs as the shared memo and
+    verdict-cache store until :meth:`close` puts the previous one back;
+    the caller keeps ownership and closes it.  Without one the pool runs
+    with no shared store.
     """
 
     def __init__(
         self,
         workers: int = 1,
-        options: Optional[DecisionOptions] = None,
-        chunk_size: int = 4,
-        clamp_to_cores: bool = True,
         pipeline: Optional[PipelineConfig] = None,
+        store=None,
     ) -> None:
+        # Imported here: repro.server reads repro.__version__, which the
+        # package defines only after it has imported this module.
+        from repro.server.pool import SessionPool
+
         self.workers = max(1, int(workers))
-        if pipeline is not None and options is not None:
-            raise ValueError(
-                "pass either options (legacy) or pipeline, not both — "
-                "fold the DecisionOptions fields into the PipelineConfig"
-            )
-        if pipeline is not None:
-            self.pipeline = pipeline
-        else:
-            self.pipeline = PipelineConfig.legacy(
-                options or DecisionOptions(collect_trace=False)
-            )
-        self.chunk_size = max(1, int(chunk_size))
-        self.clamp_to_cores = clamp_to_cores
+        self.pipeline = (
+            pipeline
+            if pipeline is not None
+            else replace(PipelineConfig.legacy(), collect_trace=False)
+        )
+        self.pool = SessionPool(
+            self.workers,
+            pipeline=self.pipeline,
+            shared_store=False if store is None else store,
+        )
 
-    @property
-    def options(self) -> DecisionOptions:
-        """Legacy view of the effective per-pair decision options."""
-        return self.pipeline.options_for(self.pipeline.tactics[0])
+    def close(self) -> None:
+        """Stop the pool's members and restore the previous shared store."""
+        self.pool.close()
 
-    @property
-    def effective_workers(self) -> int:
-        """Worker count actually used: clamped to the machine's cores.
+    def __enter__(self) -> "BatchVerifier":
+        return self
 
-        Oversubscribing processes past ``os.cpu_count()`` only adds fork
-        and IPC overhead (and forked workers start with cold caches); a
-        single-core host therefore always runs in-process, where the
-        memo layers stay warm across batches.  ``clamp_to_cores=False``
-        forces the requested count (tests use it to exercise the pool on
-        any machine).
-        """
-        if not self.clamp_to_cores:
-            return self.workers
-        return min(self.workers, os.cpu_count() or 1)
+    def __exit__(self, *exc_info: object) -> None:
+        self.close()
 
     def run(
         self,
@@ -214,15 +176,14 @@ class BatchVerifier:
         sink: Optional[IO[str]] = None,
     ) -> Iterator[BatchRecord]:
         """Streaming form of :meth:`run`: yields records in input order."""
-        workers = self.effective_workers
-        if workers <= 1:
-            stream = self._run_serial(pairs)
-        else:
-            stream = self._run_pool(pairs, workers)
+        payloads = (pair.to_request().to_json() for pair in pairs)
         flush = getattr(sink, "flush", None)
-        for record in stream:
+        for index, payload in enumerate(self.pool.map_json(payloads)):
+            record = BatchRecord.from_result(
+                index, VerifyResult.from_json(payload)
+            )
             if sink is not None:
-                sink.write(json.dumps(record.to_json(), sort_keys=True) + "\n")
+                write_jsonl((record,), sink)
                 if flush is not None:  # survive a mid-run crash
                     flush()
             yield record
@@ -233,41 +194,6 @@ class BatchVerifier:
         """:meth:`run` with a JSONL file sink at ``path``."""
         with open(path, "w", encoding="utf-8") as handle:
             return self.run(pairs, sink=handle)
-
-    def _run_serial(self, pairs: Iterable[BatchPair]) -> Iterator[BatchRecord]:
-        """In-process path: the worker session's streaming generator."""
-        session = _session_for(self.pipeline)
-        requests = (pair.to_request() for pair in pairs)
-        for index, result in enumerate(session.verify_many(requests)):
-            yield BatchRecord.from_result(index, result)
-
-    def _run_pool(
-        self, pairs: Iterable[BatchPair], workers: int
-    ) -> Iterator[BatchRecord]:
-        import multiprocessing
-
-        payloads = (
-            (index, pair, self.pipeline) for index, pair in enumerate(pairs)
-        )
-        try:
-            context = multiprocessing.get_context("fork")
-        except ValueError:  # pragma: no cover - non-POSIX platforms
-            context = multiprocessing.get_context("spawn")
-        try:
-            pool = context.Pool(processes=workers)
-        except (OSError, PermissionError):  # pragma: no cover - sandboxes
-            # Process creation unavailable: degrade to serial execution
-            # rather than failing the batch (nothing was dispatched yet).
-            for payload in payloads:
-                yield _check_pair(payload)
-            return
-        with pool:
-            # imap keeps input order and feeds the payload generator
-            # lazily, so the pair stream is pulled through a bounded
-            # window rather than materialized like map() would.
-            yield from pool.imap(
-                _check_pair, payloads, chunksize=self.chunk_size
-            )
 
 
 # ---------------------------------------------------------------------------
@@ -291,18 +217,37 @@ def pairs_from_jsonl(lines: Iterable[str]) -> List[BatchPair]:
 
 
 def iter_pairs_from_jsonl(lines: Iterable[str]) -> Iterator[BatchPair]:
-    """Streaming form of :func:`pairs_from_jsonl` for unbounded inputs."""
+    """Streaming form of :func:`pairs_from_jsonl` for unbounded inputs.
+
+    Each line goes through :meth:`~repro.session.VerifyRequest.from_json`,
+    the validation ``POST /verify/batch`` applies: a line that is not a
+    JSON object, lacks ``left``/``right``, or carries a non-numeric
+    ``timeout_seconds`` raises ``ValueError`` naming the line.
+    """
     for position, line in enumerate(lines):
         line = line.strip()
         if not line:
             continue
         obj = json.loads(line)
+        if not isinstance(obj, dict):
+            raise ValueError(
+                f"line {position + 1}: expected a JSON object, "
+                f"got {type(obj).__name__}"
+            )
+        try:
+            request = VerifyRequest.from_json(obj)
+        except KeyError as error:
+            raise ValueError(
+                f"line {position + 1}: missing required field {error}"
+            ) from error
+        except (TypeError, ValueError) as error:
+            raise ValueError(f"line {position + 1}: {error}") from error
         yield BatchPair(
             pair_id=str(obj.get("id", position)),
-            left=obj["left"],
-            right=obj["right"],
-            program=obj.get("program", ""),
-            timeout_seconds=obj.get("timeout_seconds"),
+            left=request.left,
+            right=request.right,
+            program=request.program,
+            timeout_seconds=request.timeout_seconds,
         )
 
 

@@ -1,9 +1,8 @@
 """Streaming query clustering: canonical-digest buckets over the pool.
 
 The paper's Fig. 5 experiment — partitioning many candidate rewrites
-into provably-equivalent groups — started life as an offline
-single-session pass in :mod:`repro.frontend.cluster`.  This module is
-the engine behind its online form, ``POST /cluster``: a
+into provably-equivalent groups — runs here, offline through
+:func:`cluster_queries` and online behind ``POST /cluster``: a
 :class:`ClusterEngine` ingests a stream of queries (JSONL over the
 servers, plain iterables in-process) and places each one into a group,
 emitting one placement record per input in input order.
@@ -226,9 +225,6 @@ class ClusterEngine:
 
     * a :class:`~repro.session.Session` — compile and decide in-process
       via :meth:`~repro.session.Session.decide_compiled`;
-    * a legacy :class:`~repro.frontend.solver.Solver` (anything with
-      ``check_denotations``/``session``) — decisions run its exact
-      historical configuration;
     * ``pool=`` a :class:`~repro.server.pool.SessionPool` — the engine
       compiles and digests on a private clone of the pool's prototype
       session and dispatches residual representative comparisons across
@@ -238,8 +234,8 @@ class ClusterEngine:
     ``group_*`` surface of :class:`~repro.store.sqlite.SQLiteMemoStore`;
     others are ignored), so groups survive restarts and grow across
     fleet members.  ``digest_buckets=False`` restricts bucketing to
-    exact fingerprints — the historical ``cluster_queries`` semantics
-    the frontend shim preserves.
+    exact fingerprints — the historical :func:`cluster_queries`
+    semantics.
 
     Placement mutates shared group state, so one internal lock
     serializes :meth:`place`; concurrent ``/cluster`` streams interleave
@@ -257,18 +253,11 @@ class ClusterEngine:
         persist: bool = True,
     ) -> None:
         if frontend is None and pool is None:
-            raise ValueError("pass a Session/Solver frontend or a pool")
+            raise ValueError("pass a Session frontend or a pool")
         self._pool = pool
-        self._decide_local = None
-        if frontend is None:
-            self._session = pool._prototype.clone()
-        elif hasattr(frontend, "check_denotations"):  # legacy Solver
-            self._session = frontend.session
-            self._decide_local = frontend.check_denotations
-        else:
-            self._session = frontend
-        if self._decide_local is None:
-            self._decide_local = self._session.decide_compiled
+        self._session = (
+            frontend if frontend is not None else pool._prototype.clone()
+        )
         self.stats = stats if stats is not None else ClusterStats()
         self._digest_buckets = bool(digest_buckets)
         self._store = store if getattr(store, "supports_groups", False) else None
@@ -626,7 +615,7 @@ class ClusterEngine:
         rep_denotation = self._group_denotation(group)
         if rep_denotation is None:
             return False
-        outcome = self._decide_local(rep_denotation, denotation)
+        outcome = self._session.decide_compiled(rep_denotation, denotation)
         return outcome.verdict is Verdict.PROVED
 
 
@@ -638,16 +627,14 @@ def cluster_queries(
     digest_buckets: bool = False,
     store=None,
 ) -> List[QueryGroup]:
-    """Group ``queries`` by proved equivalence under the frontend's catalog.
+    """Group ``queries`` by proved equivalence under the session's catalog.
 
-    The offline entry point (re-exported as
-    :func:`repro.frontend.cluster.cluster_queries`): accepts either a
-    legacy :class:`~repro.frontend.solver.Solver` (decisions run its
-    exact historical configuration) or a :class:`~repro.session.Session`.
-    Unsupported queries land in singleton groups (nothing can be proved
-    about them).  Pass a :class:`ClusterStats` to observe how many
-    decisions the pass actually ran and how many queries the buckets
-    short-circuited.
+    The offline entry point: ``frontend`` is a
+    :class:`~repro.session.Session`, whose pipeline decides the residual
+    comparisons.  Unsupported queries land in singleton groups (nothing
+    can be proved about them).  Pass a :class:`ClusterStats` to observe
+    how many decisions the pass actually ran and how many queries the
+    buckets short-circuited.
 
     ``digest_buckets`` defaults to off here — the historical contract:
     only *exact* structural duplicates skip decisions, so decision

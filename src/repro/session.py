@@ -1,10 +1,9 @@
 """The unified verification session: one API over the Fig. 4 pipeline.
 
-Every front end in this repo — the interactive :class:`~repro.frontend.solver.Solver`,
-the :class:`~repro.service.batch.BatchVerifier`, the clustering pass, and the
-CLI — used to wire parse→compile→decide slightly differently and hand back
-free-text reasons.  :class:`Session` replaces those ad-hoc paths with one
-object:
+Every front end in this repo — the CLI, the
+:class:`~repro.service.batch.BatchVerifier` and the HTTP server (both
+through a :class:`~repro.server.pool.SessionPool` of sessions), and the
+clustering pass — decides through one object, :class:`Session`:
 
 * **Structured requests and results.**  :class:`VerifyRequest` and
   :class:`VerifyResult` are plain dataclasses with ``to_json``/``from_json``
@@ -21,11 +20,7 @@ object:
 
 * **Streaming.**  :meth:`Session.verify_many` is a generator over any
   iterable of requests with a bounded in-flight window — million-pair
-  corpus files never materialize.  The batch service and the cluster
-  front end are built on it.
-
-Legacy surfaces (``Solver``, ``prove``, ``BatchVerifier``) remain as thin
-compatibility shims over a session.
+  corpus files never materialize.
 """
 
 from __future__ import annotations
@@ -223,7 +218,7 @@ class VerifyResult:
 #: try to refute what remains unproved.
 DEFAULT_TACTICS: Tuple[str, ...] = ("udp-prove", "cq-minimize", "model-check")
 
-#: What the legacy ``Solver.check`` ran: Algorithms 1-4 only.
+#: :meth:`PipelineConfig.legacy`: Algorithms 1-4 only.
 LEGACY_TACTICS: Tuple[str, ...] = ("udp-prove",)
 
 
@@ -299,19 +294,13 @@ class PipelineConfig:
         )
 
     @classmethod
-    def legacy(
-        cls, options: Optional[DecisionOptions] = None
-    ) -> "PipelineConfig":
-        """The configuration equivalent to the historical ``Solver.check``."""
-        options = options or DecisionOptions()
-        return cls(
-            tactics=LEGACY_TACTICS,
-            timeout_seconds=options.timeout_seconds,
-            use_constraints=options.use_constraints,
-            sdp_strategy=options.sdp_strategy,
-            require_same_schema=options.require_same_schema,
-            collect_trace=options.collect_trace,
-        )
+    def legacy(cls) -> "PipelineConfig":
+        """Algorithms 1-4 alone: the single ``udp-prove`` tactic.
+
+        The pipeline the ``udp-prove`` CLI and the batch service run by
+        default; the differential suite pins every entry point to it.
+        """
+        return cls(tactics=LEGACY_TACTICS)
 
 
 def parse_pipeline_spec(spec: str) -> List[str]:

@@ -10,9 +10,8 @@ from __future__ import annotations
 
 from typing import List, Union
 
-from repro.constraints.model import constraints_from_catalog
-from repro.frontend.solver import Solver
 from repro.hashcons import cache_stats
+from repro.session import Session
 from repro.udp.canonize import canonize_form
 from repro.usr.axioms import AXIOMS
 from repro.usr.pretty import pretty_form
@@ -37,10 +36,14 @@ def render_cache_stats() -> str:
     return "\n".join(lines)
 
 
-def render_proof_report(solver: Solver, left: str, right: str) -> str:
-    """A Markdown report of deciding ``left ≡ right`` under the catalog."""
-    outcome = solver.check(left, right)
-    constraints = constraints_from_catalog(solver.catalog)
+def render_proof_report(session: Session, left: str, right: str) -> str:
+    """A Markdown report of deciding ``left ≡ right`` on ``session``.
+
+    The verdict comes from the session's own pipeline; the stages shown
+    are those of Algorithms 1-4 under the session's catalog.
+    """
+    outcome = session.verify(left, right)
+    constraints = session.constraint_set()
 
     lines: List[str] = []
     lines.append("# Equivalence proof report")
@@ -56,8 +59,8 @@ def render_proof_report(solver: Solver, left: str, right: str) -> str:
     lines.append("")
 
     try:
-        left_denotation = solver.compile(left)
-        right_denotation = solver.compile(right)
+        left_denotation = session.compile(left)
+        right_denotation = session.compile(right)
     except Exception as error:  # unsupported fragment
         lines.append(f"**verdict: {outcome.verdict.value}** — {error}")
         return "\n".join(lines)

@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
-from repro import Solver
+from repro import PipelineConfig, Session
 from repro.sql.program import Catalog
 from repro.sql.schema import Schema
 
@@ -36,24 +38,34 @@ foreign key emp(deptno) references dept(deptno);
 """
 
 
-@pytest.fixture
-def rs_solver() -> Solver:
-    return Solver.from_program_text(RS_PROGRAM)
+def legacy_session(program: str, **overrides) -> Session:
+    """A session over ``program`` running Algorithms 1-4 alone.
+
+    ``overrides`` replace :class:`~repro.session.PipelineConfig` fields
+    (``use_constraints``, ``sdp_strategy``, ``timeout_seconds``, ...).
+    """
+    config = dataclasses.replace(PipelineConfig.legacy(), **overrides)
+    return Session.from_program_text(program, config)
 
 
 @pytest.fixture
-def keyed_solver() -> Solver:
-    return Solver.from_program_text(KEYED_PROGRAM)
+def rs_session() -> Session:
+    return legacy_session(RS_PROGRAM)
 
 
 @pytest.fixture
-def emp_solver() -> Solver:
-    return Solver.from_program_text(EMP_PROGRAM)
+def keyed_session() -> Session:
+    return legacy_session(KEYED_PROGRAM)
 
 
 @pytest.fixture
-def rs_catalog(rs_solver) -> Catalog:
-    return rs_solver.catalog
+def emp_session() -> Session:
+    return legacy_session(EMP_PROGRAM)
+
+
+@pytest.fixture
+def rs_catalog(rs_session) -> Catalog:
+    return rs_session.catalog
 
 
 def make_catalog(*tables) -> Catalog:

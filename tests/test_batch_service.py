@@ -2,18 +2,19 @@
 
 Covers the :class:`~repro.service.batch.BatchVerifier` contracts: worker
 counts never change results or their order, a timed-out pair cannot poison
-its siblings, errors are isolated per pair, the JSONL sink round-trips, and
-the ``udp-prove batch`` CLI frontend drives the whole path.
+its siblings, errors are isolated per pair, the JSONL sink round-trips, the
+verifier owns its session pool until it is closed, and the ``udp-prove
+batch`` CLI frontend drives the whole path.
 """
 
+import dataclasses
 import json
 
 import pytest
 
-from repro import BatchPair, BatchVerifier, Verdict
+from repro import BatchPair, BatchVerifier, PipelineConfig, Verdict
 from repro.frontend.cli import main
 from repro.service import pairs_from_jsonl, pairs_from_program
-from repro.udp.decide import DecisionOptions
 
 from tests.conftest import EMP_PROGRAM, KEYED_PROGRAM, RS_PROGRAM
 
@@ -54,6 +55,12 @@ def sample_pairs():
     ]
 
 
+def run_pairs(pairs, **kwargs):
+    """One :meth:`BatchVerifier.run` on a verifier closed afterwards."""
+    with BatchVerifier(**kwargs) as verifier:
+        return verifier.run(pairs)
+
+
 EXPECTED = {
     "eq-commute": "proved",
     "not-equal": "not_proved",
@@ -64,7 +71,7 @@ EXPECTED = {
 
 
 def test_serial_run_verdicts_and_order():
-    records = BatchVerifier(workers=1).run(sample_pairs())
+    records = run_pairs(sample_pairs())
     assert [r.pair_id for r in records] == list(EXPECTED)
     assert {r.pair_id: r.verdict for r in records} == EXPECTED
     assert [r.index for r in records] == list(range(len(EXPECTED)))
@@ -72,10 +79,12 @@ def test_serial_run_verdicts_and_order():
 
 def test_one_vs_many_workers_identical_results():
     pairs = sample_pairs()
-    serial = BatchVerifier(workers=1).run(pairs)
-    # clamp_to_cores=False forces a real multiprocessing pool even on a
-    # single-core machine — this must not change results or order.
-    pooled = BatchVerifier(workers=3, clamp_to_cores=False).run(pairs)
+    serial = run_pairs(pairs)
+    # Three members (forked processes where fork exists) on any machine:
+    # the pool must not change results or order.
+    with BatchVerifier(workers=3) as verifier:
+        assert len(verifier.pool.members) == 3
+        pooled = verifier.run(pairs)
     assert [(r.index, r.pair_id, r.verdict) for r in serial] == [
         (r.index, r.pair_id, r.verdict) for r in pooled
     ]
@@ -94,7 +103,7 @@ def test_timeout_pair_does_not_poison_siblings():
             timeout_seconds=0.0,
         ),
     )
-    records = BatchVerifier(workers=1).run(pairs)
+    records = run_pairs(pairs)
     by_id = {r.pair_id: r for r in records}
     assert by_id["doomed"].verdict == Verdict.TIMEOUT.value
     for pair_id, expected in EXPECTED.items():
@@ -106,7 +115,7 @@ def test_error_pair_is_isolated():
         BatchPair("broken", "SELECT", "SELECT", program="not a program !!"),
         *sample_pairs(),
     ]
-    records = BatchVerifier(workers=1).run(pairs)
+    records = run_pairs(pairs)
     assert records[0].pair_id == "broken"
     assert records[0].verdict == "error"
     assert records[0].reason  # carries the exception text
@@ -115,7 +124,8 @@ def test_error_pair_is_isolated():
 
 def test_jsonl_sink_round_trip(tmp_path):
     out = tmp_path / "results.jsonl"
-    records = BatchVerifier(workers=1).run_to_path(sample_pairs(), out)
+    with BatchVerifier() as verifier:
+        records = verifier.run_to_path(sample_pairs(), out)
     lines = out.read_text(encoding="utf-8").splitlines()
     assert len(lines) == len(records)
     parsed = [json.loads(line) for line in lines]
@@ -125,8 +135,8 @@ def test_jsonl_sink_round_trip(tmp_path):
 
 
 def test_per_pair_timeout_overrides_default():
-    verifier = BatchVerifier(
-        workers=1, options=DecisionOptions(timeout_seconds=0.0, collect_trace=False)
+    pipeline = dataclasses.replace(
+        PipelineConfig.legacy(), timeout_seconds=0.0, collect_trace=False
     )
     pairs = [
         BatchPair(
@@ -143,31 +153,46 @@ def test_per_pair_timeout_overrides_default():
             RS_PROGRAM,
         ),
     ]
-    records = verifier.run(pairs)
+    records = run_pairs(pairs, pipeline=pipeline)
     assert records[0].verdict == "proved"
     assert records[1].verdict == Verdict.TIMEOUT.value
 
 
-def test_options_and_pipeline_are_mutually_exclusive():
-    from repro.session import PipelineConfig
+def test_verifier_owns_its_pool_until_closed():
+    """Leaving the ``with`` block stops every member and puts back the
+    shared store that was installed before the verifier existed."""
+    from repro.store import active_store, install_shared_store, open_store
 
-    with pytest.raises(ValueError, match="not both"):
-        BatchVerifier(
-            options=DecisionOptions(timeout_seconds=5.0),
-            pipeline=PipelineConfig(),
-        )
-    # The legacy options view reflects whichever was given.
-    verifier = BatchVerifier(options=DecisionOptions(timeout_seconds=5.0))
-    assert verifier.options.timeout_seconds == 5.0
+    outer, inner = open_store(), open_store()
+    previous = install_shared_store(outer)
+    try:
+        with BatchVerifier(workers=2, store=inner) as verifier:
+            assert active_store() is inner
+            records = verifier.run(sample_pairs())
+            members = list(verifier.pool.members)
+            assert len(members) == 2
+        assert {r.pair_id: r.verdict for r in records} == EXPECTED
+        assert active_store() is outer
+        for member in members:
+            if member.mode == "process":
+                assert not member._proc.is_alive()
+            else:
+                assert not member._worker.is_alive()
+        with pytest.raises(RuntimeError, match="closed"):
+            verifier.pool.verify_json({"left": "x", "right": "y"})
+    finally:
+        install_shared_store(previous)
+        inner.close()
+        outer.close()
 
 
-def test_effective_workers_clamped_to_cores():
-    import os
+def test_verifier_without_store_installs_none():
+    from repro.store import active_store
 
-    verifier = BatchVerifier(workers=64)
-    assert verifier.effective_workers == min(64, os.cpu_count() or 1)
-    forced = BatchVerifier(workers=64, clamp_to_cores=False)
-    assert forced.effective_workers == 64
+    before = active_store()
+    with BatchVerifier(workers=2) as verifier:
+        assert verifier.pool.store is None
+        assert active_store() is before
 
 
 # -- streaming input and incremental flushing ---------------------------------
@@ -175,7 +200,7 @@ def test_effective_workers_clamped_to_cores():
 
 def test_run_accepts_generator_input():
     """Iterator inputs work end to end — nothing requires a Sequence."""
-    records = BatchVerifier(workers=1).run(pair for pair in sample_pairs())
+    records = run_pairs(pair for pair in sample_pairs())
     assert {r.pair_id: r.verdict for r in records} == EXPECTED
     assert [r.index for r in records] == list(range(len(EXPECTED)))
 
@@ -189,13 +214,14 @@ def test_run_consumes_input_incrementally():
             consumed.append(pair.pair_id)
             yield pair
 
-    iterator = BatchVerifier(workers=1).run_iter(stream())
-    assert consumed == []
-    first = next(iterator)
-    assert first.pair_id == "eq-commute"
-    # At most the window (default 32 > 5 pairs, so all 5 here), but the
-    # key property is nothing was consumed before iteration began.
-    rest = list(iterator)
+    with BatchVerifier() as verifier:
+        iterator = verifier.run_iter(stream())
+        assert consumed == []
+        first = next(iterator)
+        assert first.pair_id == "eq-commute"
+        # At most the window (default 32 > 5 pairs, so all 5 here), but
+        # the key property is nothing was consumed before iteration began.
+        rest = list(iterator)
     assert [r.pair_id for r in rest] == list(EXPECTED)[1:]
 
 
@@ -210,17 +236,18 @@ def test_sink_flushes_incrementally():
             self.lines.append(text)
 
     sink = CountingSink()
-    iterator = BatchVerifier(workers=1).run_iter(sample_pairs(), sink=sink)
-    next(iterator)
-    assert len(sink.lines) == 1  # first record flushed before the second runs
-    list(iterator)
+    with BatchVerifier() as verifier:
+        iterator = verifier.run_iter(sample_pairs(), sink=sink)
+        next(iterator)
+        assert len(sink.lines) == 1  # flushed before the second is yielded
+        list(iterator)
     assert len(sink.lines) == len(EXPECTED)
     parsed = [json.loads(line) for line in sink.lines]
     assert [p["id"] for p in parsed] == list(EXPECTED)
 
 
 def test_records_carry_reason_codes():
-    records = BatchVerifier(workers=1).run(sample_pairs())
+    records = run_pairs(sample_pairs())
     by_id = {r.pair_id: r for r in records}
     assert by_id["eq-commute"].reason_code == "isomorphic-canonical-forms"
     assert by_id["not-equal"].reason_code == "no-isomorphism"
@@ -232,15 +259,10 @@ def test_records_carry_reason_codes():
 
 
 def test_pipeline_override_adds_refutation():
-    from repro.session import PipelineConfig
-
-    verifier = BatchVerifier(
-        workers=1,
-        pipeline=PipelineConfig(
-            tactics=("udp-prove", "model-check"), collect_trace=False
-        ),
+    pipeline = PipelineConfig(
+        tactics=("udp-prove", "model-check"), collect_trace=False
     )
-    records = verifier.run(sample_pairs())
+    records = run_pairs(sample_pairs(), pipeline=pipeline)
     by_id = {r.pair_id: r.reason_code for r in records}
     assert by_id["not-equal"] == "counterexample-found"
     # Verdicts are unchanged by the extra tactic.
@@ -258,7 +280,7 @@ def test_pairs_from_program_numbers_goals():
     pairs = pairs_from_program(text)
     assert [p.pair_id for p in pairs] == ["goal-1", "goal-2"]
     assert all(p.program == text for p in pairs)
-    records = BatchVerifier(workers=1).run(pairs)
+    records = run_pairs(pairs)
     assert [r.verdict for r in records] == ["proved", "not_proved"]
 
 
@@ -333,3 +355,73 @@ def test_cli_batch_error_exit_code(tmp_path):
     )
     out = tmp_path / "out.jsonl"
     assert main(["batch", str(source), "--output", str(out)]) == 1
+
+
+@pytest.mark.parametrize("line", ['"x"', "[1, 2]", "3"])
+def test_cli_batch_rejects_non_object_lines(tmp_path, capsys, line):
+    source = tmp_path / "pairs.jsonl"
+    source.write_text(line + "\n", encoding="utf-8")
+    assert main(["batch", str(source)]) == 2
+    captured = capsys.readouterr()
+    assert "malformed pairs input" in captured.err
+    assert "expected a JSON object" in captured.err
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
+
+
+def test_cli_batch_rejects_non_numeric_timeout(tmp_path, capsys):
+    source = tmp_path / "pairs.jsonl"
+    source.write_text(
+        json.dumps(
+            {
+                "id": "soon",
+                "left": "SELECT * FROM r x",
+                "right": "SELECT * FROM r y",
+                "program": RS_PROGRAM,
+                "timeout_seconds": "soon",
+            }
+        )
+        + "\n",
+        encoding="utf-8",
+    )
+    assert main(["batch", str(source)]) == 2
+    captured = capsys.readouterr()
+    assert "malformed pairs input" in captured.err
+    assert "line 1" in captured.err
+    assert captured.out == ""  # no error/internal-error record
+
+
+def test_cli_batch_non_utf8_input_exits_2(tmp_path, capsys):
+    source = tmp_path / "pairs.jsonl"
+    source.write_bytes(b'{"id": "caf\xe9"}\n')
+    assert main(["batch", str(source)]) == 2
+    captured = capsys.readouterr()
+    assert f"error: cannot read {source}" in captured.err
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
+
+
+def test_cli_batch_store_is_restored_after_run(tmp_path, capsys):
+    """``--store`` goes to the verifier's pool, which installs it for the
+    run and puts the previously installed store back afterwards; a
+    re-run over the same file answers from its verdict cache."""
+    from repro.session import tactic_invocations
+    from repro.store import active_store
+
+    source = tmp_path / "goals.cos"
+    source.write_text(
+        RS_PROGRAM + "verify SELECT * FROM r x == SELECT * FROM r y;",
+        encoding="utf-8",
+    )
+    argv = ["batch", str(source), "--store", str(tmp_path / "v.sqlite")]
+    before = active_store()
+    assert main(argv) == 0
+    assert active_store() is before
+    invocations = tactic_invocations()
+    assert main(argv) == 0  # one in-process member: the counter is ours
+    assert tactic_invocations() == invocations
+    assert active_store() is before
+    records = [
+        json.loads(line) for line in capsys.readouterr().out.splitlines()
+    ]
+    assert [r["verdict"] for r in records] == ["proved", "proved"]

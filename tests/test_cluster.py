@@ -2,20 +2,19 @@
 
 import pytest
 
-from repro.frontend.cluster import ClusterStats, cluster_queries
 from repro.hashcons import cache_stats, clear_caches, set_memoization
+from repro.service import ClusterStats, cluster_queries
 
-from tests.conftest import RS_PROGRAM
-from repro import Solver
+from tests.conftest import RS_PROGRAM, legacy_session
 
 
 @pytest.fixture
-def solver():
-    return Solver.from_program_text(RS_PROGRAM)
+def session():
+    return legacy_session(RS_PROGRAM)
 
 
-def test_equivalent_spellings_cluster_together(solver):
-    groups = cluster_queries(solver, [
+def test_equivalent_spellings_cluster_together(session):
+    groups = cluster_queries(session, [
         "SELECT * FROM r x WHERE x.a = 1 AND x.b = 2",
         "SELECT * FROM r x WHERE x.b = 2 AND x.a = 1",
         "SELECT * FROM (SELECT * FROM r y WHERE y.a = 1) x WHERE x.b = 2",
@@ -24,8 +23,8 @@ def test_equivalent_spellings_cluster_together(solver):
     assert len(groups[0]) == 3
 
 
-def test_inequivalent_queries_split(solver):
-    groups = cluster_queries(solver, [
+def test_inequivalent_queries_split(session):
+    groups = cluster_queries(session, [
         "SELECT * FROM r x WHERE x.a = 1",
         "SELECT * FROM r x WHERE x.a = 2",
         "SELECT * FROM r x WHERE 1 = x.a",
@@ -33,21 +32,21 @@ def test_inequivalent_queries_split(solver):
     assert sorted(len(g) for g in groups) == [1, 2]
 
 
-def test_unsupported_query_is_singleton(solver):
-    groups = cluster_queries(solver, [
+def test_unsupported_query_is_singleton(session):
+    groups = cluster_queries(session, [
         "SELECT * FROM r x",
         "SELECT * FROM r x WHERE x.a IS NULL",
     ])
     assert len(groups) == 2
 
 
-def test_empty_input(solver):
-    assert cluster_queries(solver, []) == []
+def test_empty_input(session):
+    assert cluster_queries(session, []) == []
 
 
-def test_representative_is_first_member(solver):
+def test_representative_is_first_member(session):
     first = "SELECT * FROM r x"
-    groups = cluster_queries(solver, [first, "SELECT * FROM r y"])
+    groups = cluster_queries(session, [first, "SELECT * FROM r y"])
     assert groups[0].representative == first
 
 
@@ -60,9 +59,9 @@ EQUIVALENT_TRIO = [
 ]
 
 
-def test_each_query_decided_against_at_most_one_rep_per_group(solver):
+def test_each_query_decided_against_at_most_one_rep_per_group(session):
     stats = ClusterStats()
-    groups = cluster_queries(solver, EQUIVALENT_TRIO, stats=stats)
+    groups = cluster_queries(session, EQUIVALENT_TRIO, stats=stats)
     assert len(groups) == 1
     # Transitivity shortcut: queries 2 and 3 each decided once, against
     # the single group's representative only — never against members.
@@ -70,7 +69,7 @@ def test_each_query_decided_against_at_most_one_rep_per_group(solver):
     assert stats.max_decisions_per_query_group() == 1
 
 
-def test_mixed_groups_compare_once_per_group(solver):
+def test_mixed_groups_compare_once_per_group(session):
     stats = ClusterStats()
     queries = [
         "SELECT * FROM r x WHERE x.a = 1",
@@ -78,7 +77,7 @@ def test_mixed_groups_compare_once_per_group(solver):
         "SELECT * FROM r x WHERE 1 = x.a",
         "SELECT * FROM r x WHERE 2 = x.a",
     ]
-    groups = cluster_queries(solver, queries, stats=stats)
+    groups = cluster_queries(session, queries, stats=stats)
     assert sorted(len(g) for g in groups) == [2, 2]
     # Every (query, group) pair decided at most once.
     assert stats.max_decisions_per_query_group() == 1
@@ -90,9 +89,9 @@ def test_mixed_groups_compare_once_per_group(solver):
     assert stats.bucket_hits == 2
 
 
-def test_unsupported_queries_never_decided(solver):
+def test_unsupported_queries_never_decided(session):
     stats = ClusterStats()
-    groups = cluster_queries(solver, [
+    groups = cluster_queries(session, [
         "SELECT * FROM r x WHERE x.a IS NULL",
         "SELECT * FROM r x",
     ], stats=stats)
@@ -102,7 +101,7 @@ def test_unsupported_queries_never_decided(solver):
     assert stats.decisions == []
 
 
-def test_exact_duplicates_hit_fingerprint_bucket(solver):
+def test_exact_duplicates_hit_fingerprint_bucket(session):
     """Re-submitted queries join their group in O(1), zero decisions."""
     stats = ClusterStats()
     queries = [
@@ -112,31 +111,30 @@ def test_exact_duplicates_hit_fingerprint_bucket(solver):
         "SELECT * FROM r x WHERE x.a = 2",   # exact duplicate of query 1
         "SELECT * FROM r x WHERE x.a = 1",
     ]
-    groups = cluster_queries(solver, queries, stats=stats)
+    groups = cluster_queries(session, queries, stats=stats)
     assert sorted(len(g) for g in groups) == [2, 3]
     assert stats.bucket_hits == 3
     assert stats.decisions == [(1, 0)]
 
 
-def test_session_frontend_clusters_like_solver(solver):
+def test_session_frontend_clusters_like_solver(session):
+    """The default pipeline clusters exactly like Algorithms 1-4 alone."""
     from repro import Session
 
-    from tests.conftest import RS_PROGRAM as _RS
-
-    session = Session.from_program_text(_RS)
-    for frontend in (solver, session):
+    default = Session.from_program_text(RS_PROGRAM)
+    for frontend in (session, default):
         stats = ClusterStats()
         groups = cluster_queries(frontend, EQUIVALENT_TRIO, stats=stats)
         assert len(groups) == 1 and len(groups[0]) == 3
 
 
-def test_clustering_hits_memoization_caches(solver):
+def test_clustering_hits_memoization_caches(session):
     """A silent memoization regression must fail here, not just slow down."""
     set_memoization(True)
     clear_caches()
     try:
         stats = ClusterStats()
-        groups = cluster_queries(solver, EQUIVALENT_TRIO, stats=stats)
+        groups = cluster_queries(session, EQUIVALENT_TRIO, stats=stats)
         assert len(groups) == 1
         counters = cache_stats()
         # The representative's denotation is re-normalized/canonized per
@@ -150,13 +148,13 @@ def test_clustering_hits_memoization_caches(solver):
         clear_caches()
 
 
-def test_cluster_report_surfaces_cache_stats(solver):
+def test_cluster_report_surfaces_cache_stats(session):
     from repro.udp.report import render_cache_stats
 
     set_memoization(True)
     clear_caches()
     try:
-        cluster_queries(solver, EQUIVALENT_TRIO)
+        cluster_queries(session, EQUIVALENT_TRIO)
         block = render_cache_stats()
         assert "## Cache statistics" in block
         assert "`normalize`" in block and "`canonize`" in block
@@ -169,9 +167,9 @@ def test_cluster_report_surfaces_cache_stats(solver):
 # -- contract + isolation regressions (streaming-service era) ----------------
 
 
-def test_representative_is_members_zero(solver):
+def test_representative_is_members_zero(session):
     """Pinned contract: a group's representative IS ``members[0]``."""
-    groups = cluster_queries(solver, [
+    groups = cluster_queries(session, [
         "SELECT * FROM r x WHERE x.a = 1",
         "SELECT * FROM r x WHERE 1 = x.a",
         "SELECT * FROM r x WHERE x.a = 2",
@@ -181,11 +179,11 @@ def test_representative_is_members_zero(solver):
         assert group.representative == group.members[0]
 
 
-def test_compiled_plus_unsupported_equals_inputs(solver):
+def test_compiled_plus_unsupported_equals_inputs(session):
     """``compiled`` counts successes only; failures land in
     ``unsupported`` — the two always partition the input count."""
     stats = ClusterStats()
-    cluster_queries(solver, [
+    cluster_queries(session, [
         "SELECT * FROM r x WHERE x.a = 1",
         "SELECT * FROM r x WHERE x.a IS NULL",   # unsupported syntax
         "SELECT * FROM r x WHERE x.a = 1",
@@ -197,7 +195,7 @@ def test_compiled_plus_unsupported_equals_inputs(solver):
     assert stats.compiled + stats.unsupported == stats.inputs
 
 
-def test_poisoned_query_mid_stream_is_isolated(solver, monkeypatch):
+def test_poisoned_query_mid_stream_is_isolated(session, monkeypatch):
     """A pathological query whose compilation escapes with a
     non-ReproError (e.g. ``RecursionError`` from a deeply nested parse)
     becomes a singleton group with an honest error reason; queries after
@@ -214,7 +212,7 @@ def test_poisoned_query_mid_stream_is_isolated(solver, monkeypatch):
 
     monkeypatch.setattr(Session, "compile", compile_or_blow)
     stats = ClusterStats()
-    groups = cluster_queries(solver, [
+    groups = cluster_queries(session, [
         "SELECT * FROM r x WHERE x.a = 1",
         poison,
         "SELECT * FROM r x WHERE 1 = x.a",

@@ -3,7 +3,9 @@
 Three layers under test, all of which must produce the same partition:
 
 * :class:`repro.service.clustering.ClusterEngine` driven directly;
-* the historical :func:`repro.frontend.cluster.cluster_queries` shim;
+* the offline :func:`repro.service.cluster_queries` pass, whose
+  partition the engine must match (the test id keeps its historical
+  ``shim`` name);
 * ``POST /cluster`` over :class:`FrontDoorServer`.
 
 Plus the two properties the digest index must not break: placement is
@@ -87,15 +89,15 @@ def test_engine_places_alpha_variants_by_digest():
 
 
 def test_engine_matches_shim_partition():
-    from repro.frontend.cluster import cluster_queries
+    from repro.service import cluster_queries
 
     queries = [q for q in CORPUS]
     engine = fresh_engine()
     engine.place_all(queries)
     session = Session.from_program_text(RS_PROGRAM)
-    shim_groups = cluster_queries(session, queries)
+    offline_groups = cluster_queries(session, queries)
     assert partition_of_groups(engine.groups()) == partition_of_groups(
-        shim_groups
+        offline_groups
     )
 
 

@@ -13,7 +13,6 @@ import random
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from repro import Solver
 from repro.sql.ast import (
     AndPred,
     BinPred,
@@ -29,7 +28,7 @@ from repro.sql.ast import (
     TableRef,
 )
 
-from tests.conftest import RS_PROGRAM
+from tests.conftest import RS_PROGRAM, legacy_session
 
 TABLES = {"r": ("a", "b"), "s": ("c", "d")}
 
@@ -184,8 +183,8 @@ def test_bag_ucq_completeness(query, seed, picks):
         # other transforms are pure refactorings.
         result = transform(transformed, rng) if isinstance(transformed, Select) else transformed
         transformed = result
-    solver = Solver.from_program_text(RS_PROGRAM)
-    outcome = solver.check(query, transformed)
+    session = legacy_session(RS_PROGRAM)
+    outcome = session.verify(query, transformed)
     assert outcome.proved, (
         f"completeness violation (bag):\nQ1: {query}\nQ2: {transformed}\n"
         f"reason: {outcome.reason}"
@@ -206,8 +205,8 @@ def test_set_ucq_completeness(query, seed, picks):
     for pick in picks:
         if isinstance(transformed, Select):
             transformed = TRANSFORMS[pick](transformed, rng)
-    solver = Solver.from_program_text(RS_PROGRAM)
-    outcome = solver.check(
+    session = legacy_session(RS_PROGRAM)
+    outcome = session.verify(
         DistinctQuery(query), DistinctQuery(transformed)
     )
     assert outcome.proved, (
@@ -218,8 +217,8 @@ def test_set_ucq_completeness(query, seed, picks):
 
 def test_set_semantics_redundant_join_completeness():
     """A hand-picked Theorem 5.5 case needing a non-injective homomorphism."""
-    solver = Solver.from_program_text(RS_PROGRAM)
-    outcome = solver.check(
+    session = legacy_session(RS_PROGRAM)
+    outcome = session.verify(
         "SELECT DISTINCT t0.a AS o FROM r t0, r t1, r t2 "
         "WHERE t0.a = t1.a AND t1.b = t2.b AND t1.a = t2.a AND t1.b = t0.b",
         "SELECT DISTINCT t0.a AS o FROM r t0",

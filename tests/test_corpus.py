@@ -4,18 +4,19 @@ check: prover and executable semantics concur)."""
 
 import pytest
 
-from repro import Solver
 from repro.checker import ModelChecker
 from repro.corpus import Expectation, all_rules, rules_by_dataset
 from repro.corpus.rules import get_rule
+
+from tests.conftest import legacy_session
 
 RULES = all_rules()
 
 
 @pytest.mark.parametrize("rule", RULES, ids=[r.rule_id for r in RULES])
 def test_rule_meets_expectation(rule):
-    solver = Solver.from_program_text(rule.program)
-    outcome = solver.check(rule.left, rule.right)
+    session = legacy_session(rule.program)
+    outcome = session.verify(rule.left, rule.right)
     assert outcome.verdict.value == rule.expectation.value, (
         f"{rule.rule_id} ({rule.name}): got {outcome.verdict.value}, "
         f"expected {rule.expectation.value} — {outcome.reason}"
@@ -30,8 +31,8 @@ PROVED_SAMPLE = [r for r in RULES if r.expectation is Expectation.PROVED][::3]
 )
 def test_proved_rules_agree_on_instances(rule):
     """Soundness cross-check: a proved pair never disagrees on a database."""
-    solver = Solver.from_program_text(rule.program)
-    checker = ModelChecker(solver.catalog, seed=11)
+    session = legacy_session(rule.program)
+    checker = ModelChecker(session.catalog, seed=11)
     witness = checker.find_counterexample(
         rule.left, rule.right, random_attempts=6, max_rows=2, exhaustive_rows=1
     )
@@ -65,9 +66,9 @@ def test_literature_all_proved():
 
 def test_count_bug_is_refuted_not_proved():
     rule = get_rule("bug-01")
-    solver = Solver.from_program_text(rule.program)
-    assert not solver.check(rule.left, rule.right).proved
-    witness = ModelChecker(solver.catalog).find_counterexample(
+    session = legacy_session(rule.program)
+    assert not session.verify(rule.left, rule.right).proved
+    witness = ModelChecker(session.catalog).find_counterexample(
         rule.left, rule.right
     )
     assert witness is not None

@@ -1,24 +1,25 @@
-"""Differential harness: five entry points, one truth.
+"""Differential harness: four entry points, one truth.
 
-The repo has five parallel ways to decide a query pair — the legacy
-``Solver.check`` shim, ``Session.verify``, ``BatchVerifier.run``, the
-HTTP server with one member, and the HTTP server pooled (2 members,
-digest-sharded dispatch, forked workers and a shared memo store where
-the platform allows) — and nothing but discipline keeps them agreeing.
-This suite makes the discipline
-executable: every entry point is driven over the full evaluation corpus
-(all 91 rules: literature, Calcite, extensions, and the
-``corpus/bugs.py`` negative cases) under the same legacy pipeline, and
-the verdict *and* machine-readable ``reason_code`` must be identical for
-every rule.  A drift in any one path fails with the rule id and the
-disagreeing records named.
+The repo has four parallel ways to decide a query pair —
+``Session.verify``, ``BatchVerifier.run`` over a two-member session
+pool, the HTTP server with one member, and the HTTP server pooled (2
+members, digest-sharded dispatch, forked workers and a shared memo store
+where the platform allows) — and nothing but discipline keeps them
+agreeing.  This suite makes the discipline executable: every entry point
+is driven over the full evaluation corpus (all 91 rules: literature,
+Calcite, extensions, and the ``corpus/bugs.py`` negative cases) under
+the same legacy pipeline, and the verdict *and* machine-readable
+``reason_code`` must be identical for every rule.  A drift in any one
+path fails with the rule id and the disagreeing records named.
 
-The shared baseline is the per-rule ``Solver`` result (its own catalog
-per rule, exactly how ``test_corpus.py`` established the Fig. 5
-expectations); the other paths run program-routed sessions, so this also
-exercises sub-session catalog caching against fresh-catalog behavior —
-and, for the pooled path, that sharding rules out across pool members
-changes nothing but wall-clock time.
+The shared baseline builds one fresh :class:`~repro.session.Session`
+per rule from that rule's program, running
+:meth:`~repro.session.PipelineConfig.legacy`.  The ``session`` leg runs
+the whole corpus through one session with program-text routing, so a
+routing or catalog-caching bug shows as drift from the baseline; the
+other paths run their own routed sessions inside pool members, so this
+also checks that spreading rules across members — forked or not,
+sharded or not — changes nothing but wall-clock time.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ import urllib.request
 
 import pytest
 
-from repro import BatchVerifier, PipelineConfig, Session, Solver
+from repro import BatchVerifier, PipelineConfig, Session
 from repro.corpus import all_rules, as_batch_pairs, as_verify_requests, rules_by_dataset
 from repro.corpus.rules import Expectation
 from repro.server import FrontDoorServer
@@ -39,13 +40,16 @@ RULES = all_rules()
 RULE_IDS = [rule.rule_id for rule in RULES]
 
 
-def outcome_map_solver():
-    """rule_id -> (verdict, reason_code) via the legacy shim, fresh catalogs."""
+def outcome_map_fresh():
+    """rule_id -> (verdict, reason_code) via one fresh Session per rule,
+    built from the rule's own program: no routing, no shared catalog."""
     out = {}
     for rule in RULES:
-        solver = Solver.from_program_text(rule.program)
-        outcome = solver.check(rule.left, rule.right)
-        out[rule.rule_id] = (outcome.verdict.value, outcome.reason_code.value)
+        session = Session.from_program_text(
+            rule.program, PipelineConfig.legacy()
+        )
+        result = session.verify(rule.left, rule.right)
+        out[rule.rule_id] = (result.verdict.value, result.reason_code.value)
     return out
 
 
@@ -59,8 +63,14 @@ def outcome_map_session():
 
 
 def outcome_map_batch():
-    """rule_id -> (verdict, reason_code) via the batch service (in-process)."""
-    records = BatchVerifier(workers=1).run(as_batch_pairs())
+    """rule_id -> (verdict, reason_code) via the batch service on a
+    two-member pool (forked members where fork exists)."""
+    with BatchVerifier(workers=2) as verifier:
+        records = verifier.run(as_batch_pairs())
+        spread = [m.requests for m in verifier.pool.members]
+    assert all(count > 0 for count in spread), (
+        f"batch pool did not dispatch across members: {spread}"
+    )
     return {
         record.pair_id: (record.verdict, record.reason_code)
         for record in records
@@ -116,7 +126,7 @@ def outcome_map_frontdoor():
 @pytest.fixture(scope="module")
 def outcomes():
     return {
-        "solver": outcome_map_solver(),
+        "fresh": outcome_map_fresh(),
         "session": outcome_map_session(),
         "batch": outcome_map_batch(),
         "http": outcome_map_http(),
@@ -130,18 +140,19 @@ def test_corpus_is_the_full_91_rules(outcomes):
         assert sorted(mapping) == sorted(RULE_IDS), f"{name} missed rules"
 
 
-@pytest.mark.parametrize(
-    "path", ["session", "batch", "http", "frontdoor"]
-)
-def test_entry_point_matches_solver_verdict_and_reason_code(outcomes, path):
-    baseline, candidate = outcomes["solver"], outcomes[path]
+@pytest.mark.parametrize("path", ["session", "batch", "http", "frontdoor"])
+def test_entry_point_matches_fresh_session_verdict_and_reason_code(
+    outcomes, path
+):
+    baseline, candidate = outcomes["fresh"], outcomes[path]
     drift = {
         rule_id: (baseline[rule_id], candidate[rule_id])
         for rule_id in RULE_IDS
         if candidate[rule_id] != baseline[rule_id]
     }
     assert not drift, (
-        f"{path} drifted from Solver.check on {len(drift)} rule(s): {drift}"
+        f"{path} drifted from fresh per-rule sessions on {len(drift)} "
+        f"rule(s): {drift}"
     )
 
 
@@ -194,7 +205,7 @@ def test_warm_restart_replays_the_full_corpus_without_tactics(
     file (a restarted process) and run it again.  The warm pass must
     answer all 91 rules from the verdict cache — zero tactic
     invocations — and be verdict- AND reason-code-identical to the cold
-    pass and to the Solver baseline."""
+    pass and to the uncached session baseline."""
     path = str(tmp_path / "verdicts.sqlite")
     store = open_store(path)
     previous = install_shared_store(store)
@@ -203,7 +214,7 @@ def test_warm_restart_replays_the_full_corpus_without_tactics(
     finally:
         install_shared_store(previous)
         store.close()
-    assert cold == outcomes["solver"], "cold pass drifted under the store"
+    assert cold == outcomes["session"], "cold pass drifted under the store"
     fresh = open_store(path)
     previous = install_shared_store(fresh)
     try:
@@ -244,12 +255,12 @@ def test_kernel_modes_verdict_identical_on_corpus(outcomes, mode):
     memo_previous = set_memoization(False)
     clear_caches()
     try:
-        candidate = outcome_map_solver()
+        candidate = outcome_map_session()
     finally:
         set_memoization(memo_previous)
         set_kernel_mode(previous)
         clear_caches()
-    baseline = outcomes["solver"]
+    baseline = outcomes["session"]
     drift = {
         rule_id: (baseline[rule_id], candidate[rule_id])
         for rule_id in RULE_IDS

@@ -120,22 +120,22 @@ def test_not_in_membership(db):
 # -- prover ---------------------------------------------------------------------
 
 
-def test_prover_in_vs_exists(rs_solver):
-    assert rs_solver.check(
+def test_prover_in_vs_exists(rs_session):
+    assert rs_session.verify(
         "SELECT * FROM r x WHERE x.a IN (SELECT y.c AS c FROM s y)",
         "SELECT * FROM r x WHERE EXISTS (SELECT * FROM s y WHERE y.c = x.a)",
     ).proved
 
 
-def test_prover_intersect_conjunction(rs_solver):
-    assert rs_solver.check(
+def test_prover_intersect_conjunction(rs_session):
+    assert rs_session.verify(
         "SELECT * FROM r x WHERE x.a = 1 INTERSECT SELECT * FROM r y WHERE y.b = 2",
         "SELECT DISTINCT * FROM r x WHERE x.a = 1 AND x.b = 2",
     ).proved
 
 
-def test_prover_union_set_not_bag(rs_solver):
-    outcome = rs_solver.check(
+def test_prover_union_set_not_bag(rs_session):
+    outcome = rs_session.verify(
         "SELECT * FROM r x UNION SELECT * FROM r y",
         "SELECT * FROM r x UNION ALL SELECT * FROM r y",
     )

@@ -2,11 +2,11 @@
 
 import pytest
 
-from repro import Solver
+from tests.conftest import legacy_session
 
 
 def test_view_of_view_inlines_transitively():
-    solver = Solver.from_program_text(
+    session = legacy_session(
         """
         schema rs(a:int, b:int);
         table r(rs);
@@ -14,28 +14,28 @@ def test_view_of_view_inlines_transitively():
         view v2 SELECT * FROM v1 y WHERE y.b = 2;
         """
     )
-    assert solver.check(
+    assert session.verify(
         "SELECT * FROM v2 z",
         "SELECT * FROM r z WHERE z.a = 1 AND z.b = 2",
     ).proved
 
 
 def test_view_used_twice_gets_independent_variables():
-    solver = Solver.from_program_text(
+    session = legacy_session(
         """
         schema rs(a:int, b:int);
         table r(rs);
         view v SELECT * FROM r x WHERE x.a = 1;
         """
     )
-    assert solver.check(
+    assert session.verify(
         "SELECT u.b AS b1, w.b AS b2 FROM v u, v w",
         "SELECT u.b AS b1, w.b AS b2 FROM r u, r w WHERE u.a = 1 AND w.a = 1",
     ).proved
 
 
 def test_nested_exists_two_levels():
-    solver = Solver.from_program_text(
+    session = legacy_session(
         """
         schema rs(a:int, b:int);
         schema ss(c:int, d:int);
@@ -51,7 +51,7 @@ def test_nested_exists_two_levels():
         "SELECT * FROM r u WHERE EXISTS (SELECT * FROM s v WHERE v.c = u.a "
         "AND EXISTS (SELECT * FROM t w WHERE w.e = v.d))"
     )
-    assert solver.check(q1, q2).proved
+    assert session.verify(q1, q2).proved
     # And the two-level semi-join flattening under DISTINCT:
     q3 = (
         "SELECT DISTINCT x.a AS a FROM r x WHERE EXISTS "
@@ -59,21 +59,21 @@ def test_nested_exists_two_levels():
         "(SELECT * FROM t z WHERE z.e = y.d))"
     )
     q4 = "SELECT DISTINCT x.a AS a FROM r x, s y, t z WHERE y.c = x.a AND z.e = y.d"
-    assert solver.check(q3, q4).proved
+    assert session.verify(q3, q4).proved
 
 
 def test_deeply_nested_projection_tower():
-    solver = Solver.from_program_text(
+    session = legacy_session(
         "schema rs(a:int, b:int); table r(rs);"
     )
     tower = "SELECT * FROM r x"
     for level in range(4):
         tower = f"SELECT * FROM ({tower}) l{level}"
-    assert solver.check(tower, "SELECT * FROM r x").proved
+    assert session.verify(tower, "SELECT * FROM r x").proved
 
 
 def test_index_on_multiple_attributes():
-    solver = Solver.from_program_text(
+    session = legacy_session(
         """
         schema rs(k:int, a:int, b:int);
         table r(rs);
@@ -81,7 +81,7 @@ def test_index_on_multiple_attributes():
         index i on r(a, b);
         """
     )
-    assert solver.check(
+    assert session.verify(
         "SELECT * FROM r t WHERE t.a = 1 AND t.b = 2",
         "SELECT t2.* FROM i t1, r t2 "
         "WHERE t1.k = t2.k AND t1.a = 1 AND t1.b = 2",
@@ -89,7 +89,7 @@ def test_index_on_multiple_attributes():
 
 
 def test_composite_key_index():
-    solver = Solver.from_program_text(
+    session = legacy_session(
         """
         schema rs(k1:int, k2:int, a:int);
         table r(rs);
@@ -97,7 +97,7 @@ def test_composite_key_index():
         index i on r(a);
         """
     )
-    assert solver.check(
+    assert session.verify(
         "SELECT * FROM r t WHERE t.a >= 5",
         "SELECT t2.* FROM i t1, r t2 "
         "WHERE t1.k1 = t2.k1 AND t1.k2 = t2.k2 AND t1.a >= 5",
@@ -105,7 +105,7 @@ def test_composite_key_index():
 
 
 def test_except_of_except():
-    solver = Solver.from_program_text(
+    session = legacy_session(
         "schema rs(a:int, b:int); table r(rs);"
     )
     q1 = (
@@ -116,21 +116,21 @@ def test_except_of_except():
         "(SELECT * FROM r x EXCEPT SELECT * FROM r z WHERE z.b = 2) "
         "EXCEPT SELECT * FROM r y WHERE y.a = 1"
     )
-    assert solver.check(q1, q2).proved
+    assert session.verify(q1, q2).proved
 
 
 def test_union_all_of_distinct_branches():
-    solver = Solver.from_program_text(
+    session = legacy_session(
         "schema rs(a:int, b:int); table r(rs);"
     )
-    assert solver.check(
+    assert session.verify(
         "SELECT DISTINCT * FROM r x UNION ALL SELECT DISTINCT * FROM r y",
         "SELECT DISTINCT * FROM r u UNION ALL SELECT DISTINCT * FROM r w",
     ).proved
 
 
 def test_aggregate_inside_comparison_both_sides():
-    solver = Solver.from_program_text(
+    session = legacy_session(
         """
         schema es(deptno:int, sal:int);
         table emp(es);
@@ -146,10 +146,10 @@ def test_aggregate_inside_comparison_both_sides():
         "SELECT x.deptno AS d FROM emp x WHERE x.sal = "
         "count(SELECT y.sal AS sal FROM emp y WHERE y.deptno = x.deptno)"
     )
-    assert solver.check(q, q_renamed).proved
+    assert session.verify(q, q_renamed).proved
     # A different correlation predicate must NOT prove.
     q_other = (
         "SELECT x.deptno AS d FROM emp x WHERE x.sal = "
         "count(SELECT y.sal AS sal FROM emp y WHERE y.sal = x.sal)"
     )
-    assert not solver.check(q, q_other).proved
+    assert not session.verify(q, q_other).proved

@@ -5,8 +5,8 @@ over real HTTP from many client threads:
 
 * **Verdict identity** — answers through an N-member pool (thread *and*
   forked-process members) are verdict- and reason-code-identical to the
-  single-session differential baseline (``Session.verify`` /
-  ``Solver.check``), per request id.
+  single-session differential baseline (``Session.verify`` under
+  :meth:`~repro.session.PipelineConfig.legacy`), per request id.
 * **No cross-talk** — every response carries exactly the id, the
   verdict, and the per-request pipeline behavior of *its* request, no
   matter how the scheduler interleaves members.
@@ -298,16 +298,17 @@ def test_pooled_batch_identical_to_single_member_baseline():
 
 @needs_fork
 def test_process_pool_verdict_identity_on_corpus_subset():
-    """Forked members answer the corpus subset exactly like Solver.check
-    (the legacy pipeline) — the acceptance bar for pooled proving."""
-    from repro import Solver
+    """Forked members answer the corpus subset exactly like one session
+    per rule under the legacy pipeline — the acceptance bar for pooled
+    proving."""
     from repro.corpus import all_rules
+
+    from tests.conftest import legacy_session
 
     rules = [r for r in all_rules() if r.dataset in ("bugs", "literature")][:20]
     expected = {}
     for rule in rules:
-        solver = Solver.from_program_text(rule.program)
-        outcome = solver.check(rule.left, rule.right)
+        outcome = legacy_session(rule.program).verify(rule.left, rule.right)
         expected[rule.rule_id] = (
             outcome.verdict.value,
             outcome.reason_code.value,
@@ -334,7 +335,7 @@ def test_process_pool_verdict_identity_on_corpus_subset():
         for r in records
         if (r["verdict"], r["reason_code"]) != expected[r["id"]]
     }
-    assert not drift, f"process pool drifted from Solver.check: {drift}"
+    assert not drift, f"process pool drifted from Session.verify: {drift}"
 
 
 @needs_fork

@@ -14,7 +14,7 @@ Three heavyweight invariants:
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from repro import Solver
+from repro import PipelineConfig, Session
 from repro.engine import Database, evaluate_query
 from repro.engine.database import bag_of
 from repro.semirings import Interpretation, NaturalsSemiring
@@ -273,8 +273,8 @@ def test_engine_union_all_counts_add(query, database):
           suppress_health_check=[HealthCheck.too_slow])
 @given(left=queries(), right=queries(), database=databases())
 def test_decision_soundness(left, right, database):
-    solver = Solver(database.catalog.copy())
-    outcome = solver.check(left, right)
+    session = Session(database.catalog.copy(), PipelineConfig.legacy())
+    outcome = session.verify(left, right)
     if not outcome.proved:
         return
     resolved_left, _ = resolve_query(left, database.catalog)

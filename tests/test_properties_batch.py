@@ -21,7 +21,7 @@ import sys
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro import Solver, clear_caches, set_memoization
+from repro import clear_caches, set_memoization
 from repro.corpus import rules_by_dataset
 from repro.hashcons import cache_stats, fingerprint
 from repro.sql.schema import Schema
@@ -32,6 +32,8 @@ from repro.usr.spnf import form_to_uexpr, normalize
 from repro.usr.substitute import substitute_tuple_var
 from repro.usr.terms import Add, Mul, Pred, Rel, Squash, Sum, not_
 from repro.usr.values import Attr, ConstVal, TupleVar
+
+from tests.conftest import legacy_session
 
 
 @pytest.fixture(autouse=True)
@@ -122,17 +124,17 @@ def _corpus_forms_and_verdicts():
     """(rule_id → canonical normal-form text pair, rule_id → verdict)."""
     forms = {}
     verdicts = {}
-    solvers = {}
+    sessions = {}
     for rule in rules_by_dataset("calcite"):
-        solver = solvers.get(rule.program)
-        if solver is None:
-            solver = Solver.from_program_text(rule.program)
-            solvers[rule.program] = solver
-        outcome = solver.check(rule.left, rule.right)
+        session = sessions.get(rule.program)
+        if session is None:
+            session = legacy_session(rule.program)
+            sessions[rule.program] = session
+        outcome = session.verify(rule.left, rule.right)
         verdicts[rule.rule_id] = outcome.verdict
         try:
-            left = solver.compile(rule.left)
-            right = solver.compile(rule.right)
+            left = session.compile(rule.left)
+            right = session.compile(rule.right)
         except Exception:
             continue  # unsupported rules carry no forms
         forms[rule.rule_id] = (

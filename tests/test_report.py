@@ -2,16 +2,15 @@
 
 import pytest
 
-from repro import Solver
 from repro.frontend.cli import main
 from repro.udp.report import render_proof_report
 
 from tests.conftest import KEYED_PROGRAM, RS_PROGRAM
 
 
-def test_report_contains_all_stages(keyed_solver):
+def test_report_contains_all_stages(keyed_session):
     report = render_proof_report(
-        keyed_solver,
+        keyed_session,
         "SELECT * FROM r0 t WHERE t.a >= 12",
         "SELECT t2.* FROM i0 t1, r0 t2 WHERE t1.k = t2.k AND t1.a >= 12",
     )
@@ -26,18 +25,18 @@ def test_report_contains_all_stages(keyed_solver):
         assert marker in report
 
 
-def test_report_on_unproved_pair(rs_solver):
+def test_report_on_unproved_pair(rs_session):
     report = render_proof_report(
-        rs_solver,
+        rs_session,
         "SELECT * FROM r x",
         "SELECT * FROM s y",
     )
     assert "Verdict: **not_proved**" in report
 
 
-def test_report_on_unsupported_pair(rs_solver):
+def test_report_on_unsupported_pair(rs_session):
     report = render_proof_report(
-        rs_solver,
+        rs_session,
         "SELECT * FROM r x WHERE x.a IS NULL",
         "SELECT * FROM r x",
     )

@@ -149,14 +149,14 @@ def post_with_length(server, payload: bytes, query=""):
         ]
 
 
-def post_chunked(server, payload: bytes, chunk_sizes):
+def post_chunked(server, payload: bytes, chunk_lengths):
     """POST the payload as chunked Transfer-Encoding, cut at the given
     byte offsets (chunk boundaries deliberately ignore line and UTF-8
     boundaries)."""
 
     def pieces():
         position = 0
-        for size in chunk_sizes:
+        for size in chunk_lengths:
             if position >= len(payload):
                 return
             piece = payload[position : position + max(1, size)]
@@ -208,16 +208,16 @@ def test_interleaved_lines_answered_in_order(server, baseline, lines, window):
 )
 @given(
     lines=_lines,
-    chunk_sizes=st.lists(st.integers(min_value=1, max_value=40), max_size=30),
+    chunk_lengths=st.lists(st.integers(min_value=1, max_value=40), max_size=30),
 )
 def test_chunked_framing_equals_content_length(
-    server, baseline, lines, chunk_sizes
+    server, baseline, lines, chunk_lengths
 ):
     """Chunk boundaries are transport noise: any split of the same bytes
     must produce the same records."""
     payload = ("\n".join(lines) + "\n").encode("utf-8") if lines else b""
     expected = expected_answers(lines, baseline)
-    check_records(post_chunked(server, payload, chunk_sizes), expected)
+    check_records(post_chunked(server, payload, chunk_lengths), expected)
 
 
 def test_chunk_split_inside_multibyte_utf8(server):

@@ -5,8 +5,9 @@ Covers the tentpole contracts of the session redesign: structured
 machine-readable reason codes that are stable across the corpus, the
 pluggable tactic pipeline (ordering, conclusiveness, budgets, custom
 tactics), streaming ``verify_many`` with a bounded window, and — the
-acceptance bar — verdict identity between ``Session.verify`` and the
-legacy ``Solver.check`` shim across the full evaluation corpus.
+acceptance bar — verdict identity between the default pipeline and
+Algorithms 1-4 alone (:meth:`PipelineConfig.legacy`, one fresh session
+per rule) across the full evaluation corpus.
 """
 
 import json
@@ -17,7 +18,6 @@ from repro import (
     PipelineConfig,
     ReasonCode,
     Session,
-    Solver,
     Verdict,
     VerifyRequest,
     VerifyResult,
@@ -384,12 +384,15 @@ def corpus_session_results():
 def test_shim_and_session_verdicts_identical_on_full_corpus(
     corpus_session_results,
 ):
-    """The acceptance bar: Session == legacy Solver on all 91 rules."""
+    """The acceptance bar: the default pipeline over one program-routed
+    session gives the verdict the legacy pipeline gives on a fresh
+    session per rule, on all 91 rules."""
+    from tests.conftest import legacy_session
+
     rules = all_rules()
     assert len(rules) == 91
     for rule in rules:
-        solver = Solver.from_program_text(rule.program)
-        legacy = solver.check(rule.left, rule.right)
+        legacy = legacy_session(rule.program).verify(rule.left, rule.right)
         new = corpus_session_results[rule.rule_id]
         assert new.verdict is legacy.verdict, (
             f"{rule.rule_id}: session={new.verdict} legacy={legacy.verdict}"

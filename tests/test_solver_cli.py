@@ -1,56 +1,56 @@
-"""Solver front-end and CLI tests."""
+"""Session front-end and CLI tests (program mode)."""
 
 import pytest
 
-from repro import Solver, Verdict
+from repro import Verdict
 from repro.frontend.cli import main
-from repro.frontend.solver import prove
 
-from tests.conftest import KEYED_PROGRAM, RS_PROGRAM
+from tests.conftest import KEYED_PROGRAM, RS_PROGRAM, legacy_session
 
 
 def test_prove_one_shot():
-    outcome = prove(
+    outcome = legacy_session(RS_PROGRAM).verify(
         "SELECT * FROM r x WHERE x.a = 1",
         "SELECT * FROM r x WHERE 1 = x.a",
-        program=RS_PROGRAM,
     )
     assert outcome.proved
 
 
 def test_run_program_checks_each_goal():
-    solver = Solver()
-    outcomes = solver.run_program(
+    session = legacy_session(
         RS_PROGRAM
         + """
         verify SELECT * FROM r x == SELECT * FROM r y;
         verify SELECT * FROM r x == SELECT * FROM s y;
         """
     )
+    outcomes = [
+        session.verify(goal.left, goal.right)
+        for goal in session._program.verify_goals()
+    ]
     assert [o.proved for o in outcomes] == [True, False]
 
 
 def test_unsupported_feature_reported_not_raised():
-    solver = Solver.from_program_text(RS_PROGRAM)
-    outcome = solver.check("SELECT * FROM r x WHERE x.a IS NULL", "SELECT * FROM r x")
+    session = legacy_session(RS_PROGRAM)
+    outcome = session.verify("SELECT * FROM r x WHERE x.a IS NULL", "SELECT * FROM r x")
     assert outcome.verdict is Verdict.UNSUPPORTED
 
 
 def test_unknown_table_reported_as_unsupported():
-    solver = Solver.from_program_text(RS_PROGRAM)
-    outcome = solver.check("SELECT * FROM nope x", "SELECT * FROM r x")
+    session = legacy_session(RS_PROGRAM)
+    outcome = session.verify("SELECT * FROM nope x", "SELECT * FROM r x")
     assert outcome.verdict is Verdict.UNSUPPORTED
 
 
 def test_compile_returns_denotation():
-    solver = Solver.from_program_text(RS_PROGRAM)
-    denotation = solver.compile("SELECT * FROM r x")
+    denotation = legacy_session(RS_PROGRAM).compile("SELECT * FROM r x")
     assert denotation.schema.attribute_names() == ("a", "b")
 
 
 def test_outcome_str_mentions_verdict():
-    solver = Solver.from_program_text(RS_PROGRAM)
-    outcome = solver.check("SELECT * FROM r x", "SELECT * FROM r y")
+    session = legacy_session(RS_PROGRAM)
+    outcome = session.verify("SELECT * FROM r x", "SELECT * FROM r y")
     assert "proved" in str(outcome)
 
 
@@ -109,7 +109,59 @@ def test_cli_empty_program(tmp_path, capsys):
     assert "no verify goals" in capsys.readouterr().out
 
 
+# -- input errors: every mode prints ``error: ...`` and exits 2 ---------------
+
+BAD_PROGRAM = "schema rs(a:int;\nverify SELECT * FROM == ;"
+
+
+def test_cli_parse_error_exits_2(tmp_path, capsys):
+    path = write_program(tmp_path, BAD_PROGRAM)
+    assert main([path]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ParseError")
+    assert "Traceback" not in captured.err + captured.out
+
+
+def test_cli_report_parse_error_exits_2(tmp_path, capsys):
+    path = write_program(tmp_path, BAD_PROGRAM)
+    assert main([path, "--report"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ParseError")
+    assert captured.out == ""
+
+
+def test_cli_missing_program_file_exits_2(tmp_path, capsys):
+    missing = str(tmp_path / "nope.cos")
+    assert main([missing]) == 2
+    assert main([missing, "--report"]) == 2
+    err = capsys.readouterr().err
+    assert err.count(f"error: cannot read {missing}") == 2
+
+
+def test_cli_non_utf8_program_file_exits_2(tmp_path, capsys):
+    path = tmp_path / "latin1.cos"
+    path.write_bytes(b"schema rs(a:int); -- caf\xe9\n")
+    assert main([str(path)]) == 2
+    assert main([str(path), "--report"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.count(f"error: cannot read {path}") == 2
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
+
+
 # -- session-mode flags (--pipeline / --json) ---------------------------------
+
+
+def test_cli_json_wins_over_report(tmp_path, capsys):
+    import json
+
+    path = write_program(
+        tmp_path, RS_PROGRAM + "verify SELECT * FROM r x == SELECT * FROM r y;\n"
+    )
+    assert main([path, "--json", "--report"]) == 0
+    lines = capsys.readouterr().out.strip().splitlines()
+    records = [json.loads(line) for line in lines]
+    assert [r["verdict"] for r in records] == ["proved"]
 
 
 def test_cli_json_emits_structured_records(tmp_path, capsys):
