@@ -10,22 +10,11 @@ variables makes them equal, where equality of the factor lists is checked
 * for squash parts — by the injected SDP comparator;
 * for negation parts — by the injected (recursive) UDP comparator.
 
-The kernel runs in one of three modes (:func:`set_kernel_mode`):
-
-``digest`` (default)
-    Canonical-labeling fast path first: if the two terms' run-stable
-    canonical digests (:mod:`repro.cq.labeling`) agree, they are
-    alpha-equivalent and the search is skipped entirely.  Otherwise the
-    refinement-colored backtracking search below runs.
-
-``search``
-    The same search without the digest short-circuit — the differential
-    reference for the fast path.
-
-``legacy``
-    The pre-digest kernel: per-candidate term renaming and congruence
-    closures rebuilt at every leaf.  Kept as the benchmark baseline
-    (``benchmarks/bench_kernel.py``) and as a differential oracle.
+There is one kernel.  It first tries the canonical-labeling fast path:
+if the two terms' run-stable canonical digests (:mod:`repro.cq.labeling`)
+agree, they are alpha-equivalent and the search is skipped entirely.
+Otherwise the refinement-colored backtracking search below runs; tests
+call :func:`_search` directly as the reference for the fast path.
 
 The search itself builds both congruence closures **once per term pair**
 and evaluates every candidate bijection through an incremental variable
@@ -33,11 +22,11 @@ mapping (values are substituted individually; no renamed term is
 materialized until the factor lists already match), with forward
 checking: a right-hand predicate or relation atom is tested as soon as
 the last binder it mentions is assigned, so doomed branches die near the
-root instead of at the leaves.  Candidate targets are filtered by the
-same conservative per-variable signatures as before (schema + the
-multiset of relation names the variable feeds — congruence-blind filters
-must stay coarse) and *ordered* by refinement color, which finds the
-witness bijection first on equivalent pairs.
+root instead of at the leaves.  Candidate targets are filtered by
+conservative per-variable signatures (schema + the multiset of relation
+names the variable feeds — congruence-blind filters must stay coarse)
+and *ordered* by refinement color, which finds the witness bijection
+first on equivalent pairs.
 """
 
 from __future__ import annotations
@@ -48,34 +37,9 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 from repro.cq.labeling import DIGEST_MIN_VARS, refined_binder_colors, term_digest
 from repro.logic.congruence import CongruenceClosure
 from repro.usr.predicates import AtomPred, EqPred, NePred
-from repro.usr.spnf import NormalForm, NormalTerm, substitute_term
-from repro.usr.substitute import subst_value
+from repro.usr.spnf import NormalForm, NormalTerm, rename_term_binders
+from repro.usr.substitute import subst_predicate, subst_value
 from repro.usr.values import TupleVar, ValueExpr
-
-KERNEL_MODES = ("digest", "search", "legacy")
-
-_kernel_mode = "digest"
-
-
-def set_kernel_mode(mode: str) -> str:
-    """Select the matching kernel; returns the previous mode.
-
-    ``digest`` is the production kernel.  ``search`` and ``legacy``
-    exist for differential testing and benchmarking — all three must
-    accept exactly the same term pairs.
-    """
-    global _kernel_mode
-    if mode not in KERNEL_MODES:
-        raise ValueError(
-            f"unknown kernel mode {mode!r}; expected one of {KERNEL_MODES}"
-        )
-    previous = _kernel_mode
-    _kernel_mode = mode
-    return previous
-
-
-def kernel_mode() -> str:
-    return _kernel_mode
 
 
 @dataclass
@@ -142,42 +106,30 @@ def _var_signature(term: NormalTerm, name: str) -> Tuple:
 def terms_isomorphic(
     left: NormalTerm, right: NormalTerm, context: MatchContext
 ) -> bool:
-    """TDP: search for a variable bijection making the terms equal."""
-    if len(left.vars) != len(right.vars):
-        return False
-    if len(left.rels) != len(right.rels):
-        return False
-    if sorted(name for name, _ in left.rels) != sorted(
-        name for name, _ in right.rels
-    ):
-        return False
-    if (left.squash_part is None) != (right.squash_part is None):
-        return False
-    if (left.neg_part is None) != (right.neg_part is None):
-        return False
+    """TDP: search for a variable bijection making the terms equal.
 
-    mode = _kernel_mode
-    if mode == "digest":
-        if left == right:
-            context.tick()
-            return True
-        left_digest = left.__dict__.get("_canon_digest")
-        right_digest = right.__dict__.get("_canon_digest")
-        if (
-            (left_digest is None or right_digest is None)
-            and len(left.vars) >= DIGEST_MIN_VARS
-        ):
-            left_digest = term_digest(left)
-            right_digest = term_digest(right)
-        if (
-            left_digest is not None
-            and right_digest is not None
-            and left_digest == right_digest
-        ):
-            context.tick()
-            return True
-    if mode == "legacy":
-        return _legacy_search(left, right, context)
+    Equal canonical digests exhibit a real binder bijection, so a digest
+    match answers at once; everything else goes to :func:`_search`.
+    """
+    if left == right:
+        context.tick()
+        return True
+    left_digest = left.__dict__.get("_canon_digest")
+    right_digest = right.__dict__.get("_canon_digest")
+    if (
+        (left_digest is None or right_digest is None)
+        and len(left.vars) >= DIGEST_MIN_VARS
+        and len(right.vars) == len(left.vars)
+    ):
+        left_digest = term_digest(left)
+        right_digest = term_digest(right)
+    if (
+        left_digest is not None
+        and right_digest is not None
+        and left_digest == right_digest
+    ):
+        context.tick()
+        return True
     return _search(left, right, context)
 
 
@@ -199,14 +151,13 @@ def _apply_mapping(
 
 
 def _candidate_lists(
-    left: NormalTerm, right: NormalTerm, ordered: bool
+    left: NormalTerm, right: NormalTerm
 ) -> Optional[List[Tuple[str, List[str]]]]:
     """Per right-binder candidate left binders, or ``None`` when one is empty.
 
-    The filter (schema + signature equality) is shared by every kernel
-    mode — it defines the accepted relation.  ``ordered`` additionally
-    sorts each list so refinement-color matches come first, which is a
-    pure search heuristic.
+    The filter (schema + signature equality) defines the accepted
+    relation.  Each list is then sorted so refinement-color matches come
+    first, which is a pure search heuristic.
     """
     left_sigs = {
         name: _var_signature(left, name) for name, _ in left.vars
@@ -215,7 +166,7 @@ def _candidate_lists(
     out: List[Tuple[str, List[str]]] = []
     # Refinement colors only earn their keep once the candidate lists
     # are long enough for ordering to matter.
-    ordered = ordered and len(right.vars) >= DIGEST_MIN_VARS
+    ordered = len(right.vars) >= DIGEST_MIN_VARS
     left_colors = refined_binder_colors(left) if ordered else {}
     right_colors = refined_binder_colors(right) if ordered else {}
     for right_name, right_schema in right.vars:
@@ -238,11 +189,24 @@ def _candidate_lists(
 
 
 # ---------------------------------------------------------------------------
-# The refinement-colored, forward-checked search (modes digest/search)
+# The refinement-colored, forward-checked search
 # ---------------------------------------------------------------------------
 
 
 def _search(left: NormalTerm, right: NormalTerm, context: MatchContext) -> bool:
+    """The complete decision, without the digest shortcut."""
+    if len(left.vars) != len(right.vars):
+        return False
+    if len(left.rels) != len(right.rels):
+        return False
+    if sorted(name for name, _ in left.rels) != sorted(
+        name for name, _ in right.rels
+    ):
+        return False
+    if (left.squash_part is None) != (right.squash_part is None):
+        return False
+    if (left.neg_part is None) != (right.neg_part is None):
+        return False
     closure_left = build_closure_from_preds(left)
     closure_right = build_closure_from_preds(right)
     if not right.vars:
@@ -250,7 +214,7 @@ def _search(left: NormalTerm, right: NormalTerm, context: MatchContext) -> bool:
         return _mapped_terms_equal(
             left, right, {}, {}, closure_left, closure_right, context
         )
-    candidates = _candidate_lists(left, right, ordered=True)
+    candidates = _candidate_lists(left, right)
     if candidates is None:
         return False
     # Most-constrained-first assignment order cuts the branching early.
@@ -347,12 +311,12 @@ def _mapped_terms_equal(
     """The authoritative leaf check under a complete binder bijection.
 
     Semantically identical to renaming ``right`` with ``fwd`` and
-    running :func:`_terms_equal_after_renaming`: a query against the
-    renamed term's closure is a query against ``closure_right`` with the
-    inverse mapping applied to the operands, so neither the renamed term
-    nor its closure is ever materialized.  The one exception is the
-    squash/negation comparison, which hands real forms to the injected
-    comparators — built only after every factor-list check has passed.
+    comparing factor lists: a query against the renamed term's closure
+    is a query against ``closure_right`` with the inverse mapping
+    applied to the operands, so neither the renamed term nor its closure
+    is ever materialized.  The one exception is the squash/negation
+    comparison, which hands real forms to the injected comparators —
+    built only after every factor-list check has passed.
     """
 
     def fmap(value: ValueExpr) -> ValueExpr:
@@ -386,15 +350,60 @@ def _mapped_terms_equal(
         left, right, closure_left, closure_right, fmap, imap
     ):
         return False
-    if left.squash_part is not None or left.neg_part is not None:
-        renamed = _rename_bound(right, fwd) if fwd else right
-        if left.squash_part is not None:
-            if not context.squash_equiv(left.squash_part, renamed.squash_part):
-                return False
-        if left.neg_part is not None:
-            if not context.form_equiv(left.neg_part, renamed.neg_part):
-                return False
+    if left.squash_part is not None:
+        if not context.squash_equiv(
+            left.squash_part, _rename_part(right.squash_part, fwd)
+        ):
+            return False
+    if left.neg_part is not None:
+        if not context.form_equiv(
+            left.neg_part, _rename_part(right.neg_part, fwd)
+        ):
+            return False
     return True
+
+
+def _rename_part(part: NormalForm, fwd: Dict[str, TupleVar]) -> NormalForm:
+    """Carry a right-hand squash or negation part into the left's binders.
+
+    One simultaneous substitution of the whole bijection: a swap such as
+    ``{x: y, y: x}`` must rename both names at once, never one after the
+    other and never neither.  Canonized forms share binder names, so
+    the bijection is often the identity; a part it leaves unchanged is
+    returned as is, keeping its cached digests.
+    """
+    moved = {name: image for name, image in fwd.items() if image.name != name}
+    if not moved:
+        return part
+    images = frozenset(image.name for image in moved.values())
+    return tuple(_substitute_free(term, moved, images) for term in part)
+
+
+def _substitute_free(
+    term: NormalTerm, mapping: Dict[str, ValueExpr], images: frozenset
+) -> NormalTerm:
+    """Capture-avoiding simultaneous substitution of ``term``'s free names.
+
+    A binder of ``term`` shadows its own name; a binder that collides
+    with an image name is freshened first so the image stays free.
+    """
+    if not (term.free_tuple_vars() & mapping.keys()):
+        return term
+    term = rename_term_binders(term, images)
+    inner = {k: v for k, v in mapping.items() if k not in term.bound_names()}
+
+    def nested(part: Optional[NormalForm]) -> Optional[NormalForm]:
+        if part is None:
+            return None
+        return tuple(_substitute_free(t, inner, images) for t in part)
+
+    return NormalTerm(
+        term.vars,
+        tuple(subst_predicate(p, inner) for p in term.preds),
+        tuple((name, subst_value(arg, inner)) for name, arg in term.rels),
+        nested(term.squash_part),
+        nested(term.neg_part),
+    )
 
 
 def _atoms_covered_mapped(
@@ -482,135 +491,8 @@ def _relations_match_mapped(
     return match(0)
 
 
-# ---------------------------------------------------------------------------
-# The legacy kernel (per-candidate rename + closure rebuild)
-# ---------------------------------------------------------------------------
-
-
-def _legacy_search(
-    left: NormalTerm, right: NormalTerm, context: MatchContext
-) -> bool:
-    if not right.vars:
-        context.tick()
-        return _terms_equal_after_renaming(left, right, context)
-    candidates = _candidate_lists(left, right, ordered=False)
-    if candidates is None:
-        return False
-    used: Dict[str, str] = {}
-
-    def assign(index: int) -> bool:
-        if index == len(candidates):
-            context.tick()
-            mapping = {
-                right_name: TupleVar(used[right_name])
-                for right_name, _ in right.vars
-            }
-            renamed = _rename_bound(right, mapping)
-            return _terms_equal_after_renaming(left, renamed, context)
-        right_name, options = candidates[index]
-        for target in options:
-            if target in used.values():
-                continue
-            used[right_name] = target
-            if assign(index + 1):
-                return True
-            del used[right_name]
-        return False
-
-    return assign(0)
-
-
-def _rename_bound(term: NormalTerm, mapping: Dict[str, ValueExpr]) -> NormalTerm:
-    """Rename the term's own binders according to ``mapping``."""
-    new_vars = tuple(
-        (mapping[name].name if name in mapping else name, schema)
-        for name, schema in term.vars
-    )
-    shell = NormalTerm(
-        new_vars, term.preds, term.rels, term.squash_part, term.neg_part
-    )
-    return substitute_term(shell, mapping)
-
-
-def _terms_equal_after_renaming(
-    left: NormalTerm, right: NormalTerm, context: MatchContext
-) -> bool:
-    """Factor-list equality once both terms use the same variable names."""
-    closure_left = build_closure_from_preds(left)
-    closure_right = build_closure_from_preds(right)
-    if not _predicates_mutually_entailed(left, right, closure_left, closure_right):
-        return False
-    if not _relations_match(left, right, closure_left, closure_right):
-        return False
-    if left.squash_part is not None:
-        if not context.squash_equiv(left.squash_part, right.squash_part):
-            return False
-    if left.neg_part is not None:
-        if not context.form_equiv(left.neg_part, right.neg_part):
-            return False
-    return True
-
-
-def _predicates_mutually_entailed(
-    left: NormalTerm,
-    right: NormalTerm,
-    closure_left: CongruenceClosure,
-    closure_right: CongruenceClosure,
-) -> bool:
-    # Equalities: each side's equalities must hold in the other's closure.
-    for pred in left.preds:
-        if isinstance(pred, EqPred) and not closure_right.equal(
-            pred.left, pred.right
-        ):
-            return False
-    for pred in right.preds:
-        if isinstance(pred, EqPred) and not closure_left.equal(
-            pred.left, pred.right
-        ):
-            return False
-    # Inequalities and uninterpreted atoms: match up to congruence, in both
-    # directions (an atom is its own proof obligation).  Each direction is
-    # witnessed by the *source* side's closure — the side whose atom is
-    # being discharged rewrites it with its own equalities.  (The reverse
-    # call below used to pass ``closure_left`` too; once the equality
-    # parts are mutually entailed the two closures induce the same
-    # congruence, so the verdicts agree in context, but the right side's
-    # closure is the natural witness and the only correct choice if this
-    # predicate check is ever used standalone.)
-    if not _atoms_covered(left, right, closure_left):
-        return False
-    if not _atoms_covered(right, left, closure_right):
-        return False
-    return True
-
-
-def _atoms_covered(
-    source: NormalTerm, target: NormalTerm, closure: CongruenceClosure
-) -> bool:
-    """Every non-equality atom of ``source`` appears in ``target`` mod closure."""
-    return _atoms_covered_mapped(
-        source.preds, target.preds, closure, lambda v: v, lambda v: v
-    )
-
-
-def _relations_match(
-    left: NormalTerm,
-    right: NormalTerm,
-    closure_left: CongruenceClosure,
-    closure_right: CongruenceClosure,
-) -> bool:
-    """Multiset bijection between relation atoms modulo congruence."""
-    identity = lambda value: value  # noqa: E731 - tiny local adapter
-    return _relations_match_mapped(
-        left, right, closure_left, closure_right, identity, identity
-    )
-
-
 __all__ = [
-    "KERNEL_MODES",
     "MatchContext",
     "build_closure_from_preds",
-    "kernel_mode",
-    "set_kernel_mode",
     "terms_isomorphic",
 ]

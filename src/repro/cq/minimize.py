@@ -3,8 +3,8 @@
 Inside a squash, a term is a set-semantics CQ; its *core* is the smallest
 equivalent subquery.  The paper minimizes every term and compares minimized
 terms syntactically; our SDP uses the equivalent mutual-homomorphism test by
-default and keeps this module for the ablation benchmark
-(``bench_ablations``) and as an alternative strategy.
+default and keeps this module for the SDP-strategy ablation
+(``tests/test_paper_evaluation.py``) and as an alternative strategy.
 
 The implementation folds variables: it looks for an endomorphism that maps
 one bound variable onto another variable while keeping every relation atom

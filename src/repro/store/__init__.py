@@ -4,8 +4,11 @@ One backend: :class:`repro.store.sqlite.SQLiteMemoStore`, a WAL-mode
 SQLite database with concurrent readers, ``busy_timeout``-queued writers,
 a durable verdict cache with TTLs and historical tallies, and the
 cluster-group index.  :func:`open_store` wraps it in a
-:class:`repro.store.failover.FailoverStore` circuit breaker — the pool,
-the CLI, and the benchmarks all go through it.
+:class:`repro.store.failover.FailoverStore` circuit breaker — the pool
+and the CLI both go through it.  A database
+recorded under another :data:`repro.store.sqlite.DECISION_VERSION` is
+cleared when opened, so no entry of an older decision procedure is
+replayed.
 
 The normalize/canonize/tdp memo layers (:mod:`repro.usr.spnf`,
 :mod:`repro.udp.canonize`, :mod:`repro.udp.decide`) are per-process LRU

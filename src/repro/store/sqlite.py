@@ -35,7 +35,10 @@ Epoch invalidation: ``clear()`` bumps a counter in the ``meta`` table
 and deletes every map; every operation compares the database epoch
 against the process-local view and drops the local object cache when
 they diverge, so ``repro.clear_caches()`` in any process empties the
-warm view of every process.
+warm view of every process.  Opening a database whose recorded
+:data:`DECISION_VERSION` differs from this code's clears it the same
+way, so entries written by an older decision procedure are never
+replayed.
 
 Concurrency and fork-safety
 ---------------------------
@@ -80,6 +83,12 @@ DEFAULT_NEGATIVE_TTL = 3600.0
 #: TTL for ``timeout`` verdicts: the most transient outcome of all (a
 #: loaded machine times out where an idle one proves), so expire fast.
 DEFAULT_TIMEOUT_TTL = 300.0
+
+#: Version of the decision procedure behind the stored memo entries,
+#: verdicts and groups.  Proved verdicts and groups never expire, so a
+#: change that alters what normalize, canonize or matching answers must
+#: bump it; a store recorded under another version is cleared on open.
+DECISION_VERSION = 2
 
 _SCHEMA = """
 CREATE TABLE IF NOT EXISTS meta (
@@ -208,10 +217,48 @@ class SQLiteMemoStore:
         conn.execute(
             "INSERT OR IGNORE INTO meta(key, value) VALUES('epoch', 0)"
         )
+        if self._decision_version(conn) != DECISION_VERSION:
+            self._clear_stale_version(conn)
         self._conn = conn
         self._pid = pid
         self._check_epoch(conn)
         return conn
+
+    @staticmethod
+    def _decision_version(conn: sqlite3.Connection) -> Optional[int]:
+        row = conn.execute(
+            "SELECT value FROM meta WHERE key = 'decision_version'"
+        ).fetchone()
+        return int(row[0]) if row is not None else None
+
+    def _clear_stale_version(self, conn: sqlite3.Connection) -> None:
+        """Empty a store written under another :data:`DECISION_VERSION`.
+
+        Re-checked inside the write transaction, so when several
+        processes open one stale store only the first clears it.
+        """
+        conn.execute("BEGIN IMMEDIATE")
+        try:
+            if self._decision_version(conn) != DECISION_VERSION:
+                self._delete_maps(conn)
+                conn.execute(
+                    "INSERT INTO meta(key, value)"
+                    " VALUES('decision_version', ?)"
+                    " ON CONFLICT(key) DO UPDATE SET value = excluded.value",
+                    (DECISION_VERSION,),
+                )
+            conn.execute("COMMIT")
+        except BaseException:
+            conn.execute("ROLLBACK")
+            raise
+
+    @staticmethod
+    def _delete_maps(conn: sqlite3.Connection) -> None:
+        """Delete all three maps and bump the epoch (inside a write)."""
+        conn.execute("DELETE FROM memo")
+        conn.execute("DELETE FROM verdicts")
+        conn.execute("DELETE FROM groups")
+        conn.execute("UPDATE meta SET value = value + 1 WHERE key = 'epoch'")
 
     def _db_epoch(self, conn: sqlite3.Connection) -> int:
         row = conn.execute(
@@ -647,13 +694,7 @@ class SQLiteMemoStore:
                 conn = self._ensure_conn()
                 conn.execute("BEGIN IMMEDIATE")
                 try:
-                    conn.execute("DELETE FROM memo")
-                    conn.execute("DELETE FROM verdicts")
-                    conn.execute("DELETE FROM groups")
-                    conn.execute(
-                        "UPDATE meta SET value = value + 1"
-                        " WHERE key = 'epoch'"
-                    )
+                    self._delete_maps(conn)
                     conn.execute("COMMIT")
                 except BaseException:
                     conn.execute("ROLLBACK")

@@ -15,6 +15,9 @@ and returns a :class:`~repro.udp.trace.DecisionResult`:
 Soundness: every transformation is an axiom instance (Theorem 5.3).
 Completeness holds for UCQ under bag semantics (Theorem 5.4: isomorphism)
 and UCQ under set semantics (Theorem 5.5: homomorphism containment).
+A change that can alter a verdict must bump
+:data:`repro.store.sqlite.DECISION_VERSION`, which clears durable stores
+written under the old procedure.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from typing import Dict, List, Optional
 
 from repro.constraints.model import ConstraintSet
 from repro.cq.homomorphism import find_homomorphism
-from repro.cq.isomorphism import MatchContext, kernel_mode, terms_isomorphic
+from repro.cq.isomorphism import MatchContext, terms_isomorphic
 from repro.cq.labeling import DIGEST_MIN_VARS, form_digest, term_digest
 from repro.cq.minimize import minimize_term
 from repro.errors import DecisionTimeout
@@ -120,10 +123,10 @@ class _Engine:
     def compare_canonized(self, left: NormalForm, right: NormalForm) -> bool:
         """Permutation matching of the two sums of terms (Alg. 2 lines 3-10).
 
-        With the digest kernel active the O(n!) permutation search
-        collapses to a multiset comparison of canonical term digests —
-        digest-equal terms are alpha-equivalent, hence isomorphic — and
-        backtracking survives only for the digest-distinct leftovers
+        The O(n!) permutation search collapses to a multiset comparison
+        of canonical term digests — digest-equal terms are
+        alpha-equivalent, hence isomorphic — and backtracking survives
+        only for the digest-distinct leftovers
         (refinement ties and congruence-level matches the syntactic
         digest cannot see).  Completed comparisons are memoized on the
         two form digests, privately and through the shared memo store.
@@ -133,8 +136,6 @@ class _Engine:
             return False
         if not left:
             return True
-        if kernel_mode() != "digest":
-            return self._match_terms(left, right, digest_stage=False)
         if not memoization_enabled():
             # Cold path: digests only pay off past the trivial sizes.
             worthwhile = len(left) >= 3 or any(

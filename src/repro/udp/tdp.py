@@ -1,7 +1,7 @@
 """TDP — the decision procedure for terms (Algorithm 3).
 
 The search itself lives in :mod:`repro.cq.isomorphism`; this module provides
-the paper-named entry point used in tests and benchmarks: ``TDP(T1, T2, C)``
+the paper-named entry point used in tests: ``TDP(T1, T2, C)``
 searches the bijections from T2's summation variables to T1's and checks the
 factor lists for equality under congruence closure.
 """

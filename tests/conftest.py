@@ -68,6 +68,29 @@ def rs_catalog(rs_session) -> Catalog:
     return rs_session.catalog
 
 
+def disable_digest_shortcuts(monkeypatch) -> None:
+    """Decide every term pair by the backtracking search alone.
+
+    Turns off the digest-multiset stage of sum matching, the tdp-match
+    memo, and the digest check in ``terms_isomorphic``, so a
+    differential can hold the production kernel against its reference,
+    :func:`repro.cq.isomorphism._search`.
+    """
+    from repro.cq import isomorphism
+    from repro.udp import decide
+
+    match_terms = decide._Engine._match_terms
+    monkeypatch.setattr(decide, "memoization_enabled", lambda: False)
+    monkeypatch.setattr(
+        decide._Engine,
+        "_match_terms",
+        lambda self, left, right, digest_stage: match_terms(
+            self, left, right, False
+        ),
+    )
+    monkeypatch.setattr(decide, "terms_isomorphic", isomorphism._search)
+
+
 def make_catalog(*tables) -> Catalog:
     """``make_catalog(("r", "a", "b"), ("s", "c"))`` — int-typed helper."""
     catalog = Catalog()

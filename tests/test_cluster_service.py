@@ -11,7 +11,8 @@ Three layers under test, all of which must produce the same partition:
 Plus the two properties the digest index must not break: placement is
 invariant (up to group relabeling) under input permutation when every
 placement is decision-free, and digest-based placement agrees with the
-pure decision procedure (differential, ``search`` kernel).  Durability
+pure decision procedure (differential against the plain search), and
+does so at least 5x faster on an alpha-variant-heavy corpus.  Durability
 gets a real process boundary: a second interpreter over the same store
 file must place every query by durable lookup with zero decisions.
 """
@@ -21,16 +22,22 @@ import os
 import random
 import subprocess
 import sys
+import time
 import urllib.error
 import urllib.request
 
 import pytest
 
+from repro.hashcons import clear_caches, set_memoization
 from repro.server import FrontDoorServer
 from repro.service.clustering import ClusterEngine, ClusterStats
 from repro.session import Session
 
-from tests.conftest import RS_PROGRAM
+from tests.conftest import (
+    RS_PROGRAM,
+    disable_digest_shortcuts,
+    legacy_session,
+)
 
 # Alpha-variant-heavy corpus: 3 provable groups + 1 unsupported singleton.
 CORPUS = [
@@ -115,19 +122,15 @@ def test_partition_invariant_under_permutation():
         assert partition_of_groups(engine.groups()) == expected
 
 
-def test_digest_placement_agrees_with_search_kernel_decisions():
-    """Differential: digest bucketing vs pure decisions on the
-    ``search`` kernel must produce the identical partition."""
-    from repro.cq.isomorphism import set_kernel_mode
-
+def test_digest_placement_agrees_with_search_kernel_decisions(monkeypatch):
+    """Differential: digest bucketing vs pure decisions with every
+    digest shortcut off must produce the identical partition."""
     digest_engine = fresh_engine(digest_buckets=True)
     digest_engine.place_all(CORPUS)
-    previous = set_kernel_mode("search")
-    try:
+    with monkeypatch.context() as patch:
+        disable_digest_shortcuts(patch)
         decision_engine = fresh_engine(digest_buckets=False)
         decision_engine.place_all(CORPUS)
-    finally:
-        set_kernel_mode(previous)
     assert partition_of_groups(digest_engine.groups()) == partition_of_groups(
         decision_engine.groups()
     )
@@ -157,6 +160,82 @@ def test_place_stream_reports_malformed_lines_in_stream():
     assert "program" in records[3]["error"]["reason"]
     assert records[4]["error"]["code"] == "bad-request"
     assert records[5]["error"]["code"] == "bad-request"
+
+
+# -- digest bucketing vs decision-only placement -----------------------------
+
+#: Base shapes (one provably distinct group each) x equivalent spellings.
+GATE_SHAPES = 28
+GATE_VARIANTS = 24
+#: Digest-bucketed placement must beat decision-only placement by this.
+DIGEST_SPEEDUP = 5.0
+
+
+def spellings(a: int, b: int):
+    """Equivalent spellings of ``a = <a> AND b = <b>`` over table r:
+    alias renames, conjunct order, predicate orientation and subquery
+    nesting, all of which the canonical digest unifies."""
+    aliases = ("x", "y", "z", "w")
+    out = []
+    for v in aliases:
+        out.append(f"SELECT * FROM r {v} WHERE {v}.a = {a} AND {v}.b = {b}")
+        out.append(f"SELECT * FROM r {v} WHERE {v}.b = {b} AND {v}.a = {a}")
+        out.append(f"SELECT * FROM r {v} WHERE {a} = {v}.a AND {v}.b = {b}")
+    for outer, inner in zip(aliases, aliases[1:] + aliases[:1]):
+        out.append(
+            f"SELECT * FROM (SELECT * FROM r {inner} "
+            f"WHERE {inner}.a = {a}) {outer} WHERE {outer}.b = {b}"
+        )
+        out.append(
+            f"SELECT * FROM (SELECT * FROM r {inner} "
+            f"WHERE {inner}.b = {b}) {outer} WHERE {outer}.a = {a}"
+        )
+        out.append(
+            f"SELECT * FROM (SELECT * FROM r {inner} "
+            f"WHERE {a} = {inner}.a) {outer} WHERE {b} = {outer}.b"
+        )
+    return out
+
+
+def _timed_placement(corpus, digest_buckets: bool):
+    clear_caches()
+    engine = ClusterEngine(
+        legacy_session(RS_PROGRAM), digest_buckets=digest_buckets
+    )
+    started = time.monotonic()
+    for query in corpus:
+        engine.place(query)
+    return engine, time.monotonic() - started
+
+
+def test_digest_bucketing_beats_decision_only_placement():
+    """Shapes interleaved so every run keeps revisiting old groups; both
+    runs start from cleared caches with memoization off, so neither
+    inherits the other's work."""
+    per_shape = [
+        spellings(shape + 1, (shape + 1) * 10)[:GATE_VARIANTS]
+        for shape in range(GATE_SHAPES)
+    ]
+    corpus = [
+        per_shape[shape][index]
+        for index in range(GATE_VARIANTS)
+        for shape in range(GATE_SHAPES)
+    ]
+    previous = set_memoization(False)
+    try:
+        decision, decision_s = _timed_placement(corpus, digest_buckets=False)
+        digest, digest_s = _timed_placement(corpus, digest_buckets=True)
+    finally:
+        set_memoization(previous)
+        clear_caches()
+    assert len(decision.groups()) == GATE_SHAPES
+    assert partition_of_groups(digest.groups()) == partition_of_groups(
+        decision.groups()
+    )
+    speedup = decision_s / max(digest_s, 1e-9)
+    assert speedup >= DIGEST_SPEEDUP, (
+        f"digest placement only {speedup:.1f}x faster than decision-only"
+    )
 
 
 # -- durable groups across a real process boundary ---------------------------

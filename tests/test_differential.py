@@ -35,6 +35,7 @@ from repro.corpus.rules import Expectation
 from repro.server import FrontDoorServer
 from repro.session import tactic_invocations
 from repro.store import install_shared_store, open_store
+from tests.conftest import disable_digest_shortcuts
 
 RULES = all_rules()
 RULE_IDS = [rule.rule_id for rule in RULES]
@@ -239,26 +240,27 @@ def test_warm_restart_replays_the_full_corpus_without_tactics(
 
 
 # ---------------------------------------------------------------------------
-# Kernel-mode differential: digest fast path vs search vs legacy
+# Kernel differential: digest fast paths vs the plain search
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("mode", ["search", "legacy"])
-def test_kernel_modes_verdict_identical_on_corpus(outcomes, mode):
-    """The canonical-digest kernel must accept exactly what the plain
-    search and the pre-digest legacy kernel accept: every corpus rule,
-    cold caches, verdict- AND reason-code-identical."""
+@pytest.mark.parametrize("mode", ["search"])
+def test_kernel_modes_verdict_identical_on_corpus(
+    outcomes, mode, monkeypatch
+):
+    """The digest fast paths must accept exactly what the plain search
+    accepts: every corpus rule, cold caches, verdict- AND
+    reason-code-identical."""
     from repro import clear_caches, set_memoization
-    from repro.cq.isomorphism import kernel_mode, set_kernel_mode
 
-    previous = set_kernel_mode(mode)
     memo_previous = set_memoization(False)
     clear_caches()
     try:
-        candidate = outcome_map_session()
+        with monkeypatch.context() as patch:
+            disable_digest_shortcuts(patch)
+            candidate = outcome_map_session()
     finally:
         set_memoization(memo_previous)
-        set_kernel_mode(previous)
         clear_caches()
     baseline = outcomes["session"]
     drift = {
@@ -267,6 +269,6 @@ def test_kernel_modes_verdict_identical_on_corpus(outcomes, mode):
         if candidate[rule_id] != baseline[rule_id]
     }
     assert not drift, (
-        f"kernel mode {mode!r} drifted from the digest kernel on "
+        f"the {mode} reference drifted from the digest kernel on "
         f"{len(drift)} rule(s): {drift}"
     )

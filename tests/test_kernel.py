@@ -11,10 +11,11 @@ The digest kernel rests on two claims, checked here property-style:
   not claimed for arbitrary pairs — congruence-level matches are
   invisible to the syntactic digest and fall back to search.)
 
-Plus the kernel-mode differential (``digest`` / ``search`` / ``legacy``
-accept exactly the same pairs), the closure-direction regression for
-``_atoms_covered``, and the nested-scope capture regression for the
-canonical renamer.
+Plus the kernel differential (the digest fast path and the plain
+``_search`` accept exactly the same pairs, also on variants that permute
+a term's own binder names), the binder-swap soundness regression, the
+closure-direction regression for ``_atoms_covered_mapped``, and the
+nested-scope capture regression for the canonical renamer.
 """
 
 from __future__ import annotations
@@ -25,14 +26,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.constraints.model import ConstraintSet
-from repro.cq import isomorphism
 from repro.cq.isomorphism import (
     MatchContext,
     build_closure_from_preds,
-    kernel_mode,
-    set_kernel_mode,
     terms_isomorphic,
-    _atoms_covered,
+    _atoms_covered_mapped,
+    _search,
 )
 from repro.cq.labeling import (
     canonical_form,
@@ -44,19 +43,17 @@ from repro.cq.labeling import (
 from repro.sql.schema import Schema
 from repro.udp.decide import DecisionOptions, _Engine
 from repro.usr.predicates import AtomPred, EqPred, NePred
-from repro.usr.spnf import NormalTerm, make_term, substitute_term
+from repro.usr.spnf import (
+    NormalTerm,
+    make_term,
+    rename_term_binders,
+    substitute_term,
+)
 from repro.usr.values import Attr, ConstVal, TupleVar
 
 
 SCHEMA_R = Schema.of("r", "a:int", "b:int")
 SCHEMA_S = Schema.of("s", "a:int", "b:int")
-
-
-@pytest.fixture(autouse=True)
-def _digest_mode_restored():
-    previous = kernel_mode()
-    yield
-    set_kernel_mode(previous)
 
 
 def fresh_context() -> MatchContext:
@@ -73,10 +70,12 @@ def _attr(name: str, field: str) -> Attr:
 
 
 @st.composite
-def terms(draw, min_vars: int = 0, allow_nested: bool = True):
+def terms(
+    draw, min_vars: int = 0, allow_nested: bool = True, prefix: str = "v"
+):
     """A random well-formed NormalTerm over schema r/s binders."""
     var_count = draw(st.integers(min_value=min_vars, max_value=4))
-    names = [f"v{i}" for i in range(var_count)]
+    names = [f"{prefix}{i}" for i in range(var_count)]
     vars_ = tuple(
         (name, draw(st.sampled_from([SCHEMA_R, SCHEMA_S]))) for name in names
     )
@@ -105,7 +104,7 @@ def terms(draw, min_vars: int = 0, allow_nested: bool = True):
     squash_part = None
     neg_part = None
     if allow_nested and draw(st.booleans()):
-        inner = draw(terms(min_vars=1, allow_nested=False))
+        inner = draw(terms(min_vars=1, allow_nested=False, prefix="n"))
         # Correlate the nested term with an outer binder when one exists.
         if names and inner.vars:
             inner = NormalTerm(
@@ -151,6 +150,50 @@ def permuted_alpha_variant(term: NormalTerm, seed: int) -> NormalTerm:
     )
 
 
+def own_names_permuted_variant(term: NormalTerm, seed: int) -> NormalTerm:
+    """Permute the term's *own* binder names among its binders.
+
+    Unlike :func:`permuted_alpha_variant`, the variant reuses the same
+    names, so the witness bijection swaps names (``v0 -> v1, v1 -> v0``)
+    the way two canonized forms do.  Nested binders are freshened first
+    and the permutation goes through temporary names, so nothing is
+    captured and every occurrence is renamed exactly once.
+    """
+    rng = random.Random(seed)
+    names = [name for name, _ in term.vars]
+    targets = list(names)
+    rng.shuffle(targets)
+    taken = frozenset(names)
+
+    def freshened(part):
+        if part is None:
+            return None
+        return tuple(rename_term_binders(t, taken) for t in part)
+
+    temps = {name: f"tmp{seed}x{i}" for i, name in enumerate(names)}
+    shell = NormalTerm(
+        tuple((temps[name], schema) for name, schema in term.vars),
+        term.preds,
+        term.rels,
+        freshened(term.squash_part),
+        freshened(term.neg_part),
+    )
+    staged = substitute_term(
+        shell, {name: TupleVar(temp) for name, temp in temps.items()}
+    )
+    final = {temps[name]: target for name, target in zip(names, targets)}
+    shell = NormalTerm(
+        tuple((final[temp], schema) for temp, schema in staged.vars),
+        staged.preds,
+        staged.rels,
+        staged.squash_part,
+        staged.neg_part,
+    )
+    return substitute_term(
+        shell, {temp: TupleVar(target) for temp, target in final.items()}
+    )
+
+
 # ---------------------------------------------------------------------------
 # Digest invariance and soundness
 # ---------------------------------------------------------------------------
@@ -167,28 +210,52 @@ def test_digest_invariant_under_alpha_and_factor_order(term, seed):
 @settings(max_examples=120, deadline=None)
 @given(term=terms(), seed=st.integers(min_value=0, max_value=2**16))
 def test_alpha_variants_isomorphic_in_every_mode(term, seed):
+    """Fast path and plain search both accept alpha-variants."""
     variant = permuted_alpha_variant(term, seed)
-    for mode in ("digest", "search", "legacy"):
-        set_kernel_mode(mode)
-        assert terms_isomorphic(term, variant, fresh_context()), mode
+    assert terms_isomorphic(term, variant, fresh_context())
+    assert _search(term, variant, fresh_context())
+
+
+@settings(max_examples=150, deadline=None)
+@given(term=terms(), seed=st.integers(min_value=0, max_value=2**16))
+def test_own_name_permutations_isomorphic_on_both_paths(term, seed):
+    """A permutation of the term's own binder names is an alpha-variant:
+    same digest, and the plain search finds the swapping bijection."""
+    variant = own_names_permuted_variant(term, seed)
+    assert term_digest(variant) == term_digest(term)
+    assert terms_isomorphic(term, variant, fresh_context())
+    assert _search(term, variant, fresh_context())
+    assert _search(variant, term, fresh_context())
 
 
 @settings(max_examples=150, deadline=None)
 @given(left=terms(), right=terms())
 def test_digest_equality_implies_isomorphism(left, right):
     if term_digest(left) == term_digest(right):
-        set_kernel_mode("search")  # force the real search, no digest shortcut
-        assert terms_isomorphic(left, right, fresh_context())
+        assert _search(left, right, fresh_context())
 
 
 @settings(max_examples=150, deadline=None)
 @given(left=terms(), right=terms())
 def test_kernel_modes_accept_identical_pairs(left, right):
-    verdicts = {}
-    for mode in ("digest", "search", "legacy"):
-        set_kernel_mode(mode)
-        verdicts[mode] = terms_isomorphic(left, right, fresh_context())
-    assert len(set(verdicts.values())) == 1, verdicts
+    """The digest fast path accepts exactly what the plain search does."""
+    assert terms_isomorphic(left, right, fresh_context()) == _search(
+        left, right, fresh_context()
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    left=terms(),
+    right=terms(),
+    seed=st.integers(min_value=0, max_value=2**16),
+)
+def test_fast_path_matches_search_on_shared_binder_names(left, right, seed):
+    """Pairs whose binders share names, as canonized forms do."""
+    right = own_names_permuted_variant(right, seed)
+    assert terms_isomorphic(left, right, fresh_context()) == _search(
+        left, right, fresh_context()
+    )
 
 
 @settings(max_examples=60, deadline=None)
@@ -216,6 +283,25 @@ def _chain_term(k: int, names, flip: int = -1) -> NormalTerm:
     term = make_term(vars_, tuple(preds), rels, None, None)
     assert term is not None
     return term
+
+
+@pytest.mark.parametrize("k", [6, 7])
+def test_self_join_chain_twins_and_near_misses(k):
+    """The self-join regime where every binder has the same coarse
+    signature: a renamed, reordered twin is isomorphic, and reversing
+    one edge (signatures untouched) is not — on both paths."""
+    order = list(range(k))
+    random.Random(42 + k).shuffle(order)
+    names = [f"u{i}" for i in range(k)]
+    left = _chain_term(k, [f"t{i}" for i in range(k)])
+    twin = _chain_term(k, names)
+    twin = NormalTerm(
+        tuple(twin.vars[i] for i in order), twin.preds, twin.rels
+    )
+    near_miss = _chain_term(k, names, flip=k // 2)
+    for decide in (terms_isomorphic, _search):
+        assert decide(left, twin, fresh_context())
+        assert not decide(left, near_miss, fresh_context())
 
 
 def test_union_matching_collapses_to_digest_multiset():
@@ -252,7 +338,7 @@ def test_form_digest_is_order_insensitive():
 
 
 # ---------------------------------------------------------------------------
-# Satellite regression: _atoms_covered closure direction
+# Regression: _atoms_covered_mapped closure direction
 # ---------------------------------------------------------------------------
 
 
@@ -261,8 +347,8 @@ def test_atoms_covered_uses_the_source_side_closure():
     discharged.  Left knows x = y and asserts beta(x); right only has
     beta(y): covering left's atom in right needs *left's* closure, and
     right's closure (which knows no equalities) must refuse — if the two
-    calls in ``_predicates_mutually_entailed`` ever swap their witnesses
-    back to one shared closure, this distinguishes them.
+    calls in ``_mapped_terms_equal`` ever swap their witnesses back to
+    one shared closure, this distinguishes them.
     """
     x, y = _attr("t", "a"), _attr("t", "b")
     left = NormalTerm(
@@ -277,20 +363,26 @@ def test_atoms_covered_uses_the_source_side_closure():
     )
     closure_left = build_closure_from_preds(left)
     closure_right = build_closure_from_preds(right)
+
+    def covered(source, target, closure):
+        identity = lambda value: value  # noqa: E731
+        return _atoms_covered_mapped(
+            source.preds, target.preds, closure, identity, identity
+        )
+
     # Source = left: its own closure rewrites beta(x) to beta(y).
-    assert _atoms_covered(left, right, closure_left)
+    assert covered(left, right, closure_left)
     # The right side's closure has no equalities and cannot witness it.
-    assert not _atoms_covered(left, right, closure_right)
+    assert not covered(left, right, closure_right)
     # Source = right: beta(y) is found in left only through a closure
     # that knows x = y — which right's own closure does not.  The fixed
     # reverse call must therefore reject this pair...
-    assert not _atoms_covered(right, left, closure_right)
+    assert not covered(right, left, closure_right)
     # ...which is consistent: the equality parts are not mutually
     # entailed here (left's x = y has no witness in right), so the terms
-    # are not isomorphic under any kernel mode.
-    for mode in ("digest", "search", "legacy"):
-        set_kernel_mode(mode)
-        assert not terms_isomorphic(left, right, fresh_context()), mode
+    # are not isomorphic on either path.
+    assert not terms_isomorphic(left, right, fresh_context())
+    assert not _search(left, right, fresh_context())
 
 
 def test_mutual_entailment_direction_fix_preserves_verdicts():
@@ -313,9 +405,96 @@ def test_mutual_entailment_direction_fix_preserves_verdicts():
         ),
         rels=(("r", TupleVar("u")),),
     )
-    for mode in ("digest", "search", "legacy"):
-        set_kernel_mode(mode)
-        assert terms_isomorphic(left, right, fresh_context()), mode
+    assert terms_isomorphic(left, right, fresh_context())
+    assert _search(left, right, fresh_context())
+
+
+# ---------------------------------------------------------------------------
+# Regression: a binder swap must rename the squash and negation parts
+# ---------------------------------------------------------------------------
+
+SCHEMA_T = Schema.of("t", "a:int", "b:int")
+
+
+def _swap_term(pinned: str, inner_a: str, inner_b: str) -> NormalTerm:
+    """Σ x, y: r(x) r(y) [pinned.b = 1] ‖Σ w: t(w) [w.a = inner_a.a]
+    [w.b = inner_b.a]‖ — the binders x and y are otherwise symmetric."""
+    inner = make_term(
+        (("w", SCHEMA_T),),
+        (
+            EqPred(_attr("w", "a"), _attr(inner_a, "a")),
+            EqPred(_attr("w", "b"), _attr(inner_b, "a")),
+        ),
+        (("t", TupleVar("w")),),
+        None,
+        None,
+    )
+    term = make_term(
+        (("x", SCHEMA_R), ("y", SCHEMA_R)),
+        (EqPred(_attr(pinned, "b"), ConstVal(1)),),
+        (("r", TupleVar("x")), ("r", TupleVar("y"))),
+        (inner,),
+        None,
+    )
+    assert term is not None
+    return term
+
+
+def test_binder_swap_renames_the_squash_part():
+    """Only the swap x <-> y matches the pinned predicates, and under it
+    the right squash part reads ``w.a = y.a, w.b = x.a`` — not the left
+    one.  Comparing the squash parts un-renamed would prove the pair."""
+    left = _swap_term("x", "x", "y")
+    right = _swap_term("y", "x", "y")
+    assert not terms_isomorphic(left, right, fresh_context())
+    assert not _search(left, right, fresh_context())
+    variant = _swap_term("y", "y", "x")
+    assert terms_isomorphic(left, variant, fresh_context())
+    assert _search(left, variant, fresh_context())
+
+
+SWAP_PROGRAM = (
+    "schema rs(a:int,b:int); schema ts(a:int,b:int); table r(rs); table t(ts);"
+)
+SWAP_LEFT = (
+    "SELECT x.a AS a FROM r x, r y WHERE x.b = 1 AND EXISTS "
+    "(SELECT * FROM t w WHERE w.a = x.a AND w.b = y.a)"
+)
+#: Not equivalent: on r = {(1,1), (2,0)}, t = {(1,2)} the left query
+#: returns {a: 1} and this one nothing.
+SWAP_RIGHT = (
+    "SELECT y.a AS a FROM r x, r y WHERE y.b = 1 AND EXISTS "
+    "(SELECT * FROM t w WHERE w.a = x.a AND w.b = y.a)"
+)
+#: The right query with x and y exchanged inside EXISTS: an alpha-variant.
+SWAP_VARIANT = (
+    "SELECT y.a AS a FROM r x, r y WHERE y.b = 1 AND EXISTS "
+    "(SELECT * FROM t w WHERE w.a = y.a AND w.b = x.a)"
+)
+
+
+@pytest.mark.parametrize("memoize", [True, False])
+def test_swapped_exists_pair_is_not_proved(memoize):
+    from repro import PipelineConfig, Session
+    from repro.hashcons import clear_caches, set_memoization
+    from repro.udp.trace import Verdict
+
+    previous = set_memoization(memoize)
+    clear_caches()
+    try:
+        for config in (None, PipelineConfig.legacy()):
+            session = Session.from_program_text(SWAP_PROGRAM, config)
+            assert (
+                session.verify(SWAP_LEFT, SWAP_RIGHT).verdict
+                is not Verdict.PROVED
+            )
+            assert (
+                session.verify(SWAP_LEFT, SWAP_VARIANT).verdict
+                is Verdict.PROVED
+            )
+    finally:
+        set_memoization(previous)
+        clear_caches()
 
 
 # ---------------------------------------------------------------------------

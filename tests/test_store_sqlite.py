@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 import multiprocessing
 import os
+import sqlite3
 import urllib.request
 
 import pytest
@@ -26,6 +27,7 @@ from repro.store import (
     install_shared_store,
     open_store,
 )
+from repro.store.sqlite import DECISION_VERSION
 
 needs_fork = pytest.mark.skipif(
     resolve_pool_mode("auto", 2) != "process",
@@ -104,6 +106,47 @@ def test_clear_bumps_epoch_and_empties_both_maps(tmp_path):
         assert store.verdict_get("verdict-key") is None
     finally:
         store.close()
+
+
+@pytest.mark.parametrize("recorded", [None, DECISION_VERSION - 1])
+def test_store_from_another_decision_version_is_cleared_on_open(
+    tmp_path, recorded
+):
+    """Proved verdicts never expire, so entries written by an older
+    decision procedure (or by one that recorded no version) must not be
+    replayed: opening such a store clears it through the epoch."""
+    path = str(tmp_path / "memo.sqlite")
+    store = SQLiteMemoStore(path)
+    store.put("memo-key", "v")
+    store.verdict_put("verdict-key", {"verdict": "proved"})
+    epoch = store.stats()["epoch"]
+    store.close()
+    reopened = SQLiteMemoStore(path)  # same version: entries survive
+    try:
+        assert reopened.get("memo-key") == "v"
+        assert reopened.stats()["epoch"] == epoch
+    finally:
+        reopened.close()
+    with sqlite3.connect(path) as conn:
+        if recorded is None:
+            conn.execute("DELETE FROM meta WHERE key = 'decision_version'")
+        else:
+            conn.execute(
+                "UPDATE meta SET value = ? WHERE key = 'decision_version'",
+                (recorded,),
+            )
+    stale = SQLiteMemoStore(path)
+    try:
+        assert stale.get("memo-key") is None
+        assert stale.verdict_get("verdict-key") is None
+        assert stale.stats()["epoch"] == epoch + 1
+    finally:
+        stale.close()
+    again = SQLiteMemoStore(path)  # the version is recorded once cleared
+    try:
+        assert again.stats()["epoch"] == epoch + 1
+    finally:
+        again.close()
 
 
 def test_clear_in_sibling_view_invalidates_warm_objects(tmp_path):

@@ -13,6 +13,10 @@ is opt-out via ``PipelineConfig.verdict_cache``.
 from __future__ import annotations
 
 import dataclasses
+import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -272,3 +276,72 @@ def test_a_raising_store_never_changes_a_verdict():
     assert outcomes == baseline
     assert session.stats.verdict_cache_hits == 0
     assert all(count > 0 for count in broken.calls.values()), broken.calls
+
+
+# -- warm restart across a real process boundary -----------------------------
+
+#: One full corpus pass in a fresh interpreter over the store at argv[1];
+#: prints a JSON summary.  An in-process "restart" would inherit every
+#: warm LRU and prove nothing about durability.
+_CORPUS_PASS = """
+import json, sys, time
+from repro import PipelineConfig, Session
+from repro.corpus import as_verify_requests
+from repro.session import tactic_invocations
+from repro.store import install_shared_store, open_store
+
+store = open_store(sys.argv[1])
+install_shared_store(store)
+session = Session(config=PipelineConfig.legacy())
+started = time.monotonic()
+verdicts = {
+    result.request_id: [result.verdict.value, result.reason_code.value]
+    for result in session.verify_many(as_verify_requests())
+}
+elapsed = time.monotonic() - started
+print(json.dumps({
+    "elapsed": elapsed,
+    "hits": session.stats.verdict_cache_hits,
+    "tactics": tactic_invocations(),
+    "verdicts": verdicts,
+}))
+install_shared_store(None)
+store.close()
+"""
+
+#: The warm pass must beat the cold one by at least this factor.
+WARM_RESTART_SPEEDUP = 5.0
+
+
+def _corpus_pass_in_child(store_path: str) -> dict:
+    env = dict(os.environ)
+    src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    completed = subprocess.run(
+        [sys.executable, "-c", _CORPUS_PASS, store_path],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=300,
+        check=False,
+    )
+    assert completed.returncode == 0, completed.stderr
+    return json.loads(completed.stdout.splitlines()[-1])
+
+
+def test_warm_restart_replays_the_corpus_from_a_fresh_process(tmp_path):
+    """A fresh process over a populated store answers all 91 rules from
+    the verdict cache: no tactic runs, verdicts and reason codes are
+    identical, and the pass is at least 5x faster than the cold one."""
+    store_path = str(tmp_path / "verdicts.sqlite")
+    cold = _corpus_pass_in_child(store_path)
+    warm = _corpus_pass_in_child(store_path)
+    rules = len(cold["verdicts"])
+    assert rules == 91
+    assert warm["verdicts"] == cold["verdicts"]
+    assert warm["hits"] == rules
+    assert warm["tactics"] == 0
+    speedup = cold["elapsed"] / max(warm["elapsed"], 1e-9)
+    assert speedup >= WARM_RESTART_SPEEDUP, (
+        f"warm restart only {speedup:.1f}x faster than the cold pass"
+    )
