@@ -31,8 +31,9 @@ test-cluster:
 	$(PYTHON) -m pytest -x -q tests/test_cluster.py tests/test_cluster_service.py
 
 ## Chaos suite under two fixed fault-plan seeds: circuit-breaker
-## trip/probe/replay, thread watchdog, crash-during-ingest durability,
-## client retries, and the end-to-end gate (injected store failure +
+## trip/probe/replay, member hard deadline and respawn, boot-time fork
+## failure, crash-during-ingest durability, client retries, and the
+## end-to-end gate (injected store failure +
 ## member crash + member hang + SIGTERM mid-batch on `serve` — only
 ## structured records, exit 0, verdict-identical recovery replay).
 test-chaos:

@@ -121,7 +121,6 @@ def measure_dispatch(schedule, shard: bool):
     with FrontDoorServer(
         pipeline=PipelineConfig.legacy(),
         pool_size=POOL_SIZE,
-        pool_mode="process",
         shared_store=False,
         shard_dispatch=shard,
         max_inflight=32,
@@ -176,7 +175,6 @@ def measure_hold(report):
     with FrontDoorServer(
         Session.from_program_text(program),
         pool_size=2,
-        pool_mode="thread",
         max_connections=HOLD_CONNECTIONS + 100,
         max_inflight=64,
         idle_timeout=120.0,
@@ -248,7 +246,6 @@ def measure_loris(report):
     with FrontDoorServer(
         Session.from_program_text(program),
         pool_size=1,
-        pool_mode="thread",
         idle_timeout=1.0,
         max_connections=LORIS_CONNECTIONS + 50,
     ) as server:

@@ -10,10 +10,13 @@ ephemeral port:
   structurally unique, so no memo layer can hide the proving cost: this
   measures parallel proving, not cache luck), plus one full 91-rule
   corpus replay through ``POST /corpus``.
-* **Baseline** — ``pool_size=1`` (one warm member: the old single-lock
+* **Baseline** — ``pool_size=1`` (one forked member: the old single-lock
   server's behavior).
-* **Candidate** — ``pool_size=N`` (default: one per core), ``auto``
-  mode (forked process members + shared memo store where available).
+* **Candidate** — ``pool_size=N`` (default: one per core) forked members
+  sharing the memo store.
+* **Cold start** — each server boots after ``clear_caches()``, so its
+  members fork from a parent holding no memo entries from the other
+  run: the ratio measures parallelism, not inherited cache.
 * **Identity** — the two runs' verdict/reason-code records must match
   pairwise, and the corpus replay's verdict counts must agree.
 
@@ -100,19 +103,19 @@ def outcome_list(records):
     return [(r["id"], r["verdict"], r["reason_code"]) for r in records]
 
 
-def measure(pool_size: int, pool_mode: str, pairs: int, repeats: int):
+def measure(pool_size: int, pairs: int, repeats: int):
     """Boot a server, run the distinct-pair batch ``repeats`` times on
     fresh constant ranges (cold proving every time), plus one corpus
-    replay; return (best_elapsed, outcomes, corpus_summary, pool_mode)."""
+    replay; return (best_elapsed, outcomes, corpus_summary)."""
+    from repro import clear_caches
     from repro.server import FrontDoorServer
     from repro.session import PipelineConfig, Session
 
+    clear_caches()
     with FrontDoorServer(
         Session.from_program_text(PROGRAM, PipelineConfig.legacy()),
         pool_size=pool_size,
-        pool_mode=pool_mode,
     ) as server:
-        resolved_mode = server.pool.mode
         # Interpreter warmup on a throwaway range (parse paths, first
         # compile); proving work below still uses never-seen constants.
         run_batch(server, batch_payload(90_000_000, min(8, pairs)))
@@ -127,7 +130,7 @@ def measure(pool_size: int, pool_mode: str, pairs: int, repeats: int):
                 best = elapsed
                 outcomes = outcome_list(records)
         corpus = run_corpus(server)
-    return best, outcomes, corpus, resolved_mode
+    return best, outcomes, corpus
 
 
 def main(argv=None) -> int:
@@ -158,11 +161,11 @@ def main(argv=None) -> int:
     cores = os.cpu_count() or 1
     pool_size = args.pool_size or cores
 
-    single_elapsed, single_outcomes, single_corpus, _ = measure(
-        1, "thread", args.pairs, args.repeats
+    single_elapsed, single_outcomes, single_corpus = measure(
+        1, args.pairs, args.repeats
     )
-    pooled_elapsed, pooled_outcomes, pooled_corpus, pooled_mode = measure(
-        pool_size, "auto", args.pairs, args.repeats
+    pooled_elapsed, pooled_outcomes, pooled_corpus = measure(
+        pool_size, args.pairs, args.repeats
     )
 
     drift = [
@@ -184,9 +187,9 @@ def main(argv=None) -> int:
     lines = [
         f"Pooled-server throughput ({args.pairs} distinct pairs/pass, "
         f"best of {args.repeats}; {cores} core(s))",
-        f"single member  (1 x thread)        : {single_elapsed * 1000:8.1f} ms"
+        f"single member  (1 x process)       : {single_elapsed * 1000:8.1f} ms"
         f"  ({single_rps:7.1f} pairs/s)",
-        f"pooled         ({pool_size} x {pooled_mode:<7})      : "
+        f"pooled         ({pool_size} x process)       : "
         f"{pooled_elapsed * 1000:8.1f} ms  ({pooled_rps:7.1f} pairs/s)",
         f"speedup                            : {speedup:8.2f}x"
         + (

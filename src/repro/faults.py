@@ -1,7 +1,7 @@
 """Deterministic fault injection: named points, seeded plans, zero cost off.
 
-The resilience layer (store circuit breaker, pool watchdog, graceful
-drain) is only trustworthy if its failure paths are *exercised*, and
+The resilience layer (store circuit breaker, member hard deadline,
+graceful drain) is only trustworthy if its failure paths are *exercised*, and
 real faults — a disk that starts erroring, a worker that segfaults, a
 prove that wedges — are neither reproducible nor CI-friendly.  This
 module gives the chaos suite a deterministic substitute: a
@@ -13,11 +13,11 @@ point               fires where
 ==================  =========================================================
 ``store.read``      inside the store failover wrapper, on read-shaped ops
 ``store.write``     inside the store failover wrapper, on write-shaped ops
-``member.crash``    in a pool member's work loop (process: ``os._exit``;
-                    thread: an exception the isolation contract absorbs)
+``member.crash``    in a pool member's work loop: ``os._exit``
 ``member.hang``     in a pool member's work loop: sleep ``delay`` seconds
 ``socket.slow``     in :class:`repro.client.VerifyClient` before each send
 ``pool.fork``       in ``SessionPool._new_member`` when forking a worker
+                    (``OSError``; at construction the pool raises it)
 ==================  =========================================================
 
 Determinism
@@ -35,8 +35,9 @@ The serving stack calls :func:`fault_hit` (or :func:`maybe_fail`) at
 each point; with no plan installed that is one module-global ``None``
 check — no locks, no allocation.  Plans installed before a
 ``SessionPool`` forks its members travel into the workers by
-copy-on-write, so process members honor the same plan (with their own
-counter state past the fork point).
+copy-on-write, so members honor the same plan (with their own counter
+state past the fork point); a plan installed later reaches only the
+parent, and any member respawned after that.
 
 Activation
 ----------

@@ -136,8 +136,8 @@ def build_batch_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--workers", type=int, default=1,
         help=(
-            "session-pool members proving in parallel: forked processes "
-            "where fork exists (default 1 = one in-process member)"
+            "session-pool members proving in parallel, one forked "
+            "process each (default 1)"
         ),
     )
     parser.add_argument(
@@ -304,7 +304,7 @@ def run_cluster(argv: List[str]) -> int:
 
 def build_serve_parser() -> argparse.ArgumentParser:
     from repro.server import DEFAULT_HOST, DEFAULT_PORT
-    from repro.server.pool import POOL_MODES, default_pool_size
+    from repro.server.pool import default_pool_size
     from repro.session import DEFAULT_WINDOW
 
     parser = argparse.ArgumentParser(
@@ -320,14 +320,6 @@ def build_serve_parser() -> argparse.ArgumentParser:
         help=(
             "warm sessions proving in parallel; 0 = one per core "
             f"(here: {default_pool_size()})"
-        ),
-    )
-    parser.add_argument(
-        "--pool-mode", choices=POOL_MODES, default="auto",
-        help=(
-            "member kind: 'process' forks one worker per member (real "
-            "cores), 'thread' stays in-process; 'auto' picks process "
-            "when --pool-size > 1 and fork is available (default)"
         ),
     )
     parser.add_argument(
@@ -394,10 +386,14 @@ def build_serve_parser() -> argparse.ArgumentParser:
             "0 = 2x --rate-limit (default)"
         ),
     )
-    # Accepted and ignored: the front door is the only front end and
-    # logs no requests, and existing launch scripts still pass these.
+    # Accepted and ignored: the front door is the only front end, it
+    # logs no requests, members are always forked processes, and
+    # existing launch scripts still pass these.
     for flag in ("--frontdoor", "--quiet"):
         parser.add_argument(flag, action="store_true", help=argparse.SUPPRESS)
+    parser.add_argument(
+        "--pool-mode", choices=("auto", "process"), help=argparse.SUPPRESS
+    )
     parser.add_argument(
         "--max-connections", type=int, default=1000,
         help=(
@@ -415,8 +411,8 @@ def build_serve_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--no-shared-store", action="store_true",
         help=(
-            "disable the cross-process shared memo store (process-mode "
-            "pools only; members then keep private caches)"
+            "disable the cross-process shared memo store (members then "
+            "keep private caches)"
         ),
     )
     parser.add_argument(
@@ -546,7 +542,6 @@ def run_serve(argv: List[str]) -> int:
             port=args.port,
             window=args.window,
             pool_size=args.pool_size or None,
-            pool_mode=args.pool_mode,
             pool_max=args.pool_max or None,
             member_timeout=args.member_timeout or None,
             shared_store=False if args.no_shared_store else None,
@@ -562,9 +557,9 @@ def run_serve(argv: List[str]) -> int:
             idle_timeout=args.idle_timeout,
             drain_timeout=max(0.0, args.drain_timeout),
         )
-    except OSError as error:
+    except (OSError, ValueError) as error:
         print(
-            f"error: cannot bind {args.host}:{args.port}: {error}",
+            f"error: cannot start serving on {args.host}:{args.port}: {error}",
             file=sys.stderr,
         )
         return 2

@@ -6,8 +6,8 @@ front end, :class:`FrontDoorServer`, a stdlib :mod:`selectors` event
 loop holding thousands of connections over a :class:`SessionPool` of
 warm per-catalog :class:`~repro.session.Session` members — hot compile
 caches, program-text sub-sessions, the normalize/canonize memo layers,
-and (in process mode) a cross-process shared store that lets members
-warm each other.  Requests dispatch by consistent-hashed digest, so
+each member in its own forked process, and (with more than one member)
+a cross-process shared store that lets members warm each other.  Requests dispatch by consistent-hashed digest, so
 each member's caches stay hot for its shard.  Six routes carry the
 structured request/result wire format:
 
@@ -51,7 +51,6 @@ from repro.server.pool import (
     default_pool_size,
     error_record,
     request_shard_digest,
-    resolve_pool_mode,
 )
 from repro.server.stats import ServerStats
 
@@ -68,5 +67,4 @@ __all__ = [
     "default_pool_size",
     "error_record",
     "request_shard_digest",
-    "resolve_pool_mode",
 ]

@@ -269,9 +269,10 @@ class FrontDoorServer:
     :class:`~repro.session.PipelineConfig`, or pass a ready-made
     ``pool`` (the server then does not close it).  The remaining knobs:
 
-    * ``pool_size``/``pool_mode``/``pool_max``/``member_timeout``,
+    * ``pool_size``/``pool_max``/``member_timeout``,
       ``shared_store``/``store_path`` and
-      ``shard_dispatch`` shape the :class:`SessionPool`;
+      ``shard_dispatch`` shape the :class:`SessionPool` of forked
+      member processes;
     * ``max_inflight`` bounds admitted requests, ``max_queued`` the
       parked ones behind them, and ``per_client_inflight``,
       ``rate_limit`` and ``rate_burst`` cap each client;
@@ -297,7 +298,6 @@ class FrontDoorServer:
         window: int = DEFAULT_WINDOW,
         pool: Optional[SessionPool] = None,
         pool_size: Optional[int] = 1,
-        pool_mode: str = "auto",
         pool_max: Optional[int] = None,
         member_timeout: Optional[float] = None,
         shared_store=None,
@@ -323,7 +323,6 @@ class FrontDoorServer:
         else:
             self.pool = SessionPool(
                 pool_size,
-                mode=pool_mode,
                 session=session,
                 pipeline=pipeline,
                 shared_store=shared_store,

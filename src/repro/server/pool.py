@@ -10,25 +10,18 @@ installed via :func:`repro.store.install_shared_store`) so members warm
 each other's normalize/canonize caches instead of each owning a cold
 private LRU.
 
-Member kinds
-------------
+Members
+-------
 
-``thread``
-    Members are in-process sessions.  Dispatch, ordering, and
-    backpressure behave identically to process mode, but proving shares
-    the GIL — use it for ``size == 1``, for tests, and on platforms
-    without ``fork`` (or where processes cannot be created).
-
-``process``
-    Each member is a forked worker process holding the (copy-on-write)
-    warm prototype session and a private pipe.  Proving runs on real
-    cores; results travel back as the JSON wire records, so verdicts and
-    reason codes are bit-identical to the in-process path.  A member
-    whose process dies mid-request answers with a structured ``error``
-    record and is respawned from the prototype.
-
-``auto`` picks ``process`` when ``size > 1`` and ``fork`` is available,
-else ``thread``.
+Each member is a forked worker process holding the (copy-on-write) warm
+prototype session and a private pipe.  Proving runs on real cores;
+results travel back as the JSON wire records, so verdicts and reason
+codes are bit-identical to ``Session.verify``.  A member whose process
+dies mid-request answers with a structured ``error`` record, and one
+that misses its hard deadline answers a structured ``timeout`` record;
+either way it is killed and respawned from the prototype, so a wedged
+prove never costs the pool a member.  The pool needs the ``fork`` start
+method and refuses to build without it.
 
 Ordering and dispatch
 ---------------------
@@ -61,8 +54,9 @@ import bisect
 import hashlib
 import json
 import logging
+import multiprocessing
 import os
-import queue
+import signal
 import threading
 import time
 from collections import deque
@@ -80,7 +74,7 @@ from typing import (
     Tuple,
 )
 
-from repro.faults import FaultError, fault_hit
+from repro.faults import fault_hit
 from repro.session import (
     DEFAULT_WINDOW,
     PipelineConfig,
@@ -92,19 +86,17 @@ from repro.session import (
 from repro.store import active_store, install_shared_store, open_store
 from repro.udp.trace import ReasonCode, ReasonTally, Verdict
 
-POOL_MODES = ("auto", "thread", "process")
-
 _LOG = logging.getLogger("repro.server.pool")
 
 #: Slack added on top of the cooperative pipeline budget before a
-#: process member is declared wedged and killed.  The cooperative
-#: budget fires inside the engine in the normal case; the hard deadline
-#: only exists for loops that stop reaching the budget checks.
+#: member is declared wedged and killed.  The cooperative budget fires
+#: inside the engine in the normal case; the hard deadline only exists
+#: for loops that stop reaching the budget checks.
 HARD_TIMEOUT_GRACE = 30.0
 #: Ceiling on a hard deadline.  ``Connection.poll`` overflows past
-#: ``INT_MAX`` milliseconds (about 24.8 days) and ``Event.wait`` past
-#: ``threading.TIMEOUT_MAX``, so a huge per-request budget clamps here.
-MAX_HARD_DEADLINE = min(threading.TIMEOUT_MAX, 24 * 86400.0)
+#: ``INT_MAX`` milliseconds (about 24.8 days), so a huge per-request
+#: budget clamps here.
+MAX_HARD_DEADLINE = 24 * 86400.0
 
 
 def error_record(code: str, reason: str, **fields: object) -> Dict[str, object]:
@@ -119,38 +111,8 @@ def default_pool_size() -> int:
     return max(1, os.cpu_count() or 1)
 
 
-def _fork_available() -> bool:
-    import multiprocessing
-
-    return "fork" in multiprocessing.get_all_start_methods()
-
-
-def resolve_pool_mode(mode: str, size: int) -> str:
-    """Collapse ``auto`` to a concrete member kind for this platform.
-
-    An explicit ``process`` request on a platform without the ``fork``
-    start method fails loudly here — before any state (shared store,
-    members) is built — rather than surfacing as a late
-    ``multiprocessing`` error.
-    """
-    if mode not in POOL_MODES:
-        raise ValueError(
-            f"unknown pool mode {mode!r}; expected one of {POOL_MODES}"
-        )
-    if mode == "process" and not _fork_available():
-        raise ValueError(
-            "pool mode 'process' requires the fork start method; "
-            "use 'thread' (or 'auto') on this platform"
-        )
-    if mode != "auto":
-        return mode
-    if size <= 1 or not _fork_available():
-        return "thread"
-    return "process"
-
-
 # ---------------------------------------------------------------------------
-# The work a member does (runs in-process or inside a forked worker)
+# The work a member does (inside its forked worker)
 # ---------------------------------------------------------------------------
 
 
@@ -193,7 +155,7 @@ def _decide_json(
 def _member_info(session: Session) -> Dict[str, object]:
     """One member's warmth snapshot (session caches, shared store).
 
-    Kept deliberately small: process members pickle this over the pipe
+    Kept deliberately small: members pickle this over the pipe
     with every reply to keep the parent's ``/stats`` view fresh without
     a blocking round-trip, so it carries only what the stats rollup
     consumes (the process-wide memo-layer counters stay visible via the
@@ -274,6 +236,11 @@ def _process_member_main(conn, session: Session) -> None:
     failure is sent back as an ``("error", reason, info)`` reply, and a
     broken pipe ends the process.
     """
+    # A member forked after ``serve`` installed its drain handler
+    # inherits it, and SIGTERM must still kill the worker: the hard
+    # deadline and close() rely on it.
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
+    signal.signal(signal.SIGINT, signal.default_int_handler)
     _close_inherited_fds(conn)
     configs: Dict[str, PipelineConfig] = {}
     while True:
@@ -312,12 +279,14 @@ def _process_member_main(conn, session: Session) -> None:
 # ---------------------------------------------------------------------------
 
 
-class _MemberBase:
-    """Parent-side bookkeeping every member kind shares."""
+class _ProcessMember:
+    """A forked worker process holding a copy-on-write warm session.
 
-    mode = "?"
+    The parent side keeps the member's tallies and scheduling state; the
+    worker only decides.
+    """
 
-    def __init__(self, member_id: int) -> None:
+    def __init__(self, member_id: int, prototype: Session, context) -> None:
         self.member_id = member_id
         self.tally = ReasonTally()
         self.requests = 0
@@ -330,11 +299,11 @@ class _MemberBase:
         self.busy = False
         self.last_used = time.monotonic()
         self.sharded_requests = 0
-        # A degraded member is known-wedged (thread watchdog fired) and
-        # skipped by the dispatcher until its stuck call returns.
-        # Process members never set it — they are killed and respawned
-        # instead.
-        self.degraded = False
+        self._prototype = prototype
+        self._context = context
+        self.last_info: Dict[str, object] = {}
+        self.closed = False
+        self._spawn()
 
     def _record(self, record: Mapping[str, object]) -> None:
         self.requests += 1
@@ -344,201 +313,20 @@ class _MemberBase:
         tallies = self.tally.snapshot()
         return {
             "id": self.member_id,
-            "mode": self.mode,
+            "mode": "process",
             "requests": self.requests,
             "failures": self.failures,
             "restarts": self.restarts,
             "hard_timeouts": self.hard_timeouts,
-            "degraded": self.degraded,
             "sharded_requests": self.sharded_requests,
             "verdicts": tallies["verdicts"],
             "reason_codes": tallies["reason_codes"],
-            **self.info(),
+            **self.last_info,
         }
 
-    # subclass API ---------------------------------------------------------
-
-    def run_json(
-        self,
-        obj: Mapping[str, object],
-        spec: Optional[str],
-        deadline: Optional[float] = None,
-    ) -> Dict[str, object]:
-        raise NotImplementedError
-
-    def info(self) -> Dict[str, object]:
-        raise NotImplementedError
-
-    def close(self) -> None:
-        raise NotImplementedError
-
-
-class _ThreadJob:
-    """One work item handed to a thread member's worker; its own rendezvous."""
-
-    __slots__ = ("obj", "spec", "result", "failed", "done", "lock", "abandoned")
-
-    def __init__(self, obj: Mapping[str, object], spec: Optional[str]) -> None:
-        self.obj = obj
-        self.spec = spec
-        self.result: Optional[Dict[str, object]] = None
-        self.failed = False
-        self.done = threading.Event()
-        self.lock = threading.Lock()
-        # Set by the dispatcher when the watchdog deadline fires; tells
-        # the worker its (eventual) result is garbage and the member
-        # should recover instead of answering.
-        self.abandoned = False
-
-
-class _ThreadMember(_MemberBase):
-    """An in-process session behind a persistent worker thread + watchdog.
-
-    Thread members cannot be hard-killed (Python offers no safe way to
-    terminate a thread), so a wedged prove used to wedge the member —
-    and its dispatcher thread — forever (the isolation gap ROADMAP
-    called out).  Proving now runs on the member's own long-lived worker
-    thread; :meth:`run_json` waits for the result up to the hard
-    ``deadline`` and, when the watchdog fires, answers an honest
-    structured ``timeout`` record and marks the member **degraded**: the
-    dispatcher skips it until the stuck call finally returns, at which
-    point the worker discards the abandoned result and the member
-    rejoins the idle queue.  The session is never shared between two
-    in-flight proves — exclusivity stays the idle queue's job.
-    """
-
-    mode = "thread"
-
-    def __init__(
-        self,
-        member_id: int,
-        session: Session,
-        on_recover: Optional[Callable[["_ThreadMember"], None]] = None,
-    ) -> None:
-        super().__init__(member_id)
-        self.session = session
-        self._configs: Dict[str, PipelineConfig] = {}
-        self._on_recover = on_recover
-        self._jobs: "queue.Queue[Optional[_ThreadJob]]" = queue.Queue()
-        self.heartbeat = time.monotonic()
-        self.recoveries = 0
-        self._worker = threading.Thread(
-            target=self._work_loop,
-            name=f"udp-pool-member-{member_id}",
-            daemon=True,
-        )
-        self._worker.start()
-
-    def _work_loop(self) -> None:
-        while True:
-            job = self._jobs.get()
-            if job is None:
-                break
-            self.heartbeat = time.monotonic()
-            try:
-                rule = fault_hit("member.crash")
-                if rule is not None:
-                    raise FaultError(
-                        f"injected crash in member {self.member_id}"
-                    )
-                rule = fault_hit("member.hang")
-                if rule is not None:
-                    time.sleep(rule.delay if rule.delay > 0 else 3600.0)
-                record = _decide_json(
-                    self.session, self._configs, job.obj, job.spec
-                )
-                failed = False
-            except Exception as err:  # noqa: BLE001 - isolation contract
-                record = _error_result_record(
-                    job.obj, f"{type(err).__name__}: {err}"
-                )
-                failed = True
-            self.heartbeat = time.monotonic()
-            with job.lock:
-                job.result = record
-                job.failed = failed
-                late = job.abandoned
-                job.done.set()
-            if late:
-                # The wedged prove finally returned.  Its caller was
-                # answered with a timeout record long ago; drop the
-                # stale result and rejoin the idle queue.
-                self.degraded = False
-                self.recoveries += 1
-                _LOG.warning(
-                    "pool member %d recovered from a wedged prove; "
-                    "member back in rotation",
-                    self.member_id,
-                )
-                if self._on_recover is not None:
-                    try:
-                        self._on_recover(self)
-                    except Exception:  # noqa: BLE001 - defensive
-                        pass
-
-    def run_json(
-        self,
-        obj: Mapping[str, object],
-        spec: Optional[str],
-        deadline: Optional[float] = None,
-    ) -> Dict[str, object]:
-        job = _ThreadJob(obj, spec)
-        self._jobs.put(job)
-        if not job.done.wait(deadline):
-            with job.lock:
-                finished = job.done.is_set()
-                if not finished:
-                    job.abandoned = True
-            if not finished:
-                # Watchdog: the worker missed the hard deadline.  Answer
-                # honestly and take the member out of rotation until the
-                # stuck call returns (a thread cannot be hard-killed).
-                self.failures += 1
-                self.hard_timeouts += 1
-                self.degraded = True
-                record = _timeout_result_record(
-                    obj,
-                    f"pool member {self.member_id} exceeded the hard "
-                    f"deadline of {float(deadline):.1f}s; thread member "
-                    "marked degraded until the wedged prove returns",
-                )
-                self._record(record)
-                return record
-        record = job.result
-        if job.failed:
-            self.failures += 1
-        self._record(record)
-        return record
-
-    def snapshot(self) -> Dict[str, object]:
-        data = super().snapshot()
-        data["recoveries"] = self.recoveries
-        data["heartbeat_age"] = round(
-            max(0.0, time.monotonic() - self.heartbeat), 3
-        )
-        return data
-
-    def info(self) -> Dict[str, object]:
-        return _member_info(self.session)
-
-    def close(self) -> None:
-        self._jobs.put(None)
-        self._worker.join(timeout=2.0)
-
-
-class _ProcessMember(_MemberBase):
-    """A forked worker process holding a copy-on-write warm session."""
-
-    mode = "process"
-
-    def __init__(self, member_id: int, prototype: Session, context) -> None:
-        super().__init__(member_id)
-        self._prototype = prototype
-        self._context = context
-        self.last_info: Dict[str, object] = {}
-        self._spawn()
-
     def _spawn(self) -> None:
+        if self.closed:
+            return  # the pool closed while this member was busy
         parent_conn, child_conn = self._context.Pipe()
         self._conn = parent_conn
         self._proc = self._context.Process(
@@ -589,10 +377,8 @@ class _ProcessMember(_MemberBase):
                 f"pool member {self.member_id} died mid-request "
                 f"({type(err).__name__}); member respawned",
             )
-            try:
-                self.close()
-            finally:
-                self._spawn()
+            self._kill()
+            self._spawn()
             self._record(record)
             return record
         if status == "ok":
@@ -604,9 +390,6 @@ class _ProcessMember(_MemberBase):
             record = _error_result_record(obj, str(payload))
         self._record(record)
         return record
-
-    def info(self) -> Dict[str, object]:
-        return dict(self.last_info)
 
     def _kill(self) -> None:
         """Tear the worker down without waiting for cooperation."""
@@ -624,14 +407,19 @@ class _ProcessMember(_MemberBase):
             pass
 
     def close(self) -> None:
+        """Ask the worker to exit; kill it if it has not within 5 s."""
+        self.closed = True
         try:
             self._conn.send(None)
+            # The worker closed every inherited descriptor but its pipe,
+            # the process sentinel ``join(timeout)`` waits on included,
+            # so its exit shows as EOF on the pipe instead.
+            exited = self._conn.poll(5)
         except (BrokenPipeError, OSError):
-            pass
-        self._proc.join(timeout=5)
-        if self._proc.is_alive():  # pragma: no cover - wedged worker
+            exited = True
+        if not exited:
             self._proc.terminate()
-            self._proc.join(timeout=5)
+        self._proc.join()
         try:
             self._conn.close()
         except OSError:
@@ -711,14 +499,20 @@ class SessionPool:
     pool owns an idle queue (each member serves exactly one work item at
     a time — no cross-talk by construction), a dispatcher executor for
     batch fan-out, and optionally the shared memo store its members warm
-    each other through.
+    each other through.  Every member is a forked process: construction
+    raises ``ValueError`` where the platform has no ``fork`` start
+    method, and a fork that fails while the pool is built is re-raised
+    after the members already forked are reaped and the previous shared
+    store is put back.
     """
+
+    #: The member kind, still reported by ``/stats`` and ``/corpus``.
+    mode = "process"
 
     def __init__(
         self,
         size: Optional[int] = None,
         *,
-        mode: str = "auto",
         session: Optional[Session] = None,
         pipeline: Optional[PipelineConfig] = None,
         program: Optional[str] = None,
@@ -737,8 +531,13 @@ class SessionPool:
                 "pass either a session or a pipeline config, not both — "
                 "the pipeline is the session's config"
             )
+        if "fork" not in multiprocessing.get_all_start_methods():
+            raise ValueError(
+                "SessionPool forks its members, and this platform has no "
+                "'fork' start method"
+            )
+        self._mp_context = multiprocessing.get_context("fork")
         self.size = max(1, int(size if size is not None else default_pool_size()))
-        self.mode = resolve_pool_mode(mode, self.size)
         # Dynamic sizing: ``size`` is the floor the pool always keeps
         # warm, ``pool_max`` the ceiling the autoscaler may grow to under
         # sustained saturation.  Equal bounds (the default) disable the
@@ -755,27 +554,26 @@ class SessionPool:
             prototype = Session.from_program_text(program, pipeline)
         else:
             prototype = Session(config=pipeline)
-        prototype.constraint_set()  # warm before clone/fork
+        prototype.constraint_set()  # warm before fork
         self._prototype = prototype
         self.config = prototype.config
         self._configs: Dict[str, PipelineConfig] = {}
-        # Hard per-pair isolation: process members that fail to answer
-        # within this many seconds are killed and respawned (None derives
-        # the deadline from the pipeline budgets per request).  Thread
-        # members rely on the cooperative budget alone.
+        # Hard per-pair isolation: members that fail to answer within
+        # this many seconds are killed and respawned (None derives the
+        # deadline from the pipeline budgets per request).
         self.member_timeout = (
             None if member_timeout is None else max(0.1, float(member_timeout))
         )
 
         # The shared store must be installed *before* members fork so
-        # they inherit it.  None = auto (process mode, or whenever an
-        # explicit path asks for durability), False = off, True = on, or
-        # pass a ready store object.
+        # they inherit it.  None = auto (more than one member, or an
+        # explicit path asking for durability), False = off, True = on,
+        # or pass a ready store object.
         self._owns_store = False
         self._previous_store = None
         self._installed_store = False
         if shared_store is None:
-            shared_store = self.mode == "process" or store_path is not None
+            shared_store = self.size > 1 or store_path is not None
         if shared_store is False:
             self.store = None
         elif shared_store is True:
@@ -787,10 +585,9 @@ class SessionPool:
             self._previous_store = install_shared_store(self.store)
             self._installed_store = True
 
-        self.members: List[_MemberBase] = []
+        self.members: List[_ProcessMember] = []
         self._cond = threading.Condition()
         self._ring = _HashRing()
-        self._mp_context = None
         self._next_member_id = 0
         self._waiting = 0
         self.dispatch_sharded = 0
@@ -801,22 +598,9 @@ class SessionPool:
         self._stop = threading.Event()
         self._autoscaler: Optional[threading.Thread] = None
         try:
-            try:
-                self._build_members()
-            except (OSError, PermissionError):
-                # Process creation unavailable (sandboxes): degrade to
-                # in-process members rather than failing to boot.
-                for member in self.members:
-                    member.close()
-                self.members = []
-                self.mode = "thread"
-                self._build_members()
-                _LOG.warning(
-                    "process pool unavailable on this platform; degraded "
-                    "to %d thread members (cooperative budgets only — a "
-                    "wedged prove cannot be hard-killed)",
-                    self.size,
-                )
+            for member_id in range(self.size):
+                self.members.append(self._new_member(member_id))
+            self._next_member_id = self.size
             self._ring.rebuild([m.member_id for m in self.members])
             self._executor = ThreadPoolExecutor(
                 max_workers=self.pool_max,
@@ -831,17 +615,6 @@ class SessionPool:
             self._release_store()
             raise
         self._closed = False
-        if self.mode == "thread" and self.size > 1:
-            # The isolation gap ROADMAP calls out: thread members only
-            # honor cooperative budgets, so a wedged prove wedges the
-            # member forever.  Busy deployments should run process mode.
-            _LOG.warning(
-                "pool mode 'thread' with %d members: members share the "
-                "GIL and cannot be hard-killed on a wedged prove; use "
-                "--pool-mode process (the default where fork exists) "
-                "for busy deployments",
-                self.size,
-            )
         if self.pool_max > self.size:
             self._autoscaler = threading.Thread(
                 target=self._autoscale_loop,
@@ -850,35 +623,13 @@ class SessionPool:
             )
             self._autoscaler.start()
 
-    def _build_members(self) -> None:
-        if self.mode == "process":
-            import multiprocessing
-
-            self._mp_context = multiprocessing.get_context("fork")
-        for member_id in range(self.size):
-            self.members.append(self._new_member(member_id))
-        self._next_member_id = self.size
-
-    def _new_member(self, member_id: int) -> _MemberBase:
-        """Spawn one member (initial build and autoscaler growth)."""
-        if self.mode == "process":
-            rule = fault_hit("pool.fork")
-            if rule is not None:
-                # Chaos: surface exactly what a failed fork(2) raises so
-                # the boot-time degrade-to-threads path is exercised.
-                raise OSError(f"injected fork failure for member {member_id}")
-            return _ProcessMember(member_id, self._prototype, self._mp_context)
-        session = (
-            self._prototype if member_id == 0 else self._prototype.clone()
-        )
-        return _ThreadMember(
-            member_id, session, on_recover=self._member_recovered
-        )
-
-    def _member_recovered(self, member: _MemberBase) -> None:
-        """A degraded thread member's wedged prove returned: wake waiters."""
-        with self._cond:
-            self._cond.notify_all()
+    def _new_member(self, member_id: int) -> _ProcessMember:
+        """Fork one member (initial build and autoscaler growth)."""
+        rule = fault_hit("pool.fork")
+        if rule is not None:
+            # Chaos: surface exactly what a failed fork(2) raises.
+            raise OSError(f"injected fork failure for member {member_id}")
+        return _ProcessMember(member_id, self._prototype, self._mp_context)
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -951,7 +702,7 @@ class SessionPool:
             budget = 0.0
         return min(max(1.0, budget) + HARD_TIMEOUT_GRACE, MAX_HARD_DEADLINE)
 
-    def _member_by_id(self, member_id: int) -> Optional[_MemberBase]:
+    def _member_by_id(self, member_id: int) -> Optional[_ProcessMember]:
         for member in self.members:
             if member.member_id == member_id:
                 return member
@@ -959,7 +710,7 @@ class SessionPool:
 
     def _acquire(
         self, preferred: Optional[int]
-    ) -> Tuple[_MemberBase, bool]:
+    ) -> Tuple[_ProcessMember, bool]:
         """Claim an idle member, preferring the shard owner briefly.
 
         Waits up to ``shard_patience`` for the preferred member (the
@@ -980,11 +731,8 @@ class SessionPool:
                         raise RuntimeError("pool is closed")
                     if preferred is not None:
                         member = self._member_by_id(preferred)
-                        if member is None or member.degraded:
-                            # Reaped since the ring lookup, or known
-                            # wedged: no point waiting for it.
-                            if member is not None:
-                                self.dispatch_fallback += 1
+                        if member is None:
+                            # Reaped since the ring lookup.
                             preferred = None
                             continue
                         if not member.busy:
@@ -999,20 +747,11 @@ class SessionPool:
                         continue
                     # Least-recently-used idle member: unsharded traffic
                     # rotates across the pool instead of pinning member 0.
-                    # Degraded (watchdog-wedged) members are skipped while
-                    # any healthy member exists; with every member wedged
-                    # we still dispatch — the caller gets an honest
-                    # structured timeout instead of an unbounded wait.
-                    idle = [m for m in self.members if not m.busy]
                     member = min(
-                        (m for m in idle if not m.degraded),
+                        (m for m in self.members if not m.busy),
                         key=lambda m: m.last_used,
                         default=None,
                     )
-                    if member is None:
-                        member = min(
-                            idle, key=lambda m: m.last_used, default=None
-                        )
                     if member is not None:
                         member.busy = True
                         return member, False
@@ -1020,7 +759,7 @@ class SessionPool:
             finally:
                 self._waiting -= 1
 
-    def _release(self, member: _MemberBase) -> None:
+    def _release(self, member: _ProcessMember) -> None:
         with self._cond:
             member.busy = False
             member.last_used = time.monotonic()
@@ -1209,7 +948,7 @@ class SessionPool:
         while not self._stop.wait(self._autoscale_interval):
             now = time.monotonic()
             grow = False
-            reap_member: Optional[_MemberBase] = None
+            reap_member: Optional[_ProcessMember] = None
             with self._cond:
                 if self._closed:
                     break
@@ -1263,7 +1002,7 @@ class SessionPool:
         if close_it:
             member.close()
 
-    def _reap(self, member: _MemberBase) -> None:
+    def _reap(self, member: _ProcessMember) -> None:
         with self._cond:
             if member not in self.members:
                 return
@@ -1280,15 +1019,21 @@ class SessionPool:
 
     # -- observability -----------------------------------------------------
 
-    def degraded_members(self) -> int:
-        """How many members are currently known-wedged (watchdog-flagged)."""
-        with self._cond:
-            return sum(1 for member in self.members if member.degraded)
-
     def store_health(self) -> Optional[Dict[str, object]]:
-        """The store circuit breaker's health view, if the store has one."""
+        """The store circuit breaker's health view, if the store has one.
+
+        Every member process runs its own breaker, so a member whose last
+        reply reported a breaker that is not ``ok`` wins over this
+        process's view.
+        """
         if self.store is None:
             return None
+        with self._cond:
+            reports = [m.last_info.get("store") or {} for m in self.members]
+        for report in reports:
+            health = report.get("health")
+            if health and health.get("state") != "ok":
+                return health
         health = getattr(self.store, "health", None)
         if health is None:
             return None
@@ -1338,27 +1083,25 @@ class SessionPool:
             )
         store: Dict[str, object] = {"installed": self.store is not None}
         if self.store is not None:
-            if self.mode == "thread":
-                # Thread members share this process's store object; its
-                # counters already are the rollup.
-                store.update(self.store.stats())
-            else:
-                # Each member process owns its counters; sum the
-                # last-known views and keep the parent's entry count.
-                rollup = {
-                    "hits": 0,
-                    "misses": 0,
-                    "publishes": 0,
-                    "dropped": 0,
-                    "expired": 0,
-                    "errors": 0,
-                }
-                for snapshot in members:
-                    member_store = snapshot.get("store") or {}
-                    for key in rollup:
-                        rollup[key] += member_store.get(key, 0)
-                store.update(self.store.stats())
-                store.update(rollup)
+            # Each member process owns its counters; sum the last-known
+            # views and keep the parent's entry count.
+            rollup = {
+                "hits": 0,
+                "misses": 0,
+                "publishes": 0,
+                "dropped": 0,
+                "expired": 0,
+                "errors": 0,
+            }
+            for snapshot in members:
+                member_store = snapshot.get("store") or {}
+                for key in rollup:
+                    rollup[key] += member_store.get(key, 0)
+            store.update(self.store.stats())
+            store.update(rollup)
+            health = self.store_health()
+            if health is not None:
+                store["health"] = health
             verdict_stats = getattr(self.store, "verdict_stats", None)
             if verdict_stats is not None:
                 # The durable cross-restart view: historical verdict
@@ -1374,10 +1117,6 @@ class SessionPool:
             "autoscale": autoscale,
             "requests": sum(m["requests"] for m in members),
             "hard_timeouts": sum(m["hard_timeouts"] for m in members),
-            "degraded_members": sum(1 for m in members if m["degraded"]),
-            "watchdog_recoveries": sum(
-                m.get("recoveries", 0) for m in members
-            ),
             "verdicts": dict(sorted(verdicts.items())),
             "reason_codes": dict(sorted(reasons.items())),
             "members": members,
@@ -1669,10 +1408,8 @@ class AdmissionGate:
 __all__ = [
     "AdmissionDecision",
     "AdmissionGate",
-    "POOL_MODES",
     "SessionPool",
     "default_pool_size",
     "error_record",
     "request_shard_digest",
-    "resolve_pool_mode",
 ]

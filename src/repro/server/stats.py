@@ -28,11 +28,13 @@ def service_health(pool=None, *, draining: bool = False) -> Tuple[str, List[str]
     """``(status, problems)`` for ``/healthz``.
 
     ``"ok"`` means fully healthy; ``"degraded"`` (still HTTP 200 — the
-    service answers correctly, just without its full durability or
-    capacity) means the store circuit breaker is open/probing or a pool
-    member is watchdog-wedged; ``"draining"`` means shutdown is in
-    progress and no new work is being accepted.  ``problems`` names each
-    cause so operators do not have to diff ``/stats`` to find out why.
+    service answers correctly, just without its full durability) means
+    the store circuit breaker is open/probing; ``"draining"`` means
+    shutdown is in progress and no new work is being accepted.
+    ``problems`` names each cause so operators do not have to diff
+    ``/stats`` to find out why.  A wedged member is not a health state:
+    the pool kills and respawns it, and ``/stats`` counts it under
+    ``hard_timeouts`` and ``restarts``.
     """
     status = "ok"
     problems: List[str] = []
@@ -41,12 +43,6 @@ def service_health(pool=None, *, draining: bool = False) -> Tuple[str, List[str]
         if health is not None and health.get("state") != "ok":
             status = "degraded"
             problems.append(f"store circuit breaker {health.get('state')}")
-        wedged = pool.degraded_members()
-        if wedged:
-            status = "degraded"
-            problems.append(
-                f"{wedged} pool member{'s' if wedged != 1 else ''} wedged"
-            )
     if draining:
         status = "draining"
         problems.append("shutting down: draining in-flight requests")

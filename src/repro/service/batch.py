@@ -111,10 +111,10 @@ class BatchVerifier:
 
     A thin ordered adapter over a :class:`~repro.server.pool.SessionPool`
     of ``workers`` members, built at construction and released by
-    :meth:`close` (or by leaving a ``with`` block).  The pool's ``auto``
-    mode picks the member kind: one in-process thread member at
-    ``workers=1``, else forked process members where ``fork`` exists
-    and thread members where processes cannot be created.
+    :meth:`close` (or by leaving a ``with`` block).  Each member is a
+    forked process, so a pair that wedges past its hard deadline is
+    killed with its member instead of holding the run; the pool needs the
+    ``fork`` start method.
 
     ``pipeline`` defaults to the single ``udp-prove`` tactic with traces
     off — bulk verification consumes verdicts, not proof replays.

@@ -643,11 +643,10 @@ class Session:
         """A fresh session over the same catalog and configuration.
 
         The clone shares the (read-only) catalog object but owns its own
-        compile cache, sub-session cache, and statistics — exactly what a
-        session pool needs for members that prove concurrently.  Warm
-        cache contents are *not* copied; in-process members share the
-        module-level normalize/canonize memo layers anyway, and forked
-        members inherit them copy-on-write.
+        compile cache, sub-session cache, and statistics — what a second
+        caller proving beside the original needs.  Warm cache contents
+        are *not* copied; both share the module-level normalize/canonize
+        memo layers anyway.
         """
         twin = Session(self.catalog, self.config)
         if "_program" in self.__dict__:

@@ -2,7 +2,7 @@
 
 Every test here runs under a deterministic :class:`repro.faults.FaultPlan`
 (or a controlled fake), so the failure paths — store circuit breaker,
-thread watchdog, crash-respawn, graceful drain, client retries — are
+member hard deadline, crash-respawn, graceful drain, client retries — are
 exercised reproducibly instead of hoped-for.  ``UDP_CHAOS_SEED`` picks
 the plan seed (CI runs at least two); the schedule is bit-identical per
 seed, so a failure reproduces with::
@@ -18,6 +18,7 @@ must be verdict-identical to a fault-free run.
 """
 
 import json
+import multiprocessing
 import os
 import re
 import signal
@@ -41,10 +42,16 @@ from repro.faults import (
     install_fault_plan,
     maybe_fail,
 )
-from repro.server import FrontDoorServer
+from repro.server import FrontDoorServer, SessionPool
 from repro.server.stats import jittered_retry_after, service_health
 from repro.session import Session
-from repro.store import FailoverStore, SQLiteMemoStore
+from repro.store import (
+    FailoverStore,
+    SQLiteMemoStore,
+    active_store,
+    install_shared_store,
+    open_store,
+)
 
 from tests.conftest import RS_PROGRAM
 
@@ -305,15 +312,11 @@ def test_shadow_verdicts_expire_and_replay_with_their_remaining_ttl(tmp_path):
 
 
 class _FakePool:
-    def __init__(self, health=None, wedged=0):
+    def __init__(self, health=None):
         self._health = health
-        self._wedged = wedged
 
     def store_health(self):
         return self._health
-
-    def degraded_members(self):
-        return self._wedged
 
 
 def test_service_health_reports_ok_degraded_and_draining():
@@ -323,9 +326,6 @@ def test_service_health_reports_ok_degraded_and_draining():
     )
     assert status == "degraded"
     assert any("circuit breaker" in p for p in problems)
-    status, problems = service_health(_FakePool(wedged=2))
-    assert status == "degraded"
-    assert any("2 pool members wedged" in p for p in problems)
     status, problems = service_health(_FakePool(), draining=True)
     assert status == "draining"
 
@@ -336,7 +336,7 @@ def test_retry_after_jitter_is_bounded_and_varied():
     assert len({round(v, 6) for v in values}) > 16
 
 
-# -- the thread-mode watchdog -------------------------------------------------
+# -- member hard deadline and boot-time fork failure --------------------------
 
 
 def _post_json(url, path, obj, timeout=30):
@@ -360,69 +360,122 @@ PAIR = {
 }
 
 
-def test_thread_watchdog_times_out_marks_degraded_and_recovers():
-    session = Session.from_program_text(RS_PROGRAM)
-    with FrontDoorServer(
-        session, pool_size=1, pool_mode="thread", member_timeout=0.5
-    ) as server:
-        # A clean request first, so the hang hits a warm member.
-        record = _post_json(server.url, "/verify", PAIR)
-        assert record["verdict"] == "proved"
-
-        install_fault_plan(
-            FaultPlan(
-                [FaultRule("member.hang", count=1, delay=2.0)],
-                seed=CHAOS_SEED,
-            )
-        )
-        record = _post_json(server.url, "/verify", dict(PAIR, id="wedge"))
+def test_wedged_member_does_not_poison_a_size_one_pool():
+    """A hang past the hard deadline kills and respawns the only member:
+    the wedged request answers ``timeout``, and the next one proves at
+    once instead of queueing behind a core still burning on the hang."""
+    # Installed before construction so the plan reaches the fork, then
+    # removed so the respawned member forks without it.
+    install_fault_plan(
+        FaultPlan([FaultRule("member.hang", count=1)], seed=CHAOS_SEED)
+    )
+    pool = SessionPool(
+        1, session=Session.from_program_text(RS_PROGRAM), member_timeout=0.5
+    )
+    install_fault_plan(None)
+    try:
+        record = pool.verify_json(dict(PAIR, id="wedge"))
         assert record["verdict"] == "timeout"
         assert record["reason_code"] == "budget-exhausted"
-        assert "degraded" in record["reason"]
-
-        # The wedged member is visible everywhere it should be.
-        stats = _get_json(server.url, "/stats")
-        assert stats["pool"]["degraded_members"] == 1
-        health = _get_json(server.url, "/healthz")
-        assert health["status"] == "degraded"
-        assert any("wedged" in p for p in health["problems"])
-
-        # The hang finishes; the watchdog notices the late return and
-        # puts the member back in rotation.
-        deadline = time.monotonic() + 10.0
-        while time.monotonic() < deadline:
-            stats = _get_json(server.url, "/stats")
-            if stats["pool"]["degraded_members"] == 0:
-                break
-            time.sleep(0.1)
-        assert stats["pool"]["degraded_members"] == 0
-        assert stats["pool"]["watchdog_recoveries"] == 1
-        assert _get_json(server.url, "/healthz")["status"] == "ok"
-
-        # And it proves again.
-        record = _post_json(server.url, "/verify", dict(PAIR, id="after"))
+        started = time.monotonic()
+        record = pool.verify_json(dict(PAIR, id="after"))
         assert record["verdict"] == "proved"
+        assert time.monotonic() - started < 0.5
+        stats = pool.stats()
+        assert stats["hard_timeouts"] == 1
+        assert stats["members"][0]["restarts"] == 1
+    finally:
+        pool.close()
+
+
+def test_hard_deadline_kills_a_member_that_inherited_a_sigterm_handler():
+    """``serve`` installs a SIGTERM drain handler, and every member
+    forked after that inherits it; the hard deadline must still kill a
+    wedged member instead of waiting on it forever."""
+    install_fault_plan(
+        FaultPlan(
+            [FaultRule("member.hang", count=1, delay=3.0)], seed=CHAOS_SEED
+        )
+    )
+    previous = signal.signal(signal.SIGTERM, lambda signum, frame: None)
+    try:
+        pool = SessionPool(
+            1,
+            session=Session.from_program_text(RS_PROGRAM),
+            member_timeout=0.5,
+        )
+    finally:
+        signal.signal(signal.SIGTERM, previous)
+        install_fault_plan(None)
+    try:
+        future = pool.submit_json(dict(PAIR, id="wedge"))
+        assert future.result(timeout=2.5)["verdict"] == "timeout"
+    finally:
+        pool.close()
+
+
+def test_closing_a_pool_kills_a_member_wedged_mid_request():
+    """Closing a pool while its member is wedged mid-request takes
+    bounded time, answers the in-flight request, and leaves no member
+    process behind."""
+    install_fault_plan(
+        FaultPlan(
+            [FaultRule("member.hang", count=1, delay=30.0)], seed=CHAOS_SEED
+        )
+    )
+    before = set(multiprocessing.active_children())
+    pool = SessionPool(1, session=Session.from_program_text(RS_PROGRAM))
+    install_fault_plan(None)
+    future = pool.submit_json(dict(PAIR, id="wedge"))
+    time.sleep(0.3)  # the member is inside the hang now
+    started = time.monotonic()
+    pool.close()
+    assert time.monotonic() - started < 10
+    assert future.result(timeout=10)["verdict"] == "error"
+    assert set(multiprocessing.active_children()) <= before
+
+
+def test_fork_failure_at_boot_raises_and_leaves_nothing_behind():
+    """A fork that fails while the pool is being built surfaces as the
+    construction error: the previous shared store is back in place and
+    no member process forked before the failure survives it."""
+    outer = open_store()
+    previous = install_shared_store(outer)
+    before = set(multiprocessing.active_children())
+    try:
+        # The first member forks; the second fork fails.
+        install_fault_plan(
+            FaultPlan([FaultRule("pool.fork", after=1)], seed=CHAOS_SEED)
+        )
+        with pytest.raises(OSError, match="injected fork failure"):
+            SessionPool(2, program=RS_PROGRAM, shared_store=True)
+        assert active_store() is outer
+        assert set(multiprocessing.active_children()) <= before
+    finally:
+        install_shared_store(previous)
+        outer.close()
 
 
 def test_healthz_degraded_while_store_breaker_open(tmp_path):
+    # A sick disk fails reads and writes alike (write-only failures
+    # interleaved with healthy reads never look *consecutive* to the
+    # breaker, by design).  The plan is installed before the member
+    # forks so its store sees the faults too.
+    install_fault_plan(
+        FaultPlan(
+            [FaultRule("store.read"), FaultRule("store.write")],
+            seed=CHAOS_SEED,
+        )
+    )
     session = Session.from_program_text(RS_PROGRAM)
     with FrontDoorServer(
         session,
         pool_size=1,
-        pool_mode="thread",
         store_path=str(tmp_path / "memo.db"),
     ) as server:
         assert _get_json(server.url, "/healthz")["status"] == "ok"
-        # A sick disk fails reads and writes alike (write-only failures
-        # interleaved with healthy reads never look *consecutive* to the
-        # breaker, by design).  A few proves trip it — and the service
-        # keeps answering verdicts while degraded.
-        install_fault_plan(
-            FaultPlan(
-                [FaultRule("store.read"), FaultRule("store.write")],
-                seed=CHAOS_SEED,
-            )
-        )
+        # A few proves trip the member's breaker — and the service keeps
+        # answering verdicts while degraded.
         for i in range(4):
             record = _post_json(server.url, "/verify", dict(PAIR, id=f"w{i}"))
             assert record["verdict"] == "proved"
@@ -788,7 +841,7 @@ def _fault_free_baseline():
     if not _BASELINE:
         session = Session()
         with FrontDoorServer(
-            session, pool_size=2, pool_mode="thread", max_inflight=8
+            session, pool_size=2, max_inflight=8
         ) as server:
             count, body = _corpus_jsonl()
             records = _post_batch(server.url, body)

@@ -328,7 +328,6 @@ def server():
     with FrontDoorServer(
         Session.from_program_text(RS_PROGRAM),
         pool_size=2,
-        pool_mode="thread",
         max_inflight=32,
     ) as srv:
         yield srv

@@ -109,7 +109,7 @@ def outcome_map_frontdoor():
     sharded dispatch over 2 members, forked workers + shared memo store
     where fork exists)."""
     with FrontDoorServer(
-        pipeline=PipelineConfig.legacy(), pool_size=2, pool_mode="auto"
+        pipeline=PipelineConfig.legacy(), pool_size=2
     ) as server:
         outcomes = _http_batch_outcomes(server)
         dispatch = server.pool.stats()["dispatch"]

@@ -71,11 +71,14 @@ def slow_request(n: int) -> dict:
 
 @pytest.fixture(scope="module")
 def server():
+    # No shared store: it would stay installed for the whole module, and
+    # the later tests' members would inherit it and answer their slow
+    # pairs from its verdict cache instead of holding their slots.
     with FrontDoorServer(
         Session.from_program_text(RS_PROGRAM),
         pool_size=2,
-        pool_mode="thread",
         max_inflight=32,
+        shared_store=False,
     ) as srv:
         yield srv
 
@@ -250,7 +253,6 @@ def test_proving_never_blocks_the_accept_path():
     with FrontDoorServer(
         Session.from_program_text(RS_PROGRAM),
         pool_size=1,
-        pool_mode="thread",
         max_inflight=8,
     ) as srv:
         results = []
@@ -285,7 +287,6 @@ def test_over_capacity_requests_park_fifo_and_complete():
     with FrontDoorServer(
         Session.from_program_text(RS_PROGRAM),
         pool_size=1,
-        pool_mode="thread",
         max_inflight=1,
         max_queued=8,
     ) as srv:
@@ -313,7 +314,6 @@ def test_stats_reports_parked_requests_as_admission_queued():
     with FrontDoorServer(
         Session.from_program_text(RS_PROGRAM),
         pool_size=1,
-        pool_mode="thread",
         max_inflight=1,
         max_queued=8,
     ) as srv:
@@ -336,7 +336,6 @@ def test_rate_limited_client_gets_429_with_retry_after():
     with FrontDoorServer(
         Session.from_program_text(RS_PROGRAM),
         pool_size=1,
-        pool_mode="thread",
         rate_limit=1.0,
         rate_burst=1.0,
     ) as srv:
@@ -368,7 +367,6 @@ def test_slow_loris_connection_is_dropped():
     with FrontDoorServer(
         Session.from_program_text(RS_PROGRAM),
         pool_size=1,
-        pool_mode="thread",
         idle_timeout=0.5,
     ) as srv:
         with socket.create_connection(
@@ -387,7 +385,6 @@ def test_accepts_past_max_connections_get_terse_503():
     with FrontDoorServer(
         Session.from_program_text(RS_PROGRAM),
         pool_size=1,
-        pool_mode="thread",
         max_connections=4,
         idle_timeout=30.0,
     ) as srv:
@@ -437,7 +434,6 @@ def test_holds_500_concurrent_connections():
     with FrontDoorServer(
         Session.from_program_text(RS_PROGRAM),
         pool_size=2,
-        pool_mode="thread",
         max_connections=600,
         max_inflight=64,
         idle_timeout=60.0,
@@ -488,7 +484,6 @@ def test_repeat_requests_stick_to_their_shard_member():
     with FrontDoorServer(
         Session.from_program_text(RS_PROGRAM),
         pool_size=2,
-        pool_mode="thread",
     ) as srv:
         for n in range(6):
             status, _, _ = post_verify(
@@ -509,7 +504,6 @@ def test_autoscaler_grows_under_saturation_and_reaps_idle():
     reaps it back to the base size."""
     pool = SessionPool(
         1,
-        mode="thread",
         session=Session.from_program_text(RS_PROGRAM),
         pool_max=2,
         grow_after=0.2,
@@ -568,7 +562,6 @@ def test_write_stalled_batch_reader_frees_its_admission_slot():
     with FrontDoorServer(
         Session.from_program_text(RS_PROGRAM),
         pool_size=1,
-        pool_mode="thread",
         max_inflight=1,
         idle_timeout=1.0,
     ) as srv:
@@ -623,7 +616,6 @@ def test_bytes_streamed_during_inflight_request_are_capped():
     with FrontDoorServer(
         Session.from_program_text(RS_PROGRAM),
         pool_size=1,
-        pool_mode="thread",
     ) as srv:
         body = json.dumps(
             {

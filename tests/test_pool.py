@@ -3,8 +3,8 @@
 The pool's contract has four load-bearing claims, each hammered here
 over real HTTP from many client threads:
 
-* **Verdict identity** — answers through an N-member pool (thread *and*
-  forked-process members) are verdict- and reason-code-identical to the
+* **Verdict identity** — answers through an N-member pool of forked
+  process members are verdict- and reason-code-identical to the
   single-session differential baseline (``Session.verify`` under
   :meth:`~repro.session.PipelineConfig.legacy`), per request id.
 * **No cross-talk** — every response carries exactly the id, the
@@ -18,13 +18,14 @@ over real HTTP from many client threads:
   then recovers; queued requests within the bound wait and succeed.
 
 Plus the pool-only mechanics: forked members that die mid-request are
-respawned after answering a structured error record, and process-mode
-members warm each other through the shared memo store.
+respawned after answering a structured error record, and members warm
+each other through the shared memo store.
 """
 
 from __future__ import annotations
 
 import json
+import multiprocessing
 import os
 import threading
 import time
@@ -38,7 +39,6 @@ from repro.server.pool import (
     AdmissionGate,
     SessionPool,
     default_pool_size,
-    resolve_pool_mode,
 )
 from repro.session import (
     PipelineConfig,
@@ -56,9 +56,9 @@ from tests.conftest import RS_PROGRAM
 STRESS_POOL_SIZE = max(2, int(os.environ.get("UDP_POOL_TEST_SIZE", "4")))
 CLIENT_THREADS = 8
 
-PROCESS_MODE_AVAILABLE = resolve_pool_mode("auto", 2) == "process"
 needs_fork = pytest.mark.skipif(
-    not PROCESS_MODE_AVAILABLE, reason="fork start method unavailable"
+    "fork" not in multiprocessing.get_all_start_methods(),
+    reason="fork start method unavailable",
 )
 
 # -- test-only tactics (registered before any pool forks) ---------------------
@@ -168,7 +168,6 @@ def test_stress_clients_verdict_identity_and_no_crosstalk(baseline):
     with FrontDoorServer(
         Session.from_program_text(RS_PROGRAM),
         pool_size=STRESS_POOL_SIZE,
-        pool_mode="thread",
     ) as server:
         results = []
         errors = []
@@ -221,7 +220,6 @@ def test_per_request_pipeline_isolation_under_concurrency():
     with FrontDoorServer(
         Session.from_program_text(RS_PROGRAM),
         pool_size=STRESS_POOL_SIZE,
-        pool_mode="thread",
     ) as server:
         outcomes = []
         errors = []
@@ -280,13 +278,12 @@ def test_pooled_batch_identical_to_single_member_baseline():
         return record
 
     with FrontDoorServer(
-        Session.from_program_text(RS_PROGRAM), pool_size=1, pool_mode="thread"
+        Session.from_program_text(RS_PROGRAM), pool_size=1
     ) as single:
         expected = [strip(r) for r in batch_records(single, lines)]
     with FrontDoorServer(
         Session.from_program_text(RS_PROGRAM),
         pool_size=STRESS_POOL_SIZE,
-        pool_mode="thread",
     ) as pooled:
         for window in ("", "?window=2", "?window=64"):
             got = [strip(r) for r in batch_records(pooled, lines, window)]
@@ -325,7 +322,7 @@ def test_process_pool_verdict_identity_on_corpus_subset():
         for rule in rules
     ]
     with FrontDoorServer(
-        pipeline=PipelineConfig.legacy(), pool_size=2, pool_mode="process"
+        pipeline=PipelineConfig.legacy(), pool_size=2
     ) as server:
         assert server.pool.mode == "process"
         records = batch_records(server, lines)
@@ -341,7 +338,7 @@ def test_process_pool_verdict_identity_on_corpus_subset():
 @needs_fork
 def test_dead_process_member_answers_error_and_respawns():
     pool = SessionPool(
-        1, mode="process", session=Session.from_program_text(RS_PROGRAM)
+        1, session=Session.from_program_text(RS_PROGRAM)
     )
     try:
         record = pool.verify_json(
@@ -376,7 +373,6 @@ def test_wedged_member_hard_timeout_kills_and_respawns():
     kills it, answers a structured timeout record, and respawns."""
     pool = SessionPool(
         1,
-        mode="process",
         session=Session.from_program_text(RS_PROGRAM),
         member_timeout=1.0,
         shared_store=False,
@@ -416,7 +412,7 @@ def test_wedged_member_hard_timeout_kills_and_respawns():
 
 def test_hard_deadline_derived_from_pipeline_budgets():
     pool = SessionPool(
-        1, mode="thread", session=Session.from_program_text(RS_PROGRAM)
+        1, session=Session.from_program_text(RS_PROGRAM)
     )
     try:
         derived = pool._hard_deadline({}, None)
@@ -431,7 +427,6 @@ def test_hard_deadline_derived_from_pipeline_budgets():
         pool.close()
     explicit = SessionPool(
         1,
-        mode="thread",
         session=Session.from_program_text(RS_PROGRAM),
         member_timeout=2.5,
     )
@@ -439,6 +434,7 @@ def test_hard_deadline_derived_from_pipeline_budgets():
         assert explicit._hard_deadline({}, None) == 2.5
     finally:
         explicit.close()
+    assert default_pool_size() >= 1
 
 
 @needs_fork
@@ -450,7 +446,6 @@ def test_shared_store_warms_the_sibling_member():
     repeat back to member 0; cross-member warming is what's under test.)"""
     pool = SessionPool(
         2,
-        mode="process",
         session=Session.from_program_text(RS_PROGRAM),
         shard_dispatch=False,
     )
@@ -490,7 +485,6 @@ def test_saturation_returns_structured_503_with_retry_after():
     with FrontDoorServer(
         Session.from_program_text(RS_PROGRAM),
         pool_size=1,
-        pool_mode="thread",
         max_inflight=1,
         max_queued=0,
         retry_after=7,
@@ -549,7 +543,6 @@ def test_queued_request_within_bound_waits_and_succeeds():
     with FrontDoorServer(
         Session.from_program_text(RS_PROGRAM),
         pool_size=1,
-        pool_mode="thread",
         max_inflight=1,
         max_queued=1,
     ) as server:
@@ -658,39 +651,3 @@ def test_rate_limit_answers_rate_limited_with_retry_after():
     snapshot = gate.snapshot()
     assert snapshot["rate_limited"] >= 1
     assert snapshot["rate_limit"] == 2.0
-
-
-def test_thread_mode_multi_member_pool_warns_about_isolation(caplog):
-    """Thread members share the GIL and cannot be hard-killed on a
-    wedged prove — a multi-member thread pool must say so loudly at
-    construction instead of silently offering less isolation than the
-    flags imply."""
-    import logging
-
-    with caplog.at_level(logging.WARNING, logger="repro.server.pool"):
-        pool = SessionPool(2, mode="thread", program=RS_PROGRAM)
-        pool.close()
-    assert any(
-        "cannot be hard-killed" in record.message for record in caplog.records
-    ), caplog.records
-
-    caplog.clear()
-    with caplog.at_level(logging.WARNING, logger="repro.server.pool"):
-        pool = SessionPool(1, mode="thread", program=RS_PROGRAM)
-        pool.close()
-    assert not any(
-        "cannot be hard-killed" in record.message for record in caplog.records
-    ), "a single-member thread pool has no isolation gap to warn about"
-
-
-# -- mode resolution ----------------------------------------------------------
-
-
-def test_pool_mode_resolution():
-    assert resolve_pool_mode("thread", 8) == "thread"
-    assert resolve_pool_mode("auto", 1) == "thread"
-    if PROCESS_MODE_AVAILABLE:
-        assert resolve_pool_mode("auto", 2) == "process"
-    with pytest.raises(ValueError, match="unknown pool mode"):
-        resolve_pool_mode("fibers", 2)
-    assert default_pool_size() >= 1

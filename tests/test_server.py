@@ -97,7 +97,7 @@ def test_healthz(server):
     assert payload["status"] == "ok"
     assert payload["uptime_seconds"] >= 0
     assert payload["pool_size"] == 1
-    assert payload["pool_mode"] in ("thread", "process")
+    assert payload["pool_mode"] == "process"
 
 
 def test_unknown_route_is_structured_404(server):

@@ -37,7 +37,6 @@ def server():
     with FrontDoorServer(
         Session.from_program_text(RS_PROGRAM, PipelineConfig.legacy()),
         pool_size=2,
-        pool_mode="thread",
     ) as srv:
         yield srv
 

@@ -19,7 +19,7 @@ import urllib.request
 import pytest
 
 from repro.server import FrontDoorServer
-from repro.server.pool import SessionPool, resolve_pool_mode
+from repro.server.pool import SessionPool
 from repro.session import PipelineConfig, Session
 from repro.store import (
     FailoverStore,
@@ -30,7 +30,7 @@ from repro.store import (
 from repro.store.sqlite import DECISION_VERSION
 
 needs_fork = pytest.mark.skipif(
-    resolve_pool_mode("auto", 2) != "process",
+    "fork" not in multiprocessing.get_all_start_methods(),
     reason="fork start method unavailable",
 )
 
@@ -325,7 +325,6 @@ def test_process_pool_members_share_one_database(tmp_path):
     path = str(tmp_path / "pool.sqlite")
     pool = SessionPool(
         2,
-        mode="process",
         pipeline=PipelineConfig.legacy(),
         store_path=path,
     )
