@@ -11,7 +11,7 @@ Two claims from the front-door PR are measured against a live
    4-member process pools serve the same replay, one with
    ``shard_dispatch`` on (repeats land on the member whose caches are
    already hot for that digest) and one with it off (the LRU fallback
-   spreads repeats round-robin).  The shared memo store is disabled for
+   spreads repeats round-robin).  The shared store is disabled for
    both so cross-member warming cannot mask dispatch locality: what a
    member has not compiled itself, it must compile again.  The metric
    is the *compile hit rate* — the fraction of replayed requests whose

@@ -13,7 +13,7 @@ ephemeral port:
 * **Baseline** — ``pool_size=1`` (one forked member: the old single-lock
   server's behavior).
 * **Candidate** — ``pool_size=N`` (default: one per core) forked members
-  sharing the memo store.
+  sharing the store's verdict cache.
 * **Cold start** — each server boots after ``clear_caches()``, so its
   members fork from a parent holding no memo entries from the other
   run: the ratio measures parallelism, not inherited cache.

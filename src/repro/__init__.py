@@ -73,8 +73,8 @@ Public surface:
 * :mod:`repro.server` — the long-lived HTTP verification service
   (``udp-prove serve``: ``POST /verify``, streamed ``POST /verify/batch``,
   ``GET /healthz``/``/stats``) over a pool of warm sessions, stdlib-only;
-* :mod:`repro.store` — the durable SQLite memo + verdict store
-  (:func:`~repro.store.open_store`, installed with
+* :mod:`repro.store` — the durable SQLite verdict cache and
+  cluster-group index (:func:`~repro.store.open_store`, installed with
   :func:`~repro.store.install_shared_store`) that pool members, batch
   runs and restarts share.
 """

@@ -77,7 +77,7 @@ DIGEST_MIN_VARS = 4
 #
 # Colors are run-stable hex digests (fingerprint of small tuples of
 # strings), so they sort deterministically and agree across processes —
-# the same property that lets them seed shared-store memo keys.
+# the same property that lets them key the durable cluster-group index.
 
 _HOLE = "•"  # the variable whose neighborhood is being described
 _FREE = "φ"  # a free (outer) variable, identified by its literal name
@@ -421,8 +421,8 @@ def term_digest(term: NormalTerm) -> str:
 
     Equal digests exhibit a binder bijection making the two terms
     byte-identical, so digest equality soundly short-circuits TDP; the
-    digests also key the decision-procedure memo layers, in-process and
-    in the cross-process shared store (:mod:`repro.store`).
+    digests also key the match memo and, through :func:`form_digest`,
+    the durable cluster-group index (:mod:`repro.service.clustering`).
     """
     cached = term.__dict__.get("_canon_digest")
     if cached is not None:

@@ -63,6 +63,17 @@ class UnsupportedFeatureError(CompileError):
     """
 
 
+class InputLimitError(UnsupportedFeatureError):
+    """Raised when a query nests or chains past the parser's input caps.
+
+    The caps (:data:`repro.sql.parser.MAX_NESTING_DEPTH`,
+    :data:`repro.sql.parser.MAX_CHAIN_TERMS`) keep every later recursive
+    stage inside Python's stack; a capped input is answered
+    ``unsupported`` with the ``input-limit`` reason code instead of
+    overflowing into an internal error.
+    """
+
+
 class EvaluationError(ReproError):
     """Raised by the concrete bag-semantics engine for runtime errors."""
 

@@ -161,7 +161,7 @@ def build_batch_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--store", metavar="PATH",
         help=(
-            "durable memo + verdict-cache store at this path; a batch "
+            "durable verdict-cache store at this path; a batch "
             "re-run over the same store answers repeated pairs from the "
             "verdict cache without re-proving"
         ),
@@ -265,9 +265,9 @@ def run_cluster(argv: List[str]) -> int:
         lines = close_input
     store = previous_store = None
     if args.store:
-        # Installed as the shared memo store too, so residual decisions
-        # benefit from the durable memo/verdict layers alongside the
-        # durable group index.
+        # Installed as the shared store too, so residual decisions
+        # benefit from the durable verdict cache alongside the durable
+        # group index.
         store = open_store(args.store)
         previous_store = install_shared_store(store)
     engine = ClusterEngine(
@@ -411,8 +411,8 @@ def build_serve_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--no-shared-store", action="store_true",
         help=(
-            "disable the cross-process shared memo store (members then "
-            "keep private caches)"
+            "disable the cross-process shared verdict cache (members "
+            "then keep private caches)"
         ),
     )
     parser.add_argument(
@@ -672,8 +672,8 @@ def run_batch(argv: List[str]) -> int:
     except ValueError as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
-    # The pool installs the store as the shared memo and verdict-cache
-    # store before its members fork, so a re-run over the same store
+    # The pool installs the store as the shared verdict-cache store
+    # before its members fork, so a re-run over the same store
     # answers repeated pairs without re-proving.
     store = open_store(args.store) if args.store else None
     try:

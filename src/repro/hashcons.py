@@ -81,9 +81,9 @@ def cached_structural_hash(cls):
         # labeling caches (`_canonical` is a whole renamed twin of the
         # node, `_refined_colors` a per-binder color map) are stripped
         # too — not for correctness (they are run-stable) but for size:
-        # carrying them would roughly double every value published to
-        # the cross-process shared memo store.  `_canon_digest` is one
-        # small hex string and rides along.
+        # carrying them would roughly double every pickled term (a copy,
+        # or a value put into the store's memo map).  `_canon_digest` is
+        # one small hex string and rides along.
         state = dict(self.__dict__)
         state.pop("_hash", None)
         state.pop("_canonical", None)
@@ -342,7 +342,7 @@ def cache_stats() -> Dict[str, Dict[str, int]]:
 # whenever a dead member is respawned — from a parent that may have other
 # threads mid-proof.  fork() copies every lock in whatever state it is
 # in, so a child forked while another thread held a cache lock (or the
-# shared store's lock) would deadlock on its first memo access.  The
+# installed store's lock) would deadlock on its first memo access.  The
 # at-fork handlers below serialize forks and hold every such lock across
 # the fork, so the child always inherits them released.
 
@@ -397,9 +397,9 @@ def clear_caches() -> None:
     Required whenever cached inputs change meaning out-of-band — e.g. a
     catalog mutated in place after solving started (constraint digests
     enter memo keys, but schema objects reachable from cached forms do
-    not re-verify themselves).  Also invalidates the installed
-    cross-process shared memo store (:mod:`repro.store`), if
-    any — its epoch bump propagates the clear to every pool member.
+    not re-verify themselves).  Also clears the installed store
+    (:mod:`repro.store`), if any, verdict cache included — its epoch
+    bump propagates the clear to every pool member.
     """
     for cache in _CACHE_REGISTRY.values():
         cache.clear()

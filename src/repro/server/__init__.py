@@ -7,7 +7,8 @@ loop holding thousands of connections over a :class:`SessionPool` of
 warm per-catalog :class:`~repro.session.Session` members — hot compile
 caches, program-text sub-sessions, the normalize/canonize memo layers,
 each member in its own forked process, and (with more than one member)
-a cross-process shared store that lets members warm each other.  Requests dispatch by consistent-hashed digest, so
+one durable store whose verdict cache every member shares.  Requests
+dispatch by consistent-hashed digest, so
 each member's caches stay hot for its shard.  Six routes carry the
 structured request/result wire format:
 

@@ -5,10 +5,10 @@ but one core.  The UDP decision procedure is embarrassingly parallel
 across query pairs, so this module replaces the lock with a
 :class:`SessionPool`: N warm per-catalog :class:`~repro.session.Session`
 members, an idle queue that hands each work item to exactly one member,
-and a shared cross-process memo store (:func:`repro.store.open_store`,
-installed via :func:`repro.store.install_shared_store`) so members warm
-each other's normalize/canonize caches instead of each owning a cold
-private LRU.
+and one durable store (:func:`repro.store.open_store`, installed via
+:func:`repro.store.install_shared_store`) whose verdict cache every
+member shares: a pair one member proved is a cache hit on every other.
+The normalize/canonize/match memos stay private to each member.
 
 Members
 -------
@@ -498,8 +498,8 @@ class SessionPool:
     :class:`~repro.session.PipelineConfig`, or ``program`` text.  The
     pool owns an idle queue (each member serves exactly one work item at
     a time — no cross-talk by construction), a dispatcher executor for
-    batch fan-out, and optionally the shared memo store its members warm
-    each other through.  Every member is a forked process: construction
+    batch fan-out, and optionally the durable store whose verdict cache
+    its members share.  Every member is a forked process: construction
     raises ``ValueError`` where the platform has no ``fork`` start
     method, and a fork that fails while the pool is built is re-raised
     after the members already forked are reaped and the previous shared

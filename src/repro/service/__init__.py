@@ -35,10 +35,7 @@ The service leans on two cache layers beneath it (see
 :mod:`repro.hashcons`):
 
 * ``normalize`` — keyed by the U-expression's structural identity
-  (cached per-node hashes make the in-process lookup near-free); the
-  run-stable BLAKE2b ``fingerprint()`` is the digest equivalent of that
-  key for anything that must cross a worker or run boundary, where the
-  per-process-salted built-in ``hash`` is unusable;
+  (cached per-node hashes make the in-process lookup near-free);
 * ``canonize`` — keyed by *(form structure × constraint digest ×
   schema-env × squash-invariance flag)*.  The constraint digest
   (:meth:`repro.constraints.model.ConstraintSet.digest`) is

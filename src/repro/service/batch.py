@@ -118,7 +118,7 @@ class BatchVerifier:
 
     ``pipeline`` defaults to the single ``udp-prove`` tactic with traces
     off — bulk verification consumes verdicts, not proof replays.
-    ``store`` is a durable store the pool installs as the shared memo and
+    ``store`` is a durable store the pool installs as the shared
     verdict-cache store until :meth:`close` puts the previous one back;
     the caller keeps ownership and closes it.  Without one the pool runs
     with no shared store.

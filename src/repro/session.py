@@ -44,7 +44,7 @@ from typing import (
 )
 
 from repro.constraints.model import ConstraintSet, constraints_from_catalog
-from repro.errors import ReproError, UnsupportedFeatureError
+from repro.errors import InputLimitError, ReproError, UnsupportedFeatureError
 from repro.hashcons import LRUCache, fingerprint, memoization_enabled
 from repro.sql.ast import Query
 from repro.sql.desugar import desugar_query
@@ -486,7 +486,13 @@ def _tactic_model_check(
 #   reformatted-but-identical submissions; hits backfill the text tier.
 #
 # Epoch invalidation is the store's: ``repro.clear_caches()`` bumps the
-# store epoch in every process, emptying both tiers with the memo map.
+# store epoch in every process, emptying both tiers.
+
+
+def _unsupported_reason(error: Exception) -> str:
+    if isinstance(error, RecursionError):
+        return f"input nests too deeply for the prover ({error})"
+    return str(error)
 
 
 def _config_digest(config: PipelineConfig) -> str:
@@ -928,15 +934,35 @@ class Session:
                 reason=f"{type(error).__name__}: {error}",
                 elapsed_seconds=time.monotonic() - started,
             )
+        denot_key = None
         try:
             left_denotation = owner.compile(request.left)
             right_denotation = owner.compile(request.right)
-        except UnsupportedFeatureError as unsupported:
+            if use_cache:
+                # The structural tier: run-stable denotation fingerprints
+                # × the constraint-set digest × the pipeline knobs.
+                # Catches the same pair under a reformatted program.
+                denot_key = _verdict_key(
+                    "denot",
+                    fingerprint(left_denotation),
+                    fingerprint(right_denotation),
+                    owner.constraint_set().digest(),
+                    _config_digest(config),
+                    repr(request.timeout_seconds),
+                )
+        except (UnsupportedFeatureError, RecursionError) as unsupported:
+            # Past the parser's caps, or deep enough to overflow the
+            # stack anyway (nesting and chains multiply): input-limit.
+            limit = isinstance(unsupported, (InputLimitError, RecursionError))
             result = VerifyResult(
                 request_id=request.request_id,
                 verdict=Verdict.UNSUPPORTED,
-                reason_code=ReasonCode.UNSUPPORTED_FEATURE,
-                reason=str(unsupported),
+                reason_code=(
+                    ReasonCode.INPUT_LIMIT
+                    if limit
+                    else ReasonCode.UNSUPPORTED_FEATURE
+                ),
+                reason=_unsupported_reason(unsupported),
                 elapsed_seconds=time.monotonic() - started,
             )
             # Parse/compile rejections are deterministic — cache them at
@@ -965,20 +991,9 @@ class Session:
                 reason=f"{type(error).__name__}: {error}",
                 elapsed_seconds=time.monotonic() - started,
             )
-        denot_key = None
-        if use_cache:
-            # The structural tier: run-stable denotation fingerprints ×
-            # the constraint-set digest × the pipeline knobs.  Catches
-            # the same pair under a reformatted program; a hit here
-            # backfills the text tier so the next replay skips parsing.
-            denot_key = _verdict_key(
-                "denot",
-                fingerprint(left_denotation),
-                fingerprint(right_denotation),
-                owner.constraint_set().digest(),
-                _config_digest(config),
-                repr(request.timeout_seconds),
-            )
+        if denot_key is not None:
+            # A hit here backfills the text tier so the next replay
+            # skips parsing.
             cached = self._replay_cached(denot_key, request, started)
             if cached is not None:
                 self._store_cached(text_key, cached)
@@ -1017,6 +1032,16 @@ class Session:
             _TACTIC_INVOCATIONS += 1
             try:
                 outcome = _TACTICS[name](self, task, config)
+            except RecursionError as error:
+                return VerifyResult(
+                    request_id=request_id,
+                    verdict=Verdict.UNSUPPORTED,
+                    reason_code=ReasonCode.INPUT_LIMIT,
+                    reason=f"{name}: {_unsupported_reason(error)}",
+                    tactic=name,
+                    tactics_tried=tuple(tried),
+                    elapsed_seconds=time.monotonic() - started,
+                )
             except Exception as error:  # noqa: BLE001 - isolation contract
                 return VerifyResult(
                     request_id=request_id,

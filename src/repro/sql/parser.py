@@ -9,13 +9,17 @@ Two entry points:
 The parser is a classical recursive-descent parser over the token stream from
 :mod:`repro.sql.lexer`, with one spot of bounded backtracking to disambiguate
 parenthesised predicates from parenthesised expressions.
+
+Two input caps keep resolution, compilation and normalization — all
+recursive over the tree the parser builds — inside Python's stack.  An
+input past either raises :class:`~repro.errors.InputLimitError`.
 """
 
 from __future__ import annotations
 
 from typing import List, Optional, Tuple
 
-from repro.errors import ParseError
+from repro.errors import InputLimitError, ParseError
 from repro.sql.ast import (
     AggCall,
     AndPred,
@@ -61,9 +65,36 @@ from repro.sql.schema import Attribute, Schema
 #: Comparison operators; ``=``/``<>`` are interpreted, the rest opaque.
 COMPARISON_OPS = ("=", "<>", "<", "<=", ">", ">=")
 
+#: Deepest parenthesis nesting accepted; every subquery sits in its own
+#: parentheses, so this also caps subquery nesting.  The 91-rule corpus
+#: nests at most 2 deep; without the cap, 200 nested subqueries
+#: overflowed the stack (150 still proved).
+MAX_NESTING_DEPTH = 32
+
+#: Most terms accepted in one ``AND`` or ``OR`` chain.  The corpus
+#: maximum is 6 (an ``AND`` chain; it has no ``OR``); without the cap an
+#: ``OR`` chain overflowed the stack at 300 terms and an ``AND`` chain
+#: at 1000.
+MAX_CHAIN_TERMS = 64
+
+
+def _check_nesting(tokens: List[Token]) -> None:
+    depth = 0
+    for token in tokens:
+        if token.kind == "LPAREN":
+            depth += 1
+            if depth > MAX_NESTING_DEPTH:
+                raise InputLimitError(
+                    f"parentheses nest deeper than {MAX_NESTING_DEPTH} "
+                    f"(line {token.line}, column {token.column})"
+                )
+        elif token.kind == "RPAREN":
+            depth -= 1
+
 
 class _Parser:
     def __init__(self, tokens: List[Token]) -> None:
+        _check_nesting(tokens)
         self._tokens = tokens
         self._pos = 0
 
@@ -374,17 +405,34 @@ class _Parser:
 
     def _or_pred(self) -> Pred:
         left = self._and_pred()
+        terms = 1
         while self._accept_keyword("or"):
+            terms = self._count_chain_term(terms, "OR")
             right = self._and_pred()
             left = OrPred(left, right)
         return left
 
     def _and_pred(self) -> Pred:
         left = self._not_pred()
+        terms = 1
         while self._accept_keyword("and"):
+            terms = self._count_chain_term(terms, "AND")
             right = self._not_pred()
             left = AndPred(left, right)
         return left
+
+    def _count_chain_term(self, terms: int, op: str) -> int:
+        if terms >= MAX_CHAIN_TERMS:
+            token = self._peek()
+            where = (
+                f" (line {token.line}, column {token.column})"
+                if token is not None
+                else ""
+            )
+            raise InputLimitError(
+                f"{op} chain longer than {MAX_CHAIN_TERMS} terms{where}"
+            )
+        return terms + 1
 
     def _not_pred(self) -> Pred:
         if self._at_keyword("not"):

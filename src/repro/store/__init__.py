@@ -1,4 +1,4 @@
-"""The durable shared store and the hooks the memo layers call into it.
+"""The durable shared store and the verdict-cache hooks.
 
 One backend: :class:`repro.store.sqlite.SQLiteMemoStore`, a WAL-mode
 SQLite database with concurrent readers, ``busy_timeout``-queued writers,
@@ -10,26 +10,24 @@ recorded under another :data:`repro.store.sqlite.DECISION_VERSION` is
 cleared when opened, so no entry of an older decision procedure is
 replayed.
 
-The normalize/canonize/tdp memo layers (:mod:`repro.usr.spnf`,
-:mod:`repro.udp.canonize`, :mod:`repro.udp.decide`) are per-process LRU
-dicts: fast, but private.  A session pool that forks one worker per core
-would otherwise pay the cold path once *per member*.  The hooks below
-are the cross-process second level: install a store with
-:func:`install_shared_store`, and the memo layers call
-:func:`shared_memo_get` / :func:`shared_memo_put` on their private-LRU
-misses, keyed on the run-stable :func:`repro.hashcons.fingerprint`
-digests — the only keys that mean the same thing in every process
-regardless of ``PYTHONHASHSEED``.  :meth:`repro.session.Session.verify`
-consults :func:`verdict_cache_get` before running any tactic and
-publishes with :func:`verdict_cache_put`.  With no store installed every
-hook is a no-op, and a store that raises never breaks proving.
+The decision procedure is a pure function of a query pair and its
+constraints, so the verdict is the one result worth sharing between
+processes.  The normalize/canonize/tdp memo layers
+(:mod:`repro.usr.spnf`, :mod:`repro.udp.canonize`,
+:mod:`repro.udp.decide`) stay private per-process LRUs.  Install a store
+with :func:`install_shared_store`;
+:meth:`repro.session.Session.verify` then consults
+:func:`verdict_cache_get` before running any tactic and publishes with
+:func:`verdict_cache_put`.  A store installed before ``fork`` is
+inherited, which is how a session pool's members share one verdict
+cache.  With no store installed every hook is a no-op, and a store that
+raises never breaks proving.
 """
 
 from __future__ import annotations
 
 from typing import Any, Mapping, Optional
 
-from repro.hashcons import fingerprint
 from repro.store.failover import FailoverStore
 from repro.store.sqlite import (
     DEFAULT_NEGATIVE_TTL,
@@ -54,7 +52,7 @@ def open_store(path: Optional[str] = None, **kwargs) -> FailoverStore:
 
 
 # ---------------------------------------------------------------------------
-# The installed store and the memo-layer hooks
+# The installed store
 # ---------------------------------------------------------------------------
 
 #: The installed store: an :func:`open_store` result, a bare
@@ -63,12 +61,12 @@ _ACTIVE: Optional[Any] = None
 
 
 def install_shared_store(store: Optional[Any]) -> Optional[Any]:
-    """Make ``store`` the process's active second-level memo (or ``None``
-    to uninstall).  Returns the previously installed store.  A store
+    """Make ``store`` the process's active store (or ``None`` to
+    uninstall).  Returns the previously installed store.  A store
     installed before ``fork`` is inherited — exactly how a session pool
-    arranges for its members to share one database.  Any object with the
-    ``get``/``put``/``clear`` surface works; one that also has
-    ``supports_verdicts`` enables the verdict cache.
+    arranges for its members to share one verdict cache.  Any object
+    with ``clear`` works; one that also has ``supports_verdicts`` and the
+    ``verdict_get``/``verdict_put`` surface enables the verdict cache.
     """
     global _ACTIVE
     previous = _ACTIVE
@@ -78,33 +76,6 @@ def install_shared_store(store: Optional[Any]) -> Optional[Any]:
 
 def active_store() -> Optional[Any]:
     return _ACTIVE
-
-
-def shared_memo_get(namespace: str, key_obj: Any) -> Optional[Any]:
-    """Second-level lookup for a memo layer; ``None`` when absent/off.
-
-    The key is the run-stable fingerprint of ``key_obj`` under a
-    per-layer namespace, so the normalize and canonize layers can never
-    collide even on structurally identical key objects.
-    """
-    store = _ACTIVE
-    if store is None:
-        return None
-    try:
-        return store.get(namespace + ":" + fingerprint(key_obj))
-    except Exception:  # noqa: BLE001 - the store must never break proving
-        return None
-
-
-def shared_memo_put(namespace: str, key_obj: Any, value: Any) -> None:
-    """Publish a freshly computed memo value to the active store."""
-    store = _ACTIVE
-    if store is None:
-        return
-    try:
-        store.put(namespace + ":" + fingerprint(key_obj), value)
-    except Exception:  # noqa: BLE001 - the store must never break proving
-        pass
 
 
 def clear_active_store() -> None:
@@ -182,8 +153,6 @@ __all__ = [
     "clear_active_store",
     "install_shared_store",
     "open_store",
-    "shared_memo_get",
-    "shared_memo_put",
     "verdict_cache_enabled",
     "verdict_cache_get",
     "verdict_cache_put",

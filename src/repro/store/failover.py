@@ -15,11 +15,11 @@ an explicit error boundary with circuit-breaker state:
     the circuit.
 
 ``degraded``
-    The breaker is open: operations are served from a private in-memory
-    shadow view (puts land there, gets read from there) without touching
-    the sick backend at all — serving never 500s and never waits on a
-    dead disk; verdicts stay correct, they are just no longer durable or
-    shared.  Shadow verdicts keep the TTL they were written with: an
+    The breaker is open: verdict-cache operations are served from a
+    private in-memory shadow view (puts land there, gets read from
+    there) without touching the sick backend at all — serving never
+    500s and never waits on a dead disk; verdicts stay correct, they
+    are just no longer durable or shared.  Shadow verdicts keep the TTL they were written with: an
     expired ``timeout`` or ``not_proved`` record is a miss here exactly
     as it would be in the backend.  The degradation is **loud**: a
     warning log on every trip, and ``health()`` (surfaced under
@@ -35,10 +35,13 @@ an explicit error boundary with circuit-breaker state:
     verdicts carry the TTL they have left; expired ones are not
     replayed.
 
-Group operations (the clustering index) are *not* shadowed: the cluster
-engine keeps its own authoritative in-memory partition, so while
-degraded the durable group index simply pauses (lookups miss, inserts
-drop) and resumes when the circuit closes.
+The verdict cache is the only cross-process cache the prover uses, so it
+is the only shadowed surface.  The backend's memo map
+(:meth:`SQLiteMemoStore.get`/``put``) has no caller in the prover and is
+not wrapped here.  Group operations (the clustering index) are *not*
+shadowed: the cluster engine keeps its own authoritative in-memory
+partition, so while degraded the durable group index simply pauses
+(lookups miss, inserts drop) and resumes when the circuit closes.
 
 Fault injection: the chaos suite's ``store.read``/``store.write``
 points (:mod:`repro.faults`) fire inside this wrapper, upstream of the
@@ -60,7 +63,7 @@ from repro.faults import maybe_fail
 
 _LOG = logging.getLogger("repro.store.failover")
 
-#: Shadow-view entry caps while degraded: enough to keep a busy window
+#: Shadow-view entry cap while degraded: enough to keep a busy window
 #: warm, bounded so an extended outage cannot eat the heap.
 _SHADOW_MAX_ENTRIES = 50_000
 
@@ -105,7 +108,6 @@ class FailoverStore:
         self.replayed = 0
         self.replay_dropped = 0
         self.last_error: Optional[str] = None
-        self._shadow: Dict[str, Any] = {}
         #: key → (record, expiry on ``clock`` or ``None`` for never).
         self._shadow_verdicts: Dict[str, _ShadowVerdict] = {}
 
@@ -150,9 +152,7 @@ class FailoverStore:
                 )
 
     def _record_success(self) -> None:
-        replay: Optional[
-            Tuple[List[Tuple[str, Any]], List[Tuple[str, _ShadowVerdict]]]
-        ] = None
+        replay: Optional[List[Tuple[str, _ShadowVerdict]]] = None
         with self._lock:
             self._consecutive = 0
             if self._state == "recovering":
@@ -165,38 +165,23 @@ class FailoverStore:
                     else 0.0
                 )
                 self._opened_at = None
-                replay = (
-                    list(self._shadow.items()),
-                    list(self._shadow_verdicts.items()),
-                )
-                self._shadow = {}
+                replay = list(self._shadow_verdicts.items())
                 self._shadow_verdicts = {}
                 _LOG.warning(
                     "store circuit breaker CLOSED after %.1fs degraded; "
-                    "replaying %d memo + %d verdict shadow entries",
+                    "replaying %d verdict shadow entries",
                     outage,
-                    len(replay[0]),
-                    len(replay[1]),
+                    len(replay),
                 )
         if replay is not None:
-            self._replay(*replay)
+            self._replay(replay)
 
-    def _replay(
-        self,
-        memos: List[Tuple[str, Any]],
-        verdicts: List[Tuple[str, _ShadowVerdict]],
-    ) -> None:
-        """Push shadow writes into the recovered backend, best effort.
+    def _replay(self, verdicts: List[Tuple[str, _ShadowVerdict]]) -> None:
+        """Push shadow verdicts into the recovered backend, best effort.
 
         A verdict goes back with the TTL it has left, so an outage never
         extends a transient verdict's life; one already expired is gone.
         """
-        for key, value in memos:
-            try:
-                self.inner.put(key, value)
-                self.replayed += 1
-            except Exception:  # noqa: BLE001 - replay is best effort
-                self.replay_dropped += 1
         if not self.supports_verdicts:
             return
         now = self._clock()
@@ -207,7 +192,7 @@ class FailoverStore:
             try:
                 self.inner.verdict_put(key, record, ttl)
                 self.replayed += 1
-            except Exception:  # noqa: BLE001
+            except Exception:  # noqa: BLE001 - replay is best effort
                 self.replay_dropped += 1
 
     def _call(
@@ -243,36 +228,6 @@ class FailoverStore:
             return fallback()
         self._record_success()
         return result
-
-    # -- the memo map --------------------------------------------------------
-
-    def get(self, key: str) -> Optional[Any]:
-        return self._call(
-            "read", "get", lambda: self.inner.get(key),
-            lambda: self._shadow.get(key),
-        )
-
-    def put(self, key: str, value: Any) -> None:
-        def shadow_put() -> None:
-            with self._lock:
-                if len(self._shadow) < _SHADOW_MAX_ENTRIES:
-                    self._shadow[key] = value
-
-        return self._call(
-            "write", "put", lambda: self.inner.put(key, value), shadow_put
-        )
-
-    def clear(self) -> None:
-        with self._lock:
-            self._shadow.clear()
-            self._shadow_verdicts.clear()
-        return self._call("write", "clear", self.inner.clear, lambda: None)
-
-    def __len__(self) -> int:
-        try:
-            return len(self.inner)
-        except Exception:  # noqa: BLE001
-            return len(self._shadow)
 
     # -- the verdict cache ---------------------------------------------------
 
@@ -369,6 +324,11 @@ class FailoverStore:
 
     # -- plumbing ------------------------------------------------------------
 
+    def clear(self) -> None:
+        with self._lock:
+            self._shadow_verdicts.clear()
+        return self._call("write", "clear", self.inner.clear, lambda: None)
+
     def forget_descriptor(self) -> None:
         try:
             self.inner.forget_descriptor()
@@ -400,7 +360,7 @@ class FailoverStore:
                 "consecutive_failures": self._consecutive,
                 "recoveries": self.recoveries,
                 "last_error": self.last_error,
-                "shadow_entries": len(self._shadow) + len(self._shadow_verdicts),
+                "shadow_entries": len(self._shadow_verdicts),
                 "shadow_serves": self.shadow_serves,
                 "replayed": self.replayed,
                 "replay_dropped": self.replay_dropped,

@@ -1,20 +1,23 @@
-"""A durable SQLite-backed memo + verdict store (WAL mode).
+"""A durable SQLite-backed verdict store (WAL mode).
 
-The memo layers and the verdict cache need a second level that outlives
-any one process and that every process can share.  This module provides
-it as one SQLite database opened in WAL mode with a ``busy_timeout``, so
-any number of processes — pool members, batch runs, CLI one-shots —
-share one store with concurrent readers and a single queued writer, and
-the store *outlives* them all.  Being a database, it can also expire
-entries and answer structured questions ("how many proved verdicts have
-we ever served?").
+The verdict cache and the cluster-group index need a level that
+outlives any one process and that every process can share.  This module
+provides it as one SQLite database opened in WAL mode with a
+``busy_timeout``, so any number of processes — pool members, batch
+runs, CLI one-shots — share one store with concurrent readers and a
+single queued writer, and the store *outlives* them all.  Being a
+database, it can also expire entries and answer structured questions
+("how many proved verdicts have we ever served?").
 
 Three maps live in the database:
 
-* ``memo`` — the run-stable fingerprint → pickled-value map consumed by
-  the normalize/canonize/tdp memo layers through
-  :func:`repro.store.shared_memo_get` /
-  :func:`~repro.store.shared_memo_put`.
+* ``memo`` — a key → pickled-value map (:meth:`SQLiteMemoStore.get` /
+  :meth:`~SQLiteMemoStore.put`).  The prover no longer reads or writes
+  it: its normalize/canonize/tdp memos are private per-process LRUs,
+  and only verdicts cross processes.  The map is kept as public API of
+  this exported class and because the repo benchmark's span table
+  (``perfbench/spans.py``) wraps ``get``/``put`` by name; rows left by
+  older stores are simply never read.
 * ``verdicts`` — the top-level verdict cache: cache key → full JSON
   verdict record (:meth:`repro.session.VerifyResult.to_json` shape),
   plus the verdict / reason-code columns that power the historical
@@ -130,14 +133,14 @@ CREATE TABLE IF NOT EXISTS groups (
 
 
 class SQLiteMemoStore:
-    """Durable fingerprint → value map plus verdict cache over SQLite.
+    """Durable verdict cache, group index and memo map over SQLite.
 
-    The memo surface (``get``/``put``/``clear``/``stats``/
-    ``forget_descriptor``/``close``) is what
-    :func:`repro.store.install_shared_store` needs; the verdict-cache
-    surface (``verdict_get``/``verdict_put``/``verdict_stats``) is what
-    :meth:`repro.session.Session.verify` consults before running any
-    tactic.  ``path=None`` creates (and owns, i.e. unlinks on
+    :meth:`repro.session.Session.verify` consults the verdict-cache
+    surface (``verdict_get``/``verdict_put``/``verdict_stats``) before
+    running any tactic; :class:`repro.service.clustering.ClusterEngine`
+    uses the ``group_*`` surface.  The memo map (``get``/``put``) has no caller
+    in the prover; it stays as public API and as a name the benchmark's
+    span table pins.  ``path=None`` creates (and owns, i.e. unlinks on
     :meth:`close`) a temporary database; pass an explicit path to share
     a store between independently started processes — and to keep it
     across restarts, which is the whole point.
@@ -281,7 +284,7 @@ class SQLiteMemoStore:
             (name,),
         )
 
-    # -- the memo map ------------------------------------------------------
+    # -- the memo map (no prover caller; see the class docstring) ---------
 
     def get(self, key: str) -> Optional[Any]:
         """The stored value, or ``None``.  (``None`` is not storable.)"""

@@ -24,14 +24,12 @@ normalized/canonized and its binders renamed canonically, implementing
 
 from __future__ import annotations
 
-import threading
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro.constraints.model import ConstraintSet
 from repro.hashcons import LRUCache, memoization_enabled
 from repro.logic.congruence import CongruenceClosure
 from repro.sql.schema import Schema
-from repro.store import shared_memo_get, shared_memo_put
 from repro.udp.trace import ProofTrace
 from repro.usr.predicates import AtomPred, EqPred, NePred, Predicate
 from repro.usr.spnf import (
@@ -72,12 +70,6 @@ _CANONIZE_CACHE = LRUCache("canonize", maxsize=4096)
 #: constraint digest, sorted schemas of the aggregate's free variables)``.
 _CANONICAL_AGG_CACHE = LRUCache("canonize-agg", maxsize=4096)
 
-#: Recursion depth per thread; the shared cross-process store is only
-#: consulted/fed for root forms (see the twin note in
-#: :mod:`repro.usr.spnf` — inner squash/negation recursion is subsumed
-#: by the root entry).
-_STORE_DEPTH = threading.local()
-
 
 def canonize_form(
     form: NormalForm,
@@ -92,7 +84,9 @@ def canonize_form(
     squash-invariance flag).  The memo also catches the internal
     recursion into squash and negation parts, so shared subforms — e.g.
     an aggregate body appearing in both queries of a pair — canonize
-    once per process.  Callers that mutate a catalog in place after
+    once per process.  The memo is private to the process; across
+    processes only whole verdicts are shared, through the verdict cache
+    of :mod:`repro.store`.  Callers that mutate a catalog in place after
     solving must call :func:`repro.hashcons.clear_caches`; constraint
     *sets* built freshly per decision key themselves via
     :meth:`~repro.constraints.model.ConstraintSet.digest`.
@@ -102,8 +96,8 @@ def canonize_form(
         return _canonize_form_impl(
             form, constraints, var_schemas, trace, apply_squash_invariance
         )
-    # Structural-object key (cached hashes make it near-free in-process);
-    # the constraint set enters through its run-stable digest so catalogs
+    # Structural-object key (cached hashes make it near-free); the
+    # constraint set enters through its run-stable digest so catalogs
     # declaring the same keys/fks share entries.
     key = (
         form,
@@ -111,31 +105,17 @@ def canonize_form(
         tuple(sorted(var_schemas.items())),
         apply_squash_invariance,
     )
-    depth = getattr(_STORE_DEPTH, "value", 0)
     hit = _CANONIZE_CACHE.get(key)
-    if hit is None and depth == 0:
-        # Second level: the cross-process shared store (if installed),
-        # re-keyed on the run-stable fingerprint of the same key tuple.
-        hit = shared_memo_get("canonize", key)
-        if hit is not None:
-            _CANONIZE_CACHE.put(key, hit)
     if hit is not None:
         canonized, steps = hit
         if trace is not None:
             trace.steps.extend(steps)
         return canonized
     sub_trace = ProofTrace()
-    _STORE_DEPTH.value = depth + 1
-    try:
-        canonized = _canonize_form_impl(
-            form, constraints, var_schemas, sub_trace, apply_squash_invariance
-        )
-    finally:
-        _STORE_DEPTH.value = depth
-    value = (canonized, tuple(sub_trace.steps))
-    _CANONIZE_CACHE.put(key, value)
-    if depth == 0:
-        shared_memo_put("canonize", key, value)
+    canonized = _canonize_form_impl(
+        form, constraints, var_schemas, sub_trace, apply_squash_invariance
+    )
+    _CANONIZE_CACHE.put(key, (canonized, tuple(sub_trace.steps)))
     if trace is not None:
         trace.steps.extend(sub_trace.steps)
     return canonized

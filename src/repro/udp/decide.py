@@ -22,7 +22,6 @@ written under the old procedure.
 
 from __future__ import annotations
 
-import threading
 import time
 from dataclasses import dataclass
 from typing import Dict, List, Optional
@@ -35,7 +34,6 @@ from repro.cq.minimize import minimize_term
 from repro.errors import DecisionTimeout
 from repro.hashcons import LRUCache, memoization_enabled
 from repro.sql.schema import Schema
-from repro.store import shared_memo_get, shared_memo_put
 from repro.udp.canonize import SchemaEnv, canonize_form
 from repro.udp.trace import DecisionResult, ProofTrace, ReasonCode, Verdict
 from repro.usr.spnf import NormalForm, normalize
@@ -44,18 +42,8 @@ from repro.usr.terms import QueryDenotation
 from repro.usr.values import TupleVar
 
 #: Memo table for whole TDP matchings: ``(left form digest, right form
-#: digest, sdp strategy) → bool``.  The canonical digests are run-stable
-#: (they ride :func:`repro.hashcons.fingerprint`), so the same key also
-#: works in the cross-process shared store (:mod:`repro.store`) — a
-#: session-pool member can skip a whole backtracking search its
-#: sibling already finished, not just the normalize/canonize prefix.
+#: digest, sdp strategy) → bool``, private to the process.
 _MATCH_CACHE = LRUCache("tdp-match", maxsize=8192)
-
-#: Recursion depth per thread: like the normalize/canonize layers, the
-#: shared store is only consulted/fed for root comparisons — negation
-#: parts recurse through :meth:`_Engine.compare_canonized`, and their
-#: results are subsumed by the root entry.
-_MATCH_DEPTH = threading.local()
 
 
 @dataclass
@@ -129,7 +117,7 @@ class _Engine:
         only for the digest-distinct leftovers
         (refinement ties and congruence-level matches the syntactic
         digest cannot see).  Completed comparisons are memoized on the
-        two form digests, privately and through the shared memo store.
+        two form digests in a private per-process LRU.
         """
         self._tick()
         if len(left) != len(right):
@@ -144,22 +132,11 @@ class _Engine:
             return self._match_terms(left, right, digest_stage=worthwhile)
         key = (form_digest(left), form_digest(right),
                self._options.sdp_strategy)
-        depth = getattr(_MATCH_DEPTH, "value", 0)
         hit = _MATCH_CACHE.get(key)
-        if hit is None and depth == 0:
-            hit = shared_memo_get("tdp", key)
-            if hit is not None:
-                _MATCH_CACHE.put(key, hit)
         if hit is not None:
             return hit
-        _MATCH_DEPTH.value = depth + 1
-        try:
-            result = self._match_terms(left, right, digest_stage=True)
-        finally:
-            _MATCH_DEPTH.value = depth
+        result = self._match_terms(left, right, digest_stage=True)
         _MATCH_CACHE.put(key, result)
-        if depth == 0:
-            shared_memo_put("tdp", key, result)
         return result
 
     def _match_terms(

@@ -73,6 +73,9 @@ class ReasonCode(enum.Enum):
     BUDGET_EXHAUSTED = "budget-exhausted"
     #: An unexpected exception escaped a tactic or the front end.
     INTERNAL_ERROR = "internal-error"
+    #: The input nests or chains past the parser's caps, or too deeply
+    #: for the prover's recursion.
+    INPUT_LIMIT = "input-limit"
 
 
 class ReasonTally:

@@ -16,19 +16,17 @@ axiom instance, and an optional :class:`~repro.udp.trace.ProofTrace` records
 the applications.
 
 Normalization is memoized: results are cached in an LRU keyed by the
-expression's structural identity (cached hashes make in-process lookups
-near-free; the run-stable :func:`~repro.hashcons.fingerprint` is the
-equivalent key for anything that must cross process or run boundaries),
+expression's structural identity (cached hashes make lookups near-free),
 together with the proof steps the cold run recorded, which are replayed
 into the caller's trace on a hit.  The memo applies at every recursion
 level, so a repeated subexpression — ubiquitous in clustering workloads,
 where each incoming query is re-normalized against every group
-representative — is normalized once per process.
+representative — is normalized once per process.  The memo is private
+to the process.
 """
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
@@ -41,7 +39,6 @@ from repro.hashcons import (
     memoization_enabled,
 )
 from repro.sql.schema import Schema
-from repro.store import shared_memo_get, shared_memo_put
 from repro.udp.trace import ProofTrace
 from repro.usr.predicates import AtomPred, EqPred, NePred, Predicate
 from repro.usr.substitute import fresh_name, subst_predicate, subst_value
@@ -425,13 +422,6 @@ def flatten_squash(form: NormalForm) -> NormalForm:
 #: can replay the recorded axiom applications into the caller's trace.
 _NORMALIZE_CACHE = LRUCache("normalize", maxsize=4096)
 
-#: Recursion depth per thread: the shared cross-process store is only
-#: consulted/fed at depth 0 (the root expression of a decision).  Inner
-#: results are subsumed by the root's value — a sibling process hitting
-#: the root entry never recurses at all — so publishing every recursive
-#: level would multiply pickle/IO cost for no extra warming.
-_STORE_DEPTH = threading.local()
-
 
 def normalize(expr: UExpr, trace: Optional[ProofTrace] = None) -> NormalForm:
     """Rewrite ``expr`` into SPNF, memoized by structural identity.
@@ -442,38 +432,22 @@ def normalize(expr: UExpr, trace: Optional[ProofTrace] = None) -> NormalForm:
     of the identical input) and appends the cold run's recorded proof
     steps to ``trace``.
 
-    Two memo levels: the private in-process LRU first, then — when a
-    :mod:`repro.store` store is installed (session pools) — the
-    cross-process shared store, keyed on the run-stable fingerprint so
-    pool members warm each other instead of each normalizing cold.
+    The memo is private to the process.  Across processes only whole
+    verdicts are shared, through the verdict cache of :mod:`repro.store`.
     """
     if not memoization_enabled() or isinstance(expr, (_Zero, _One, Pred, Rel)):
         return _normalize_impl(expr, trace)
     # The key is the expression itself: structural equality with cached
-    # hashes is cheaper than a digest; the shared level re-keys on the
-    # run-stable `fingerprint()`, which agrees across processes.
-    key = expr
-    depth = getattr(_STORE_DEPTH, "value", 0)
-    hit = _NORMALIZE_CACHE.get(key)
-    if hit is None and depth == 0:
-        hit = shared_memo_get("normalize", expr)
-        if hit is not None:
-            _NORMALIZE_CACHE.put(key, hit)
+    # hashes is cheaper than a digest.
+    hit = _NORMALIZE_CACHE.get(expr)
     if hit is not None:
         form, steps = hit
         if trace is not None:
             trace.steps.extend(steps)
         return form
     sub_trace = ProofTrace()
-    _STORE_DEPTH.value = depth + 1
-    try:
-        form = _normalize_impl(expr, sub_trace)
-    finally:
-        _STORE_DEPTH.value = depth
-    value = (form, tuple(sub_trace.steps))
-    _NORMALIZE_CACHE.put(key, value)
-    if depth == 0:
-        shared_memo_put("normalize", expr, value)
+    form = _normalize_impl(expr, sub_trace)
+    _NORMALIZE_CACHE.put(expr, (form, tuple(sub_trace.steps)))
     if trace is not None:
         trace.steps.extend(sub_trace.steps)
     return form

@@ -141,10 +141,10 @@ class _FakeClock:
 
 
 class _FlakyStore:
-    """A memo backend whose disk can be switched sick/healthy."""
+    """A verdict-cache backend whose disk can be switched sick/healthy."""
 
     backend = "fake"
-    supports_verdicts = False
+    supports_verdicts = True
     supports_groups = False
 
     def __init__(self):
@@ -157,13 +157,13 @@ class _FlakyStore:
         if self.sick:
             raise OSError("disk on fire")
 
-    def get(self, key):
+    def verdict_get(self, key):
         self._guard()
         return self.data.get(key)
 
-    def put(self, key, value):
+    def verdict_put(self, key, record, ttl=None):
         self._guard()
-        self.data[key] = value
+        self.data[key] = dict(record)
 
     def clear(self):
         self._guard()
@@ -176,17 +176,22 @@ class _FlakyStore:
         pass
 
 
+def _record(value):
+    return {"verdict": "proved", "n": value}
+
+
 def test_breaker_trips_shadows_probes_and_replays():
     clock = _FakeClock()
     inner = _FlakyStore()
     store = FailoverStore(inner, trip_after=3, probe_base=0.5, clock=clock)
 
-    store.put("warm", 1)
+    store.verdict_put("warm", _record(1))
     assert store.health()["state"] == "ok"
 
     inner.sick = True
     for i in range(3):
-        store.put(f"k{i}", i)  # swallowed; 3rd failure opens the circuit
+        # swallowed; the 3rd failure opens the circuit
+        store.verdict_put(f"k{i}", _record(i))
     health = store.health()
     assert health["state"] == "degraded"
     assert health["trips"] == 1
@@ -194,28 +199,29 @@ def test_breaker_trips_shadows_probes_and_replays():
 
     # Degraded: served from the shadow, the sick backend is not touched.
     calls_before = inner.calls
-    store.put("shadowed", 42)
-    assert store.get("shadowed") == 42
+    store.verdict_put("shadowed", _record(42))
+    assert store.verdict_get("shadowed") == _record(42)
     assert inner.calls == calls_before
     assert store.health()["shadow_serves"] >= 2
 
     # Probe while still sick: reopens with a doubled backoff.
     clock.now += 0.6
-    assert store.get("shadowed") == 42  # the probe itself fails, shadow answers
+    # the probe itself fails, the shadow answers
+    assert store.verdict_get("shadowed") == _record(42)
     assert store.health()["state"] == "degraded"
     assert store.health()["next_probe_in"] == pytest.approx(1.0, abs=0.01)
 
     # Heal the disk; after the backoff the next op probes and recovers.
     inner.sick = False
     clock.now += 1.1
-    store.put("post", 7)
+    store.verdict_put("post", _record(7))
     health = store.health()
     assert health["state"] == "ok"
     assert health["recoveries"] == 1
     # Shadow writes were replayed: nothing proven during the outage lost.
-    assert inner.data["shadowed"] == 42
+    assert inner.data["shadowed"] == _record(42)
     assert all(f"k{i}" in inner.data for i in range(3))
-    assert inner.data["post"] == 7
+    assert inner.data["post"] == _record(7)
     assert health["shadow_entries"] == 0
 
 
@@ -226,11 +232,11 @@ def test_breaker_backoff_is_capped():
     store = FailoverStore(
         inner, trip_after=1, probe_base=0.5, probe_cap=2.0, clock=clock
     )
-    store.put("x", 1)  # trips immediately
+    store.verdict_put("x", _record(1))  # trips immediately
     backoffs = []
     for _ in range(4):
         clock.now += 10.0  # always past the probe interval
-        store.put("x", 1)  # probe fails, backoff doubles
+        store.verdict_put("x", _record(1))  # probe fails, backoff doubles
         backoffs.append(store.health()["next_probe_in"])
     assert backoffs == [
         pytest.approx(1.0),
@@ -249,14 +255,15 @@ def test_store_fault_points_fire_inside_the_wrapper():
     inner = _FlakyStore()
     store = FailoverStore(inner, trip_after=3, probe_base=0.5, clock=clock)
     for i in range(3):
-        store.put(f"k{i}", i)
+        store.verdict_put(f"k{i}", _record(i))
     assert store.health()["state"] == "degraded"
     assert "injected fault" in store.health()["last_error"]
     install_fault_plan(None)
     clock.now += 1.0
-    store.put("probe", 1)  # fault budget spent: the probe recovers
+    # fault budget spent: the probe recovers
+    store.verdict_put("probe", _record(1))
     assert store.health()["state"] == "ok"
-    assert inner.data["probe"] == 1
+    assert inner.data["probe"] == _record(1)
     assert all(f"k{i}" in inner.data for i in range(3))
 
 
@@ -276,7 +283,7 @@ def test_shadow_verdicts_expire_and_replay_with_their_remaining_ttl(tmp_path):
     )
     try:
         for i in range(3):
-            store.put(f"k{i}", i)
+            store.verdict_put(f"k{i}", _record(i), None)
         assert store.health()["state"] == "degraded"
         install_fault_plan(None)
         store.verdict_put("t", {"verdict": "timeout"}, inner.timeout_ttl)
@@ -290,7 +297,7 @@ def test_shadow_verdicts_expire_and_replay_with_their_remaining_ttl(tmp_path):
         assert store.verdict_get("n") == {"verdict": "not_proved"}
 
         clock.now += 40.0  # past the probe: the next op recovers
-        store.put("probe", 1)
+        store.verdict_put("probe", _record(1), None)
         assert store.health()["state"] == "ok"
         assert inner.verdict_get("t") is None
         assert inner.verdict_get("p") == {"verdict": "proved"}

@@ -3,8 +3,8 @@
 The repo has four parallel ways to decide a query pair —
 ``Session.verify``, ``BatchVerifier.run`` over a two-member session
 pool, the HTTP server with one member, and the HTTP server pooled (2
-members, digest-sharded dispatch, forked workers and a shared memo store
-where the platform allows) — and nothing but discipline keeps them
+members, digest-sharded dispatch, forked workers and a shared verdict
+cache where the platform allows) — and nothing but discipline keeps them
 agreeing.  This suite makes the discipline executable: every entry point
 is driven over the full evaluation corpus (all 91 rules: literature,
 Calcite, extensions, and the ``corpus/bugs.py`` negative cases) under
@@ -106,8 +106,8 @@ def outcome_map_http():
 
 def outcome_map_frontdoor():
     """rule_id -> (verdict, reason_code) via the pooled server (digest-
-    sharded dispatch over 2 members, forked workers + shared memo store
-    where fork exists)."""
+    sharded dispatch over 2 members, forked workers + shared verdict
+    cache where fork exists)."""
     with FrontDoorServer(
         pipeline=PipelineConfig.legacy(), pool_size=2
     ) as server:

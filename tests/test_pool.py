@@ -18,8 +18,8 @@ over real HTTP from many client threads:
   then recovers; queued requests within the bound wait and succeed.
 
 Plus the pool-only mechanics: forked members that die mid-request are
-respawned after answering a structured error record, and members warm
-each other through the shared memo store.
+respawned after answering a structured error record, and members share
+verdicts through the store's verdict cache.
 """
 
 from __future__ import annotations
@@ -441,9 +441,10 @@ def test_hard_deadline_derived_from_pipeline_budgets():
 def test_shared_store_warms_the_sibling_member():
     """Member 0 proves a never-seen pair; with shard routing disabled the
     LRU rotation hands the identical repeat to member 1, whose private
-    caches are cold — it must find member 0's normalize/canonize results
-    in the shared store.  (Sharded dispatch would deliberately send the
-    repeat back to member 0; cross-member warming is what's under test.)"""
+    caches are cold — the shared verdict cache must answer it with the
+    verdict member 0 published.  (Sharded dispatch would deliberately
+    send the repeat back to member 0; cross-member warming is what's
+    under test.)"""
     pool = SessionPool(
         2,
         session=Session.from_program_text(RS_PROGRAM),

@@ -188,6 +188,7 @@ def test_reason_code_values_are_frozen():
         "frontend-error",
         "budget-exhausted",
         "internal-error",
+        "input-limit",
     }
 
 

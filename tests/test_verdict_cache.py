@@ -15,6 +15,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import os
+import sqlite3
 import subprocess
 import sys
 
@@ -22,13 +23,12 @@ import pytest
 
 from repro.corpus import as_verify_requests
 from repro.hashcons import clear_caches
+from repro.server.pool import SessionPool
 from repro.session import PipelineConfig, Session, tactic_invocations
 from repro.sql.parser import parse_query
 from repro.store import (
     install_shared_store,
     open_store,
-    shared_memo_get,
-    shared_memo_put,
     verdict_cache_get,
     verdict_cache_put,
 )
@@ -221,17 +221,11 @@ class _BrokenStore:
     supports_verdicts = True
 
     def __init__(self):
-        self.calls = {"get": 0, "put": 0, "verdict_get": 0, "verdict_put": 0}
+        self.calls = {"verdict_get": 0, "verdict_put": 0}
 
     def _fail(self, op):
         self.calls[op] += 1
         raise OSError(f"{op}: disk on fire")
-
-    def get(self, key):
-        self._fail("get")
-
-    def put(self, key, value):
-        self._fail("put")
 
     def verdict_get(self, key):
         self._fail("verdict_get")
@@ -254,11 +248,9 @@ def _corpus_outcomes():
 
 
 def test_a_raising_store_never_changes_a_verdict():
-    """Every hook swallows store failures: with a store whose ``get``,
-    ``put``, ``verdict_get`` and ``verdict_put`` all raise, the corpus
-    rules keep the verdicts and reason codes they get with no store.
-    Caches are cleared before each pass so the memo layers miss their
-    private LRUs and reach the store."""
+    """Every hook swallows store failures: with a store whose
+    ``verdict_get`` and ``verdict_put`` both raise, the corpus rules
+    keep the verdicts and reason codes they get with no store."""
     clear_caches()
     baseline, _ = _corpus_outcomes()
     assert len(baseline) == len(_HOOK_RULES)
@@ -266,8 +258,6 @@ def test_a_raising_store_never_changes_a_verdict():
     broken = _BrokenStore()
     previous = install_shared_store(broken)
     try:
-        assert shared_memo_get("spnf", ("key",)) is None
-        shared_memo_put("spnf", ("key",), "value")
         assert verdict_cache_get("k") is None
         verdict_cache_put("k", "proved", {"verdict": "proved"})
         outcomes, session = _corpus_outcomes()
@@ -276,6 +266,53 @@ def test_a_raising_store_never_changes_a_verdict():
     assert outcomes == baseline
     assert session.stats.verdict_cache_hits == 0
     assert all(count > 0 for count in broken.calls.values()), broken.calls
+
+
+def _comparable(record):
+    """A wire record without its timing, the one field runs may differ on."""
+    return {k: v for k, v in record.items() if k != "elapsed_seconds"}
+
+
+def test_pooled_prover_shares_verdicts_and_never_writes_the_memo_map(tmp_path):
+    """The verdict cache is the store's only cross-process cache: two
+    passes of a 2-member pool over a durable store leave the ``memo``
+    table empty, fill ``verdicts``, and answer exactly what
+    ``Session.verify`` answers.  Caches are cleared before the pool forks
+    so its members prove cold."""
+    requests = [
+        request for request in as_verify_requests()
+        if request.request_id in _HOOK_RULES
+    ]
+    assert len(requests) == len(_HOOK_RULES)
+    clear_caches()
+    expected = [
+        _comparable(result.to_json())
+        for result in Session().verify_many(requests)
+    ]
+    clear_caches()
+    path = tmp_path / "pool.sqlite"
+    pool = SessionPool(2, store_path=str(path))
+    try:
+        passes = [
+            [
+                _comparable(pool.verify_json(request.to_json()))
+                for request in requests
+            ]
+            for _ in range(2)
+        ]
+    finally:
+        pool.close()
+    assert passes == [expected, expected]
+    conn = sqlite3.connect(str(path))
+    try:
+        memo_rows, = conn.execute("SELECT COUNT(*) FROM memo").fetchone()
+        verdict_rows, = conn.execute(
+            "SELECT COUNT(*) FROM verdicts"
+        ).fetchone()
+    finally:
+        conn.close()
+    assert memo_rows == 0
+    assert verdict_rows > 0
 
 
 # -- warm restart across a real process boundary -----------------------------
