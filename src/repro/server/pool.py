@@ -39,6 +39,15 @@ Ordering and dispatch
   through :meth:`map_json`, summarized (the ``POST /corpus`` health
   benchmark).
 
+:meth:`~SessionPool.verify_json` and :meth:`~SessionPool.submit_json`
+(so every entry above) answer an exact repeat in the calling thread
+first: one read-only lookup in the shared store's exact-text verdict
+tier (:meth:`~repro.session.Session.text_tier`), which never waits for
+the store lock.  A hit is the record a member would have produced,
+apart from ``elapsed_seconds``, and ``submit_json`` returns it as an
+already-completed future; only misses wake a dispatcher thread and a
+member.
+
 Backpressure
 ------------
 
@@ -153,20 +162,23 @@ def _decide_json(
 
 
 def _member_info(session: Session) -> Dict[str, object]:
-    """One member's warmth snapshot (session caches, shared store).
+    """One member's warmth snapshot (session caches, store counters).
 
-    Kept deliberately small: members pickle this over the pipe
+    Kept deliberately small and cheap: members pickle this over the pipe
     with every reply to keep the parent's ``/stats`` view fresh without
     a blocking round-trip, so it carries only what the stats rollup
     consumes (the process-wide memo-layer counters stay visible via the
-    serving process's own :func:`repro.cache_stats`).
+    serving process's own :func:`repro.cache_stats`).  The store part is
+    the member's own counters, read without touching the database; the
+    shared file's ``entries`` and ``bytes`` are the parent's to report,
+    once per ``/stats``.
     """
     info: Dict[str, object] = {
         "session": {"requests": session.stats.requests, **session.cache_info()},
     }
     store = active_store()
     if store is not None:
-        info["store"] = store.stats()
+        info["store"] = getattr(store, "counters", store.stats)()
     return info
 
 
@@ -499,7 +511,11 @@ class SessionPool:
     pool owns an idle queue (each member serves exactly one work item at
     a time — no cross-talk by construction), a dispatcher executor for
     batch fan-out, and optionally the durable store whose verdict cache
-    its members share.  Every member is a forked process: construction
+    its members share.  With that store installed, an exact repeat is
+    answered in the calling thread from the store's exact-text tier
+    (counted in ``cache_answered``); only misses reach a member.  The
+    lookup never waits: a store lock held by another thread makes it a
+    miss.  Every member is a forked process: construction
     raises ``ValueError`` where the platform has no ``fork`` start
     method, and a fork that fails while the pool is built is re-raised
     after the members already forked are reaped and the previous shared
@@ -593,6 +609,8 @@ class SessionPool:
         self.dispatch_sharded = 0
         self.dispatch_fallback = 0
         self.dispatch_any = 0
+        # Verdicts of the requests answered in the calling thread.
+        self._cache_tally = ReasonTally()
         self.grown = 0
         self.reaped = 0
         self._stop = threading.Event()
@@ -811,15 +829,44 @@ class SessionPool:
         VerifyRequest.from_json(obj)  # envelope type errors → 400, not 500
         return spec
 
+    def _answer_cached(
+        self, obj: Mapping[str, object], spec: Optional[str]
+    ) -> Optional[Dict[str, object]]:
+        """The record for an exact repeat, answered in this thread, or ``None``.
+
+        One read-only lookup in the exact-text verdict tier of the
+        store this pool installed, made without waiting for the store
+        lock.  A hit is tallied here (``cache_answered``, ``verdicts``,
+        ``reason_codes``); a miss is not, because the member it goes to
+        counts its own lookup.
+        """
+        if self.store is None or active_store() is not self.store:
+            return None
+        try:
+            request = VerifyRequest.from_json(obj)
+            config = self.config_for(spec)
+        except (KeyError, TypeError, ValueError):
+            return None  # the member answers with the structured error
+        _, result = self._prototype.text_tier(request, config, wait=False)
+        if result is None:
+            return None
+        record = result.to_json()
+        self._cache_tally.record_json(record)
+        return record
+
     def verify_json(self, obj: Mapping[str, object]) -> Dict[str, object]:
         """Decide one ``POST /verify`` payload (already JSON-decoded).
 
         Envelope errors raise ``ValueError`` (→ 400); everything past
         the envelope is the session's never-raises contract, so the
         returned record — including ``unsupported`` and ``error``
-        verdicts — is a normal 200 answer.
+        verdicts — is a normal 200 answer.  An exact repeat is answered
+        in this thread without a member (see :meth:`submit_json`).
         """
         spec = self.validate_json(obj)
+        record = self._answer_cached(obj, spec)
+        if record is not None:
+            return record
         return self._dispatch(obj, spec, self._shard_for(obj))
 
     def submit_json(
@@ -836,11 +883,23 @@ class SessionPool:
         and the returned future's done-callback wakes the loop — the
         accept path never blocks on a member.
 
+        An exact repeat never reaches a dispatcher thread: the pair's
+        record is read from the store's exact-text verdict tier in the
+        calling thread (the front door's event loop, or the
+        :meth:`map_json` caller) and returned as an already-completed
+        future.  That lookup is the store's epoch check and one indexed
+        ``SELECT``; it writes nothing and never waits for the store lock.
+
         ``shard`` overrides the default per-request shard key; the
         clustering engine passes the *representative's* digest so every
         comparison against one group lands on the member whose compile
         and match caches already hold that representative.
         """
+        record = self._answer_cached(obj, spec)
+        if record is not None:
+            future: "Future[Dict[str, object]]" = Future()
+            future.set_result(record)
+            return future
         if shard is None:
             shard = self._shard_for(obj)
         return self._executor.submit(self._dispatch, obj, spec, shard)
@@ -1059,8 +1118,10 @@ class SessionPool:
                 "grown": self.grown,
                 "reaped": self.reaped,
             }
-        verdicts: Dict[str, int] = {}
-        reasons: Dict[str, int] = {}
+        cache_tally = self._cache_tally.snapshot()
+        cache_answered = sum(cache_tally["verdicts"].values())
+        verdicts: Dict[str, int] = dict(cache_tally["verdicts"])
+        reasons: Dict[str, int] = dict(cache_tally["reason_codes"])
         session_rollup = {
             "requests": 0,
             "compile_cache": {"hits": 0, "misses": 0, "entries": 0},
@@ -1083,21 +1144,22 @@ class SessionPool:
             )
         store: Dict[str, object] = {"installed": self.store is not None}
         if self.store is not None:
-            # Each member process owns its counters; sum the last-known
-            # views and keep the parent's entry count.
+            # Each process owns its counters: sum this one's (its hits
+            # are the requests answered before dispatch) and the
+            # members' last-known views; keep this process's read of the
+            # shared file's entries and bytes.
+            parent = self.store.stats()
             rollup = {
-                "hits": 0,
-                "misses": 0,
-                "publishes": 0,
-                "dropped": 0,
-                "expired": 0,
-                "errors": 0,
+                key: parent.get(key, 0)
+                for key in (
+                    "hits", "misses", "publishes", "dropped", "expired", "errors"
+                )
             }
             for snapshot in members:
                 member_store = snapshot.get("store") or {}
                 for key in rollup:
                     rollup[key] += member_store.get(key, 0)
-            store.update(self.store.stats())
+            store.update(parent)
             store.update(rollup)
             health = self.store_health()
             if health is not None:
@@ -1115,7 +1177,8 @@ class SessionPool:
             "mode": self.mode,
             "dispatch": dispatch,
             "autoscale": autoscale,
-            "requests": sum(m["requests"] for m in members),
+            "requests": sum(m["requests"] for m in members) + cache_answered,
+            "cache_answered": cache_answered,
             "hard_timeouts": sum(m["hard_timeouts"] for m in members),
             "verdicts": dict(sorted(verdicts.items())),
             "reason_codes": dict(sorted(reasons.items())),

@@ -551,6 +551,38 @@ def _verdict_key(tier: str, *parts: str) -> str:
     return f"{tier}:{digest.hexdigest()}"
 
 
+def _use_verdict_cache(config: PipelineConfig) -> bool:
+    """Whether ``config`` consults the installed store's verdict cache."""
+    return (
+        config.verdict_cache
+        and memoization_enabled()
+        and verdict_cache_enabled()
+    )
+
+
+def _replay_cached(
+    key: str, request: VerifyRequest, started: float, *, wait: bool = True
+) -> Optional[VerifyResult]:
+    """The cached result under ``key`` rehydrated for ``request``.
+
+    A replay carries the original verdict, reason code, tactic
+    attribution, and counterexample, but this request's id and a fresh
+    (near-zero) elapsed time.  The axiom trace is not persisted —
+    reproducible by re-verifying with the cache off.  Malformed foreign
+    records read as misses.
+    """
+    record = verdict_cache_get(key, wait=wait)
+    if record is None:
+        return None
+    try:
+        result = VerifyResult.from_json(record)
+    except Exception:  # noqa: BLE001 - foreign/corrupt record
+        return None
+    result.request_id = request.request_id
+    result.elapsed_seconds = time.monotonic() - started
+    return result
+
+
 #: Process-wide count of tactic executions.  The warm-restart proof in
 #: the differential suite asserts a verdict-cached corpus pass runs
 #: exactly zero.
@@ -848,32 +880,46 @@ class Session:
         self.stats.record(result)
         return result
 
-    # -- internals ---------------------------------------------------------
+    def text_tier(
+        self,
+        request: VerifyRequest,
+        config: Optional[PipelineConfig] = None,
+        *,
+        wait: bool = True,
+    ) -> Tuple[Optional[str], Optional[VerifyResult]]:
+        """The exact-text verdict-cache tier for one request: ``(key, replay)``.
 
-    def _replay_cached(
-        self, key: Optional[str], request: VerifyRequest, started: float
-    ) -> Optional[VerifyResult]:
-        """The cached result under ``key`` rehydrated for this request.
+        ``key`` is ``None`` when the tier does not apply: the cache is
+        off, no verdict-capable store is installed, or an input is an
+        AST (the pretty-printer is not injective, so rendered text cannot
+        key an AST; see :meth:`compile`).  ``replay`` is the cached result
+        rehydrated for this request, or ``None`` on a miss.
 
-        A replay carries the original verdict, reason code, tactic
-        attribution, and counterexample, but this request's id and a
-        fresh (near-zero) elapsed time.  The axiom trace is not
-        persisted — reproducible by re-verifying with the cache off.
-        Malformed foreign records read as misses.
+        Nothing is parsed and no session statistic changes, so a session
+        pool calls this from its own threads to answer an exact repeat
+        without a member; :meth:`verify` calls it first.  ``wait=False``
+        is that pool lookup: it never blocks on the store lock and counts
+        only a hit (see :func:`repro.store.verdict_cache_get`).
         """
-        if key is None:
-            return None
-        record = verdict_cache_get(key)
-        if record is None:
-            return None
-        try:
-            result = VerifyResult.from_json(record)
-        except Exception:  # noqa: BLE001 - foreign/corrupt record
-            return None
-        result.request_id = request.request_id
-        result.elapsed_seconds = time.monotonic() - started
-        self.stats.verdict_cache_hits += 1
-        return result
+        config = config or self.config
+        if not (
+            _use_verdict_cache(config)
+            and isinstance(request.left, str)
+            and isinstance(request.right, str)
+        ):
+            return None, None
+        started = time.monotonic()
+        key = _verdict_key(
+            "text",
+            request.program or self._catalog_token(),
+            request.left,
+            request.right,
+            _config_digest(config),
+            repr(request.timeout_seconds),
+        )
+        return key, _replay_cached(key, request, started, wait=wait)
+
+    # -- internals ---------------------------------------------------------
 
     def _store_cached(
         self, key: Optional[str], result: VerifyResult
@@ -891,31 +937,12 @@ class Session:
         self, request: VerifyRequest, config: PipelineConfig
     ) -> VerifyResult:
         started = time.monotonic()
-        use_cache = (
-            config.verdict_cache
-            and memoization_enabled()
-            and verdict_cache_enabled()
-        )
-        text_key = None
-        if (
-            use_cache
-            and isinstance(request.left, str)
-            and isinstance(request.right, str)
-        ):
-            # The exact-text tier answers before any parsing.  AST
-            # inputs skip it: the pretty-printer is not injective, so
-            # rendered text cannot key an AST (see Session.compile).
-            text_key = _verdict_key(
-                "text",
-                request.program or self._catalog_token(),
-                request.left,
-                request.right,
-                _config_digest(config),
-                repr(request.timeout_seconds),
-            )
-            cached = self._replay_cached(text_key, request, started)
-            if cached is not None:
-                return cached
+        use_cache = _use_verdict_cache(config)
+        # The exact-text tier answers before any parsing.
+        text_key, cached = self.text_tier(request, config)
+        if cached is not None:
+            self.stats.verdict_cache_hits += 1
+            return cached
         try:
             owner = self._session_for_program(request.program)
         except ReproError as error:
@@ -994,8 +1021,9 @@ class Session:
         if denot_key is not None:
             # A hit here backfills the text tier so the next replay
             # skips parsing.
-            cached = self._replay_cached(denot_key, request, started)
+            cached = _replay_cached(denot_key, request, started)
             if cached is not None:
+                self.stats.verdict_cache_hits += 1
                 self._store_cached(text_key, cached)
                 return cached
             self.stats.verdict_cache_misses += 1

@@ -22,6 +22,13 @@ with :func:`install_shared_store`;
 inherited, which is how a session pool's members share one verdict
 cache.  With no store installed every hook is a no-op, and a store that
 raises never breaks proving.
+
+A verdict-cache hit is a pure read: lookups write nothing, and each
+process keeps its hit/miss tallies in memory until its next verdict
+write, ``flush()`` or ``close()`` carries them to the database.  That
+makes a hit cheap enough for a session pool to answer an exact repeat
+in its calling thread (``verdict_cache_get(key, wait=False)``) instead
+of waking a member.
 """
 
 from __future__ import annotations
@@ -96,8 +103,15 @@ def verdict_cache_enabled() -> bool:
     return store is not None and getattr(store, "supports_verdicts", False)
 
 
-def verdict_cache_get(key: str) -> Optional[Mapping[str, Any]]:
-    """The cached verdict record under ``key``, or ``None``."""
+def verdict_cache_get(
+    key: str, *, wait: bool = True
+) -> Optional[Mapping[str, Any]]:
+    """The cached verdict record under ``key``, or ``None``.
+
+    ``wait=False`` asks the store not to block on a lock another thread
+    holds (a busy store reads as a miss) and to count only a hit; see
+    :meth:`repro.store.sqlite.SQLiteMemoStore.verdict_get`.
+    """
     store = _ACTIVE
     if store is None:
         return None
@@ -105,7 +119,7 @@ def verdict_cache_get(key: str) -> Optional[Mapping[str, Any]]:
     if getter is None:
         return None
     try:
-        return getter(key)
+        return getter(key) if wait else getter(key, wait=False)
     except Exception:  # noqa: BLE001 - the cache must never break proving
         return None
 

@@ -43,6 +43,12 @@ shadowed: the cluster engine keeps its own authoritative in-memory
 partition, so while degraded the durable group index simply pauses
 (lookups miss, inserts drop) and resumes when the circuit closes.
 
+A lookup that must not wait (``verdict_get(key, wait=False)``, the
+session pool's check before dispatch) goes through the breaker like any
+read.  A backend that would have to wait for its lock raises
+``BlockingIOError``; the lookup then reads the shadow, and the breaker
+counts neither a failure nor a success.
+
 Fault injection: the chaos suite's ``store.read``/``store.write``
 points (:mod:`repro.faults`) fire inside this wrapper, upstream of the
 breaker — exactly where a real backend error would surface.
@@ -223,6 +229,8 @@ class FailoverStore:
                 raise _SwallowedBackendError(
                     f"backend swallowed {after - before} error(s)"
                 )
+        except BlockingIOError:
+            return fallback()  # busy, not sick: no verdict on its health
         except Exception as err:  # noqa: BLE001 - the error boundary
             self._record_failure(op, err)
             return fallback()
@@ -231,7 +239,9 @@ class FailoverStore:
 
     # -- the verdict cache ---------------------------------------------------
 
-    def verdict_get(self, key: str) -> Optional[Dict[str, Any]]:
+    def verdict_get(
+        self, key: str, *, wait: bool = True
+    ) -> Optional[Dict[str, Any]]:
         def shadow_get() -> Optional[Dict[str, Any]]:
             with self._lock:
                 entry = self._shadow_verdicts.get(key)
@@ -243,10 +253,12 @@ class FailoverStore:
                     return None
                 return record
 
-        return self._call(
-            "read", "verdict_get", lambda: self.inner.verdict_get(key),
-            shadow_get,
-        )
+        def backend_get() -> Optional[Dict[str, Any]]:
+            if wait:
+                return self.inner.verdict_get(key)
+            return self.inner.verdict_get(key, wait=False)
+
+        return self._call("read", "verdict_get", backend_get, shadow_get)
 
     def verdict_put(
         self,
@@ -370,6 +382,15 @@ class FailoverStore:
                     else None
                 ),
             }
+
+    def counters(self) -> Dict[str, Any]:
+        """The backend's counters (no database access) plus ``health``."""
+        try:
+            out = dict(self.inner.counters())
+        except Exception:  # noqa: BLE001 - observability of a sick store
+            out = {"backend": self.backend}
+        out["health"] = self.health()
+        return out
 
     def stats(self) -> Dict[str, Any]:
         try:

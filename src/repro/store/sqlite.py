@@ -34,6 +34,13 @@ Three maps live in the database:
   ``epoch`` column records the store epoch the group was formed under
   (``clear()`` drops groups along with everything else).
 
+Verdict lookups are pure reads: the epoch check and one indexed
+``SELECT``.  Hit and miss tallies live in process memory and reach the
+durable ``counters`` table inside the next :meth:`SQLiteMemoStore.verdict_put`
+transaction and at :meth:`~SQLiteMemoStore.flush`/``close()``, so a
+verdict-cache hit never takes the single WAL write lock that every pool
+member and the serving process share.
+
 Epoch invalidation: ``clear()`` bumps a counter in the ``meta`` table
 and deletes every map; every operation compares the database epoch
 against the process-local view and drops the local object cache when
@@ -112,7 +119,7 @@ CREATE TABLE IF NOT EXISTS verdicts (
     record      TEXT NOT NULL,
     created     REAL NOT NULL,
     expires     REAL,
-    hits        INTEGER NOT NULL DEFAULT 0
+    hits        INTEGER NOT NULL DEFAULT 0  -- unused; kept for old files
 );
 CREATE TABLE IF NOT EXISTS counters (
     name  TEXT PRIMARY KEY,
@@ -177,6 +184,14 @@ class SQLiteMemoStore:
         self._zombies: List[sqlite3.Connection] = []
         self._epoch = 0
         self._objects: Dict[str, Any] = {}  # per-process warm view
+        self._reset_counters()
+        _INSTANCES.add(self)
+        with self._lock:
+            self._ensure_conn()
+
+    def _reset_counters(self) -> None:
+        """Zero this process's counters (at creation and in a forked
+        child, which must not count or write its parent's tallies)."""
         self.hits = 0
         self.misses = 0
         self.publishes = 0
@@ -184,9 +199,8 @@ class SQLiteMemoStore:
         self.refreshes = 0
         self.expired = 0
         self.errors = 0
-        _INSTANCES.add(self)
-        with self._lock:
-            self._ensure_conn()
+        #: Verdict hits/misses counted here but not yet in ``counters``.
+        self._unwritten = {"verdict_hits": 0, "verdict_misses": 0}
 
     # -- connection plumbing ----------------------------------------------
 
@@ -217,9 +231,16 @@ class SQLiteMemoStore:
         conn.execute("PRAGMA synchronous=NORMAL")
         conn.execute(f"PRAGMA busy_timeout={self.busy_timeout_ms}")
         conn.executescript(_SCHEMA)
-        conn.execute(
-            "INSERT OR IGNORE INTO meta(key, value) VALUES('epoch', 0)"
-        )
+        epoch_row = conn.execute(
+            "SELECT 1 FROM meta WHERE key = 'epoch'"
+        ).fetchone()
+        if epoch_row is None:
+            # Only a new file: the insert takes the write lock even when
+            # it ignores, and a reopen after fork may be a pool's
+            # lookup that must not wait.
+            conn.execute(
+                "INSERT OR IGNORE INTO meta(key, value) VALUES('epoch', 0)"
+            )
         if self._decision_version(conn) != DECISION_VERSION:
             self._clear_stale_version(conn)
         self._conn = conn
@@ -277,12 +298,19 @@ class SQLiteMemoStore:
             self._objects.clear()
             self.refreshes += 1
 
-    def _bump(self, conn: sqlite3.Connection, name: str) -> None:
+    def _bump(self, conn: sqlite3.Connection, name: str, by: int = 1) -> None:
         conn.execute(
-            "INSERT INTO counters(name, value) VALUES(?, 1) "
-            "ON CONFLICT(name) DO UPDATE SET value = value + 1",
-            (name,),
+            "INSERT INTO counters(name, value) VALUES(?, ?) "
+            "ON CONFLICT(name) DO UPDATE SET value = value + excluded.value",
+            (name, by),
         )
+
+    def _write_tallies(self, conn: sqlite3.Connection) -> None:
+        """Add the unwritten verdict tallies to ``counters`` (inside a
+        write transaction; the caller zeroes them once it commits)."""
+        for name, count in self._unwritten.items():
+            if count:
+                self._bump(conn, name, count)
 
     # -- the memo map (no prover caller; see the class docstring) ---------
 
@@ -352,15 +380,25 @@ class SQLiteMemoStore:
 
     # -- the verdict cache -------------------------------------------------
 
-    def verdict_get(self, key: str) -> Optional[Dict[str, Any]]:
+    def verdict_get(
+        self, key: str, *, wait: bool = True
+    ) -> Optional[Dict[str, Any]]:
         """The cached verdict record for ``key``, or ``None``.
 
-        Expired entries (negative/timeout TTLs) are deleted on
-        observation and reported as misses.  A hit bumps both the
-        per-process ``hits`` counter (so pool member stats reflect
-        warm serving) and the durable per-entry / historical tallies.
+        A pure read: the epoch check and one indexed ``SELECT``, with no
+        write on a hit, a miss or an expired row.  An expired entry
+        (negative/timeout TTLs) is a miss; :meth:`verdict_put`'s upsert
+        replaces it.  Hits and misses are tallied in process memory (see
+        :meth:`verdict_stats`).
+
+        ``wait=False`` is the session pool's lookup before dispatch: it
+        raises ``BlockingIOError`` at once when another thread holds the
+        store lock, and it counts only hits, because a miss goes on to a
+        pool member whose own lookup counts it.
         """
-        with self._lock:
+        if not self._lock.acquire(blocking=wait):
+            raise BlockingIOError("the store lock is held by another thread")
+        try:
             try:
                 conn = self._ensure_conn()
                 self._check_epoch(conn)
@@ -373,24 +411,21 @@ class SQLiteMemoStore:
                     record = json.loads(row[0])
                     if not isinstance(record, dict):
                         raise ValueError("verdict record is not an object")
-                    conn.execute(
-                        "UPDATE verdicts SET hits = hits + 1 WHERE key = ?",
-                        (key,),
-                    )
-                    self._bump(conn, "verdict_hits")
                     self.hits += 1
+                    self._unwritten["verdict_hits"] += 1
                     return record
-                if row is not None:
-                    self.expired += 1
-                    conn.execute(
-                        "DELETE FROM verdicts WHERE key = ? AND expires <= ?",
-                        (key, now),
-                    )
-                self._bump(conn, "verdict_misses")
             except (sqlite3.Error, ValueError):
                 self.errors += 1
+                row = None
+            if not wait:
+                return None
+            if row is not None:
+                self.expired += 1
             self.misses += 1
+            self._unwritten["verdict_misses"] += 1
             return None
+        finally:
+            self._lock.release()
 
     def verdict_put(
         self, key: str, record: Dict[str, Any], ttl: Optional[float] = None
@@ -398,7 +433,8 @@ class SQLiteMemoStore:
         """Store (or refresh) a verdict record; ``ttl=None`` is forever.
 
         Last write wins: a re-verification after a TTL expiry (or under
-        a bigger budget) replaces the stale negative record.
+        a bigger budget) replaces the stale negative record.  The same
+        transaction writes this process's unwritten hit/miss tallies.
         """
         with self._lock:
             try:
@@ -434,6 +470,7 @@ class SQLiteMemoStore:
                         ),
                     )
                     self._bump(conn, "verdict_stores")
+                    self._write_tallies(conn)
                     conn.execute("COMMIT")
                 except BaseException:
                     conn.execute("ROLLBACK")
@@ -442,6 +479,7 @@ class SQLiteMemoStore:
                 self.errors += 1
                 self.dropped += 1
                 return
+            self._unwritten = dict.fromkeys(self._unwritten, 0)
             self.publishes += 1
 
     def verdict_stats(self) -> Dict[str, Any]:
@@ -449,7 +487,10 @@ class SQLiteMemoStore:
 
         Unlike the per-process counters in :meth:`stats`, these survive
         restarts and aggregate every process that ever opened the store —
-        the ``/stats`` endpoint's durability view.
+        the ``/stats`` endpoint's durability view.  ``hits`` and
+        ``misses`` add this process's tallies that no write has carried
+        to the database yet; other processes' unwritten tallies show
+        once they write.
         """
         with self._lock:
             try:
@@ -480,8 +521,10 @@ class SQLiteMemoStore:
             except sqlite3.Error:
                 self.errors += 1
                 return {"entries": 0, "hits": 0, "misses": 0, "stores": 0}
-            hits = counters.get("verdict_hits", 0)
-            misses = counters.get("verdict_misses", 0)
+            hits, misses = (
+                counters.get(name, 0) + self._unwritten[name]
+                for name in ("verdict_hits", "verdict_misses")
+            )
             total = hits + misses
             return {
                 "entries": int(entries),
@@ -708,19 +751,34 @@ class SQLiteMemoStore:
             self._objects.clear()
 
     def flush(self) -> None:
-        """Checkpoint the WAL into the main database file.
+        """Write the unwritten verdict tallies, then checkpoint the WAL.
 
-        The graceful-drain path calls this so a post-drain copy (or an
-        operator's backup) of the ``.sqlite`` file alone carries every
+        The graceful-drain path calls this so the ``counters`` table
+        holds this process's hit/miss tallies and a post-drain copy (or
+        an operator's backup) of the ``.sqlite`` file alone carries every
         committed write; per-transaction durability never depended on
         it (WAL commits are already durable).
         """
         with self._lock:
             try:
                 conn = self._ensure_conn()
+                self._commit_tallies(conn)
                 conn.execute("PRAGMA wal_checkpoint(TRUNCATE)")
             except sqlite3.Error:
                 self.errors += 1
+
+    def _commit_tallies(self, conn: sqlite3.Connection) -> None:
+        """Write the unwritten tallies in a transaction of their own."""
+        if not any(self._unwritten.values()):
+            return
+        conn.execute("BEGIN IMMEDIATE")
+        try:
+            self._write_tallies(conn)
+            conn.execute("COMMIT")
+        except BaseException:
+            conn.execute("ROLLBACK")
+            raise
+        self._unwritten = dict.fromkeys(self._unwritten, 0)
 
     def forget_descriptor(self) -> None:
         """Abandon the inherited connection without closing it.
@@ -737,7 +795,14 @@ class SQLiteMemoStore:
             self._pid = None
 
     def close(self) -> None:
+        """Write the unwritten verdict tallies and close the connection
+        (unlinking the file if this store created it)."""
         with self._lock:
+            if not self._owns_file and any(self._unwritten.values()):
+                try:
+                    self._commit_tallies(self._ensure_conn())
+                except sqlite3.Error:
+                    self.errors += 1
             if self._conn is not None and self._pid == os.getpid():
                 try:
                     self._conn.close()
@@ -763,13 +828,30 @@ class SQLiteMemoStore:
             except sqlite3.Error:
                 return len(self._objects)
 
-    def stats(self) -> Dict[str, Any]:
-        """Counter snapshot.
+    def counters(self) -> Dict[str, Any]:
+        """This process's counters; no database access.
 
-        ``entries``/``bytes``/``epoch`` describe the shared database;
-        the counters are per-process (each pool member reports its own
-        hit/miss traffic).
+        What a pool member reports with every reply: the shared file's
+        ``entries``/``bytes`` are the same for every process, so only
+        :meth:`stats` reads them.
         """
+        with self._lock:
+            return {
+                "backend": self.backend,
+                "epoch": self._epoch,
+                "hits": self.hits,
+                "misses": self.misses,
+                "publishes": self.publishes,
+                "dropped": self.dropped,
+                "refreshes": self.refreshes,
+                "expired": self.expired,
+                "errors": self.errors,
+            }
+
+    def stats(self) -> Dict[str, Any]:
+        """:meth:`counters` plus the shared database's ``entries`` (rows
+        of the memo and verdict maps) and ``bytes`` (file plus WAL
+        sidecars)."""
         with self._lock:
             entries = len(self._objects)
             size = 0
@@ -788,19 +870,7 @@ class SQLiteMemoStore:
                     size += os.path.getsize(self.path + suffix)
                 except OSError:
                     pass
-            return {
-                "backend": self.backend,
-                "entries": entries,
-                "bytes": size,
-                "epoch": self._epoch,
-                "hits": self.hits,
-                "misses": self.misses,
-                "publishes": self.publishes,
-                "dropped": self.dropped,
-                "refreshes": self.refreshes,
-                "expired": self.expired,
-                "errors": self.errors,
-            }
+            return {"entries": entries, "bytes": size, **self.counters()}
 
 
 # ---------------------------------------------------------------------------
@@ -845,11 +915,19 @@ def _after_fork() -> None:
     _HELD_AT_FORK.clear()
 
 
+def _after_fork_in_child() -> None:
+    # Counters are per process: the parent keeps (and later writes) its
+    # own, so the child starts from zero instead of counting them twice.
+    for store in _HELD_AT_FORK:
+        store._reset_counters()
+    _after_fork()
+
+
 if hasattr(os, "register_at_fork"):  # POSIX
     os.register_at_fork(
         before=_before_fork,
         after_in_parent=_after_fork,
-        after_in_child=_after_fork,
+        after_in_child=_after_fork_in_child,
     )
 
 

@@ -150,6 +150,7 @@ class _FlakyStore:
     def __init__(self):
         self.data = {}
         self.sick = False
+        self.busy = False
         self.calls = 0
 
     def _guard(self):
@@ -157,7 +158,9 @@ class _FlakyStore:
         if self.sick:
             raise OSError("disk on fire")
 
-    def verdict_get(self, key):
+    def verdict_get(self, key, wait=True):
+        if self.busy and not wait:
+            raise BlockingIOError("lock held")
         self._guard()
         return self.data.get(key)
 
@@ -244,6 +247,28 @@ def test_breaker_backoff_is_capped():
         pytest.approx(2.0),
         pytest.approx(2.0),
     ]
+
+
+def test_a_lookup_that_must_not_wait_probes_and_skips_a_busy_backend():
+    """``verdict_get(key, wait=False)`` is an ordinary read to the
+    breaker, so the serving process's circuit recovers through it; a
+    backend that would block answers from the shadow without counting
+    as a failure or a success."""
+    clock = _FakeClock()
+    inner = _FlakyStore()
+    store = FailoverStore(inner, trip_after=1, probe_base=0.5, clock=clock)
+    inner.sick = True
+    store.verdict_put("shadowed", _record(3))  # trips; lands in the shadow
+    assert store.health()["state"] == "degraded"
+    inner.busy = True
+    clock.now += 10.0  # past the probe interval
+    assert store.verdict_get("shadowed", wait=False) == _record(3)
+    assert store.health()["failures"] == 1
+    assert store.health()["state"] != "ok"
+    inner.sick = inner.busy = False
+    store.verdict_get("shadowed", wait=False)  # the probe, and it recovers
+    assert store.health()["state"] == "ok"
+    assert inner.data["shadowed"] == _record(3)  # replayed
 
 
 def test_store_fault_points_fire_inside_the_wrapper():

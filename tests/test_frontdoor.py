@@ -480,10 +480,12 @@ def test_holds_500_concurrent_connections():
 def test_repeat_requests_stick_to_their_shard_member():
     """The same pair re-verified lands on the same member every time
     (its compile LRU and verdict caches are hot for that digest), while
-    distinct pairs may spread."""
+    distinct pairs may spread.  No shared store: with one, an exact
+    repeat is answered before dispatch and never reaches the router."""
     with FrontDoorServer(
         Session.from_program_text(RS_PROGRAM),
         pool_size=2,
+        shared_store=False,
     ) as srv:
         for n in range(6):
             status, _, _ = post_verify(

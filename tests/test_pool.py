@@ -38,6 +38,7 @@ from repro.server import FrontDoorServer
 from repro.server.pool import (
     AdmissionGate,
     SessionPool,
+    _member_info,
     default_pool_size,
 )
 from repro.session import (
@@ -47,6 +48,7 @@ from repro.session import (
     _TACTICS,
     register_tactic,
 )
+from repro.store import install_shared_store, open_store
 from repro.udp.trace import ReasonCode, Verdict
 
 from tests.conftest import RS_PROGRAM
@@ -206,7 +208,9 @@ def test_stress_clients_verdict_identity_and_no_crosstalk(baseline):
         assert stats["results"] == len(results)
         pool = stats["pool"]
         assert pool["size"] == STRESS_POOL_SIZE
-        assert sum(m["requests"] for m in pool["members"]) == len(results)
+        # Exact repeats are answered before dispatch; ``requests`` counts
+        # them with the members' requests.
+        assert pool["requests"] == len(results)
         # The idle queue rotates members, so sequential-ish load still
         # spreads: more than one member must have proved something.
         assert sum(1 for m in pool["members"] if m["requests"] > 0) >= 2
@@ -440,11 +444,13 @@ def test_hard_deadline_derived_from_pipeline_budgets():
 @needs_fork
 def test_shared_store_warms_the_sibling_member():
     """Member 0 proves a never-seen pair; with shard routing disabled the
-    LRU rotation hands the identical repeat to member 1, whose private
-    caches are cold — the shared verdict cache must answer it with the
-    verdict member 0 published.  (Sharded dispatch would deliberately
-    send the repeat back to member 0; cross-member warming is what's
-    under test.)"""
+    LRU rotation hands the repeat to member 1, whose private caches are
+    cold — the shared verdict cache must answer it with the verdict
+    member 0 published.  (Sharded dispatch would deliberately send the
+    repeat back to member 0; cross-member warming is what's under test.)
+    The repeat is reformatted: an exact repeat is answered before
+    dispatch, while this one misses the exact-text tier and reaches
+    member 1, whose denotation-tier lookup hits."""
     pool = SessionPool(
         2,
         session=Session.from_program_text(RS_PROGRAM),
@@ -458,7 +464,8 @@ def test_shared_store_warms_the_sibling_member():
             "right": "SELECT * FROM r x WHERE x.b = 777002 AND x.a = 777001",
         }
         first = pool.verify_json(dict(pair, id="warm-0"))
-        second = pool.verify_json(dict(pair, id="warm-1"))
+        reformatted = {key: "  " + text for key, text in pair.items()}
+        second = pool.verify_json(dict(reformatted, id="warm-1"))
         assert first["verdict"] == second["verdict"] == "proved"
         assert first["reason_code"] == second["reason_code"]
         members = {m["id"]: m for m in pool.stats()["members"]}
@@ -470,6 +477,128 @@ def test_shared_store_warms_the_sibling_member():
         )
     finally:
         pool.close()
+
+
+def _without_run_fields(record):
+    return {
+        key: value
+        for key, value in record.items()
+        if key not in ("id", "elapsed_seconds")
+    }
+
+
+@needs_fork
+def test_exact_repeat_is_answered_without_a_member():
+    """``submit_json`` answers an exact repeat in the calling thread: the
+    future is already done, no member's ``requests`` grows, and the
+    record is the one a member replays, apart from ``id`` and
+    ``elapsed_seconds``."""
+    pool = SessionPool(2, session=Session.from_program_text(RS_PROGRAM))
+    try:
+        pair = {
+            "left": "SELECT * FROM r x WHERE x.a = 777101",
+            "right": "SELECT * FROM r x WHERE x.a = 777102",
+        }
+        pool.verify_json(dict(pair, id="first"))
+        member_replay = pool._dispatch(dict(pair, id="member"), None)
+        requests = [member.requests for member in pool.members]
+        future = pool.submit_json(dict(pair, id="pool"))
+        assert future.done()
+        record = future.result()
+        assert [member.requests for member in pool.members] == requests
+        assert record["id"] == "pool"
+        assert record["verdict"] == "not_proved"
+        assert _without_run_fields(record) == _without_run_fields(member_replay)
+        assert pool.stats()["cache_answered"] == 1
+    finally:
+        pool.close()
+
+
+@needs_fork
+def test_held_store_lock_sends_the_repeat_to_a_member():
+    """While another thread holds the parent store's lock, an exact
+    repeat is answered by a member, with the same verdict, without the
+    calling thread waiting for the lock."""
+    pool = SessionPool(2, session=Session.from_program_text(RS_PROGRAM))
+    held, release = threading.Event(), threading.Event()
+
+    def hold():
+        with pool.store.inner._lock:
+            held.set()
+            release.wait(timeout=60)
+
+    holder = threading.Thread(target=hold)
+    try:
+        pair = {
+            "left": "SELECT * FROM r x WHERE x.a = 777201 AND x.b = 777202",
+            "right": "SELECT * FROM r x WHERE x.b = 777202 AND x.a = 777201",
+        }
+        first = pool.verify_json(dict(pair, id="first"))
+        requests = sum(member.requests for member in pool.members)
+        holder.start()
+        assert held.wait(timeout=10)
+        answers = []
+        caller = threading.Thread(
+            target=lambda: answers.append(pool.verify_json(dict(pair, id="again")))
+        )
+        caller.start()
+        caller.join(timeout=30)  # the holder keeps the lock for 60 s
+        assert not caller.is_alive(), "the lookup waited for the store lock"
+        assert answers[0]["verdict"] == first["verdict"] == "proved"
+        assert answers[0]["reason_code"] == first["reason_code"]
+        assert sum(member.requests for member in pool.members) == requests + 1
+        release.set()
+        holder.join(timeout=10)
+        assert pool.stats()["cache_answered"] == 0
+    finally:
+        release.set()
+        holder.join(timeout=10)
+        pool.close()
+
+
+@needs_fork
+def test_stats_count_pool_answered_requests():
+    """``/stats``: ``pool.requests`` is the members' requests plus
+    ``pool.cache_answered``, and the verdict tallies include the hits
+    answered before dispatch."""
+    with FrontDoorServer(
+        Session.from_program_text(RS_PROGRAM), pool_size=2
+    ) as server:
+        pair = PAIRS["eq-0"]
+        for n in range(3):
+            status, record, _ = post_json(
+                server.url + "/verify",
+                {"id": f"rep-{n}", "left": pair[0], "right": pair[1]},
+            )
+            assert status == 200 and record["verdict"] == "proved"
+        pool = get_json(server.url + "/stats")["pool"]
+    members = sum(member["requests"] for member in pool["members"])
+    assert pool["cache_answered"] == 2
+    assert pool["requests"] == members + pool["cache_answered"] == 3
+    assert pool["verdicts"] == {"proved": 3}
+    assert pool["store"]["hits"] >= pool["cache_answered"]
+
+
+def test_member_info_never_counts_the_store(tmp_path):
+    """A member's reply carries its store counters without querying the
+    database: no ``COUNT(`` statement runs."""
+    store = open_store(str(tmp_path / "counted.sqlite"))
+    statements = []
+    store.inner._conn.set_trace_callback(statements.append)
+    previous = install_shared_store(store)
+    try:
+        info = _member_info(Session())
+    finally:
+        install_shared_store(previous)
+    try:
+        assert not [s for s in statements if "COUNT(" in s.upper()]
+        assert {"hits", "misses", "publishes", "errors", "epoch", "health"} <= set(
+            info["store"]
+        )
+        store.stats()  # the trace does see the full stats' count
+        assert [s for s in statements if "COUNT(" in s.upper()]
+    finally:
+        store.close()
 
 
 # -- backpressure -------------------------------------------------------------

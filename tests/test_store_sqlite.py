@@ -14,6 +14,8 @@ import json
 import multiprocessing
 import os
 import sqlite3
+import threading
+import time
 import urllib.request
 
 import pytest
@@ -210,6 +212,128 @@ def test_verdict_stats_tallies(tmp_path):
         assert stats["reason_codes"] == {"x": 1, "y": 1}
         assert 0 < stats["hit_rate"] < 1
     finally:
+        store.close()
+
+
+def _data_version(conn):
+    return conn.execute("PRAGMA data_version").fetchone()[0]
+
+
+def _durable_counters(path):
+    conn = sqlite3.connect(path)
+    try:
+        return dict(conn.execute("SELECT name, value FROM counters"))
+    finally:
+        conn.close()
+
+
+def test_verdict_lookups_write_nothing(tmp_path):
+    """A hit, a miss and an expired row are pure reads: another
+    connection sees no commit (``PRAGMA data_version`` is unchanged)."""
+    path = str(tmp_path / "memo.sqlite")
+    store = SQLiteMemoStore(path)
+    observer = sqlite3.connect(path)
+    try:
+        store.verdict_put("hit", {"verdict": "proved"})
+        store.verdict_put("old", {"verdict": "timeout"}, ttl=0.0)
+        before = _data_version(observer)
+        assert store.verdict_get("hit") == {"verdict": "proved"}
+        assert store.verdict_get("missing") is None
+        assert store.verdict_get("old") is None
+        assert _data_version(observer) == before
+        assert (store.hits, store.misses, store.expired) == (1, 2, 1)
+        store.verdict_put("new", {"verdict": "proved"})
+        assert _data_version(observer) != before  # the probe sees writes
+    finally:
+        observer.close()
+        store.close()
+
+
+def test_verdict_tallies_reach_the_table_with_the_next_write(tmp_path):
+    """Hit and miss tallies wait in memory; the next ``verdict_put``,
+    ``flush()`` and ``close()`` each write them."""
+    path = str(tmp_path / "memo.sqlite")
+    store = SQLiteMemoStore(path)
+    try:
+        store.verdict_put("a", {"verdict": "proved"})
+        store.verdict_get("a")
+        store.verdict_get("a")
+        store.verdict_get("nope")
+        durable = _durable_counters(path)
+        assert durable.get("verdict_hits", 0) == 0
+        assert durable.get("verdict_misses", 0) == 0
+        store.verdict_put("b", {"verdict": "proved"})
+        durable = _durable_counters(path)
+        assert durable["verdict_hits"] == 2
+        assert durable["verdict_misses"] == 1
+        store.verdict_get("b")
+        store.flush()
+        assert _durable_counters(path)["verdict_hits"] == 3
+        store.verdict_get("b")
+    finally:
+        store.close()
+    assert _durable_counters(path)["verdict_hits"] == 4
+
+
+def _put_in_child(path, store, counts):
+    counts.put((store.hits, store.misses))
+    store.verdict_put("child", {"verdict": "proved"})
+
+
+@needs_fork
+def test_forked_child_does_not_inherit_unwritten_tallies(tmp_path):
+    """A forked child starts its own counters: its verdict writes never
+    carry the parent's unwritten tallies, which the parent writes once."""
+    path = str(tmp_path / "memo.sqlite")
+    store = SQLiteMemoStore(path)
+    context = multiprocessing.get_context("fork")
+    counts = context.Queue()
+    try:
+        store.verdict_put("a", {"verdict": "proved"})
+        store.verdict_get("a")
+        store.verdict_get("a")
+        child = context.Process(target=_put_in_child, args=(path, store, counts))
+        child.start()
+        child.join(timeout=60)
+        assert child.exitcode == 0
+        assert counts.get(timeout=10) == (0, 0)
+        assert _durable_counters(path).get("verdict_hits", 0) == 0
+        assert store.hits == 2
+    finally:
+        store.close()
+    assert _durable_counters(path)["verdict_hits"] == 2
+
+
+def test_verdict_get_without_wait_skips_a_held_lock(tmp_path):
+    """``wait=False`` never blocks on the store lock and counts only
+    hits: a held lock raises ``BlockingIOError`` and a miss answers
+    ``None``, neither counted."""
+    store = SQLiteMemoStore(str(tmp_path / "memo.sqlite"))
+    held, release = threading.Event(), threading.Event()
+
+    def hold():
+        with store._lock:
+            held.set()
+            release.wait(timeout=30)
+
+    holder = threading.Thread(target=hold)
+    try:
+        store.verdict_put("a", {"verdict": "proved"})
+        holder.start()
+        assert held.wait(timeout=10)
+        started = time.monotonic()
+        with pytest.raises(BlockingIOError):
+            store.verdict_get("a", wait=False)
+        assert time.monotonic() - started < 1.0
+        release.set()
+        holder.join(timeout=10)
+        assert not holder.is_alive()
+        assert (store.hits, store.misses) == (0, 0)
+        assert store.verdict_get("a", wait=False) == {"verdict": "proved"}
+        assert store.verdict_get("nope", wait=False) is None
+        assert (store.hits, store.misses) == (1, 0)
+    finally:
+        release.set()
         store.close()
 
 
