@@ -19,9 +19,8 @@ Value expressions decompose into (operator, children) pairs:
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
-from repro.logic.unionfind import UnionFind
 from repro.usr.values import (
     Agg,
     Attr,
@@ -55,57 +54,91 @@ def decompose(value: ValueExpr) -> Optional[Tuple[Tuple, Tuple[ValueExpr, ...]]]
 
 
 class CongruenceClosure:
-    """Equivalence classes of value expressions closed under congruence."""
+    """Equivalence classes of value expressions closed under congruence.
+
+    Terms are interned to dense integer ids on registration, so the
+    union-find and the signature rehash of :meth:`_rebuild` work on ints
+    and tuples of ints rather than re-hashing value trees; each compound
+    node's (operator, child ids) decomposition is computed once.
+    """
 
     def __init__(self) -> None:
-        self._uf = UnionFind()
-        self._nodes: Set[ValueExpr] = set()
-        self._groups: Optional[Dict[ValueExpr, List[ValueExpr]]] = None
+        self._ids: Dict[ValueExpr, int] = {}
+        self._terms: List[ValueExpr] = []
+        self._parent: List[int] = []
+        #: ``(id, operator, child ids)`` of every compound node.
+        self._apps: List[Tuple[int, Tuple, Tuple[int, ...]]] = []
+        self._groups: Optional[Dict[int, List[ValueExpr]]] = None
 
     # -- construction ------------------------------------------------------
 
-    def add_term(self, value: ValueExpr) -> None:
-        """Register ``value`` and all its subterms."""
-        if value in self._nodes:
-            return
-        self._groups = None
-        self._nodes.add(value)
-        self._uf.add(value)
+    def add_term(self, value: ValueExpr) -> bool:
+        """Register ``value`` and all its subterms.
+
+        Returns whether a new *compound* node entered the universe — only
+        such a node can be congruent to an existing one, so only then does
+        a query on it need a congruence rebuild.
+        """
+        before = len(self._apps)
+        self._intern(value)
+        return len(self._apps) > before
+
+    def _intern(self, value: ValueExpr) -> int:
+        index = self._ids.get(value)
+        if index is not None:
+            return index
         parts = decompose(value)
-        if parts is None:
-            return
-        _, children = parts
-        for child in children:
-            self.add_term(child)
+        children = (
+            tuple(self._intern(child) for child in parts[1])
+            if parts is not None
+            else ()
+        )
+        index = len(self._terms)
+        self._ids[value] = index
+        self._terms.append(value)
+        self._parent.append(index)
+        if parts is not None:
+            self._apps.append((index, parts[0], children))
+        self._groups = None
+        return index
+
+    def _root(self, index: int) -> int:
+        parent = self._parent
+        root = index
+        while parent[root] != root:
+            root = parent[root]
+        while parent[index] != root:  # path compression
+            parent[index], index = root, parent[index]
+        return root
 
     def merge(self, left: ValueExpr, right: ValueExpr) -> None:
         """Assert ``left = right`` and restore congruence."""
-        self.add_term(left)
-        self.add_term(right)
-        self._groups = None
-        self._uf.union(left, right)
-        self._rebuild()
+        self.merge_many(((left, right),))
 
-    def merge_many(self, pairs: Iterable[Tuple[ValueExpr, ValueExpr]]) -> None:
+    def merge_many(self, pairs: Iterable[Tuple[ValueExpr, ValueExpr]]) -> bool:
         """Assert several equalities with a single congruence rebuild.
 
         Congruence closure is confluent — the final partition depends only
         on the set of asserted equalities, not their order — so batching
         the unions and rehashing signatures once is equivalent to (and far
         cheaper than) a full :meth:`_rebuild` fixpoint per ``merge``.
+
+        Returns whether the closure changed (a union joined two classes or
+        a new compound node was registered); when nothing changed the
+        rebuild is skipped.
         """
-        pairs = list(pairs)
-        if not pairs:
-            # No equalities: every class is a singleton, so two signatures
-            # can only coincide for structurally identical (= same) nodes;
-            # the rehash fixpoint would be a no-op.
-            return
-        self._groups = None
+        before = len(self._apps)
+        changed = False
         for left, right in pairs:
-            self.add_term(left)
-            self.add_term(right)
-            self._uf.union(left, right)
-        self._rebuild()
+            root_left = self._root(self._intern(left))
+            root_right = self._root(self._intern(right))
+            if root_left != root_right:
+                self._parent[root_right] = root_left
+                changed = True
+        if changed or len(self._apps) > before:
+            self._rebuild()
+            return True
+        return False
 
     def _rebuild(self) -> None:
         """Merge congruent applications until fixpoint (signature rehash).
@@ -113,28 +146,21 @@ class CongruenceClosure:
         A global scan per round is quadratic but evidently correct; the term
         universes the decision procedure builds are small (tens of nodes).
         """
+        self._groups = None
+        parent = self._parent
+        root = self._root
         changed = True
         while changed:
             changed = False
-            self._groups = None
-            signatures: Dict[Tuple, ValueExpr] = {}
-            for node in self._nodes:
-                if decompose(node) is None:
-                    continue
-                signature = self._signature(node)
-                other = signatures.get(signature)
-                if other is None:
-                    signatures[signature] = node
-                elif not self._uf.same(other, node):
-                    self._uf.union(other, node)
-                    changed = True
-
-    def _signature(self, value: ValueExpr) -> Tuple:
-        parts = decompose(value)
-        if parts is None:
-            return ("leaf", self._uf.find(value))
-        op, children = parts
-        return (op, tuple(self._uf.find(child) for child in children))
+            signatures: Dict[Tuple, int] = {}
+            for index, op, children in self._apps:
+                signature = (op, tuple([root(child) for child in children]))
+                other = signatures.setdefault(signature, index)
+                if other != index:
+                    root_other, root_index = root(other), root(index)
+                    if root_other != root_index:
+                        parent[root_index] = root_other
+                        changed = True
 
     # -- queries ---------------------------------------------------------
 
@@ -145,30 +171,47 @@ class CongruenceClosure:
         structure may immediately connect them through congruence, so the
         closure is re-established before answering.
         """
-        known = left in self._nodes and right in self._nodes
-        self.add_term(left)
-        self.add_term(right)
-        if not known:
+        before = len(self._apps)
+        left_index = self._intern(left)
+        right_index = self._intern(right)
+        if len(self._apps) > before:
             self._rebuild()
-        return self._uf.same(left, right)
+        return self._root(left_index) == self._root(right_index)
 
     def find(self, value: ValueExpr) -> ValueExpr:
         """Representative of ``value``'s class (adding it if new)."""
-        self.add_term(value)
-        return self._uf.find(value)
+        return self._terms[self._root(self._register(value))]
 
-    def _grouped(self) -> Dict[ValueExpr, List[ValueExpr]]:
-        """Root → members partition, cached until the closure changes."""
+    def _register(self, value: ValueExpr) -> int:
+        """Id of a query operand, restoring congruence if it is new."""
+        before = len(self._apps)
+        index = self._intern(value)
+        if len(self._apps) > before:
+            self._rebuild()
+        return index
+
+    def _grouped(self) -> Dict[int, List[ValueExpr]]:
+        """Root → members partition, cached until the closure changes.
+
+        Members are listed in registration order, so the partition never
+        depends on hash (set iteration) order.
+        """
         if self._groups is None:
-            grouped: Dict[ValueExpr, List[ValueExpr]] = {}
-            for node in self._nodes:
-                grouped.setdefault(self._uf.find(node), []).append(node)
+            grouped: Dict[int, List[ValueExpr]] = {}
+            root = self._root
+            for index, term in enumerate(self._terms):
+                grouped.setdefault(root(index), []).append(term)
             self._groups = grouped
         return self._groups
 
     def class_members(self, value: ValueExpr) -> List[ValueExpr]:
-        self.add_term(value)
-        return self._grouped()[self._uf.find(value)]
+        """Every registered node congruent to ``value`` (adding it if new)."""
+        index = self._register(value)
+        return self._grouped()[self._root(index)]
+
+    def nodes(self) -> List[ValueExpr]:
+        """Every registered term, in registration order."""
+        return list(self._terms)
 
     def classes(self) -> List[List[ValueExpr]]:
         return list(self._grouped().values())
@@ -178,10 +221,8 @@ class CongruenceClosure:
 
     def copy(self) -> "CongruenceClosure":
         clone = CongruenceClosure()
-        for node in self._nodes:
-            clone.add_term(node)
-        for group in self.classes():
-            first = group[0]
-            for member in group[1:]:
-                clone.merge(first, member)
+        clone._ids = dict(self._ids)
+        clone._terms = list(self._terms)
+        clone._parent = list(self._parent)
+        clone._apps = list(self._apps)
         return clone

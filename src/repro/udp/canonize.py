@@ -145,39 +145,15 @@ def canonize_term(
     trace: Optional[ProofTrace] = None,
     apply_squash_invariance: bool = True,
 ) -> Optional[NormalTerm]:
-    """Canonize one term; ``None`` means it reduced to 0."""
-    current = _canonicalize_aggregates(term, constraints, var_schemas)
-    for _ in range(_MAX_ROUNDS):
-        simplified = resimplify_term(current)
-        if simplified is None:
-            if trace is not None:
-                trace.record("mul-zero", "term reduced to 0")
-            return None
-        current = simplified
-        closure = build_closure(current, constraints)
-        if _contradictory(current, closure, trace):
-            return None
-        changed, current = _eliminate_bound_var(
-            current, closure, var_schemas, trace
-        )
-        if changed:
-            continue
-        changed, current = _decompose_tuple_equalities(
-            current, var_schemas, trace
-        )
-        if changed:
-            continue
-        changed, current = _apply_key_unification(
-            current, closure, constraints, trace
-        )
-        if changed:
-            continue
-        changed, current = _apply_fk_elimination(
-            current, closure, constraints, trace
-        )
-        if changed:
-            continue
-        break
+    """Canonize one term; ``None`` means it reduced to 0.
+
+    :func:`_rewrite_term` brings the term's own factors to their fixpoint;
+    the squash and negation parts are then canonized with its binders as
+    free context, and Theorem 4.3 may absorb the whole term.
+    """
+    current = _rewrite_term(term, constraints, var_schemas, trace)
+    if current is None:
+        return None
     # Recurse into the squash and negation parts with the bound variables
     # visible as free context.
     inner_env = dict(var_schemas)
@@ -203,6 +179,106 @@ def canonize_term(
             current, constraints, var_schemas, trace
         )
     return current
+
+
+def _rewrite_term(
+    term: NormalTerm,
+    constraints: ConstraintSet,
+    var_schemas: SchemaEnv,
+    trace: Optional[ProofTrace],
+) -> Optional[NormalTerm]:
+    """Steps 1–6 of the module docstring over one congruence closure.
+
+    The closure is built and checked for contradictions once.  Each round
+    then makes the first rewrite that applies, in that priority order, and
+    keeps the closure in step with the rewritten term:
+
+    * every eliminable binder goes in one pass — one simultaneous
+      substitution ``σ``; the closure already holds ``x = σ(x)`` for a
+      direct elimination and merges it (with the projections it reduces)
+      for a tuple-ext reconstruction;
+    * a tuple-equality decomposition merges its component equalities;
+    * a key unification merges the two atoms' arguments;
+    * only a foreign-key elimination, which drops predicates and so
+      *weakens* the closure, rebuilds it.
+
+    Closure nodes that still mention an eliminated binder are read through
+    ``σ``, so each class answers for the current term.
+    """
+    current = resimplify_term(_canonicalize_aggregates(term, constraints, var_schemas))
+    if current is None:
+        return _reduced_to_zero(trace)
+    closure = build_closure(current, constraints)
+    if _contradictory(current, closure, trace):
+        return None
+    sigma: Dict[str, ValueExpr] = {}
+    for _ in range(_MAX_ROUNDS):
+        eliminated = _eliminate_bound_vars(
+            current, closure, sigma, var_schemas, trace
+        )
+        if eliminated:
+            current = resimplify_term(
+                substitute_term(
+                    NormalTerm(
+                        tuple(v for v in current.vars if v[0] not in eliminated),
+                        current.preds,
+                        current.rels,
+                        current.squash_part,
+                        current.neg_part,
+                    ),
+                    eliminated,
+                )
+            )
+            if current is None:
+                return _reduced_to_zero(trace)
+            if closure.merge_many(
+                _substitution_equalities(closure, eliminated, sigma)
+            ):
+                # What the merge taught the closure may contradict the term
+                # or pin another binder.
+                if _contradictory(current, closure, trace):
+                    return None
+                continue
+        decomposed, current = _decompose_tuple_equalities(
+            current, var_schemas, trace
+        )
+        if not decomposed:
+            unified, current = _apply_key_unification(
+                current, closure, constraints, trace
+            )
+            if unified:
+                current = resimplify_term(current)
+                if current is None:
+                    return _reduced_to_zero(trace)
+                if closure.merge_many(unified) and _contradictory(
+                    current, closure, trace
+                ):
+                    return None
+                continue
+            changed, current = _apply_fk_elimination(
+                current, closure, constraints, trace
+            )
+            if not changed:
+                break
+        # Both remaining rewrites drop a predicate the closure has merged —
+        # a split tuple equality, or those of an eliminated foreign-key
+        # atom — and congruence cannot re-derive the first (it has no
+        # tuple extensionality), so the closure is rebuilt.
+        current = resimplify_term(current)
+        if current is None:
+            return _reduced_to_zero(trace)
+        closure = build_closure(current, constraints)
+        sigma = {}
+        # Dropping the atom's predicates keeps a consistent term consistent.
+        if decomposed and _contradictory(current, closure, trace):
+            return None
+    return current
+
+
+def _reduced_to_zero(trace: Optional[ProofTrace]) -> None:
+    if trace is not None:
+        trace.record("mul-zero", "term reduced to 0")
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -528,70 +604,120 @@ def _candidate_priority(value: ValueExpr) -> Tuple[int, str]:
     return (2, repr(value))
 
 
-def _eliminate_bound_var(
+def _eliminate_bound_vars(
     term: NormalTerm,
     closure: CongruenceClosure,
+    sigma: Dict[str, ValueExpr],
     var_schemas: SchemaEnv,
     trace: Optional[ProofTrace],
-) -> Tuple[bool, NormalTerm]:
-    """Try to remove one summation via Eq. (15) (+ tuple-ext reconstruction)."""
-    for index, (name, schema) in enumerate(term.vars):
+) -> Dict[str, ValueExpr]:
+    """Eliminate every eligible summation of ``term`` via Eq. (15) in one pass.
+
+    Binders are visited in order.  A binder's candidates are its class
+    members read through ``sigma``, the substitution built so far; the
+    best by :func:`_candidate_priority` replaces it.  ``sigma`` is extended
+    in place and stays fully composed — a replacement that mentions a
+    binder eliminated later is rewritten then — so it remains one acyclic
+    simultaneous substitution.  Returns the part of ``sigma`` that covers
+    this pass's binders.
+    """
+    eliminated: List[str] = []
+    for name, schema in term.vars:
         var = TupleVar(name)
-        # Direct: the class of `var` holds a var-free value.
-        members = [
-            m
-            for m in closure.class_members(var)
-            if m != var and name not in m.free_tuple_vars()
-        ]
-        if members:
-            members.sort(key=_candidate_priority)
-            replacement = members[0]
-            new_term = _drop_binder(term, index, name, replacement)
+        replacement = _best_candidate(closure, var, name, sigma)
+        if replacement is not None:
             if trace is not None:
                 trace.record("eq-sum-elim", f"Σ{name} eliminated by {replacement}")
-            return True, new_term
-        # Reconstruction: every attribute pinned to a var-free value.  Only
-        # variables that feed no relation atom are reconstructed (the Fig. 3
-        # situation: the variable ranges over a projected subquery output);
-        # rewriting a relation argument into a tuple constructor would block
-        # the key/foreign-key identities, which match on plain variables.
-        feeds_relation = any(
-            name in arg.free_tuple_vars() for _, arg in term.rels
-        )
-        if not feeds_relation and schema.is_concrete() and schema.attributes:
-            fields: List[Tuple[str, ValueExpr]] = []
-            for attr in schema.attributes:
-                access = Attr(var, attr.name)
-                pins = [
-                    m
-                    for m in closure.class_members(access)
-                    if name not in m.free_tuple_vars()
-                ]
-                if not pins:
-                    fields = []
-                    break
-                pins.sort(key=_candidate_priority)
-                fields.append((attr.name, pins[0]))
-            if fields:
-                replacement = TupleCons(tuple(fields))
-                new_term = _drop_binder(term, index, name, replacement)
-                if trace is not None:
-                    trace.record(
-                        "tuple-ext", f"Σ{name} reconstructed as {replacement}"
-                    )
-                    trace.record("eq-sum-elim", f"Σ{name} eliminated")
-                return True, new_term
-    return False, term
+        else:
+            replacement = _reconstruction(term, closure, sigma, name, schema)
+            if replacement is None:
+                continue
+            if trace is not None:
+                trace.record("tuple-ext", f"Σ{name} reconstructed as {replacement}")
+                trace.record("eq-sum-elim", f"Σ{name} eliminated")
+        step = {name: replacement}
+        for other in sigma:
+            sigma[other] = subst_value(sigma[other], step)
+        sigma[name] = replacement
+        eliminated.append(name)
+    return {name: sigma[name] for name in eliminated}
 
 
-def _drop_binder(
-    term: NormalTerm, index: int, name: str, replacement: ValueExpr
-) -> NormalTerm:
-    remaining = term.vars[:index] + term.vars[index + 1 :]
-    shell = NormalTerm(
-        remaining, term.preds, term.rels, term.squash_part, term.neg_part
-    )
-    return substitute_term(shell, {name: replacement})
+def _best_candidate(
+    closure: CongruenceClosure,
+    value: ValueExpr,
+    name: str,
+    sigma: Dict[str, ValueExpr],
+) -> Optional[ValueExpr]:
+    """The best member of ``value``'s class, read through ``sigma``, that is
+    free of binder ``name`` (``None`` if there is none)."""
+    best = None
+    for member in closure.class_members(value):
+        if sigma:
+            member = subst_value(member, sigma)
+        if name in member.free_tuple_vars():
+            continue
+        if best is None or _candidate_priority(member) < _candidate_priority(best):
+            best = member
+    return best
+
+
+def _reconstruction(
+    term: NormalTerm,
+    closure: CongruenceClosure,
+    sigma: Dict[str, ValueExpr],
+    name: str,
+    schema: Schema,
+) -> Optional[ValueExpr]:
+    """Tuple-ext: rebuild a binder from attributes pinned to values free of it.
+
+    Only variables that feed no relation atom are reconstructed (the Fig. 3
+    situation: the variable ranges over a projected subquery output);
+    rewriting a relation argument into a tuple constructor would block the
+    key/foreign-key identities, which match on plain variables.
+    """
+    if not schema.is_concrete() or not schema.attributes:
+        return None
+    for _, arg in term.rels:
+        if sigma:
+            arg = subst_value(arg, sigma)
+        if name in arg.free_tuple_vars():
+            return None
+    var = TupleVar(name)
+    fields: List[Tuple[str, ValueExpr]] = []
+    for attr in schema.attributes:
+        pin = _best_candidate(closure, Attr(var, attr.name), name, sigma)
+        if pin is None:
+            return None
+        fields.append((attr.name, pin))
+    return TupleCons(tuple(fields))
+
+
+def _substitution_equalities(
+    closure: CongruenceClosure,
+    eliminated: Dict[str, ValueExpr],
+    sigma: Dict[str, ValueExpr],
+) -> List[Tuple[ValueExpr, ValueExpr]]:
+    """What the closure must learn to answer for the substituted term.
+
+    ``x = σ(x)`` for each binder this pass eliminated — already true for a
+    direct elimination, new knowledge for a tuple-ext reconstruction — and,
+    once ``σ`` maps some binder to a tuple constructor, ``a.f = σ(a.f)`` for
+    every projection the substitution reduces (``⟨f: e⟩.f`` to ``e``),
+    which congruence alone cannot derive.
+    """
+    pairs: List[Tuple[ValueExpr, ValueExpr]] = [
+        (TupleVar(name), value) for name, value in eliminated.items()
+    ]
+    if any(isinstance(v, (TupleCons, ConcatTuple)) for v in sigma.values()):
+        for node in closure.nodes():
+            if isinstance(node, Attr) and not sigma.keys().isdisjoint(
+                node.free_tuple_vars()
+            ):
+                base = subst_value(node.base, sigma)
+                if isinstance(base, (TupleCons, ConcatTuple)):
+                    pairs.append((node, project_attr(base, node.name)))
+    return pairs
 
 
 # ---------------------------------------------------------------------------
@@ -647,8 +773,12 @@ def _project_for_decomposition(value: ValueExpr, out_name: str) -> Optional[Valu
 
 def _decompose_tuple_equalities(
     term: NormalTerm, var_schemas: SchemaEnv, trace: Optional[ProofTrace]
-) -> Tuple[bool, NormalTerm]:
-    """Split one whole-tuple equality into attribute equalities."""
+) -> Tuple[List[Tuple[ValueExpr, ValueExpr]], NormalTerm]:
+    """Split one whole-tuple equality into attribute equalities.
+
+    Returns the component equalities (empty when no equality splits) and
+    the rewritten term.
+    """
     bound = dict(term.vars)
     for pred in term.preds:
         if not isinstance(pred, EqPred):
@@ -661,24 +791,23 @@ def _decompose_tuple_equalities(
             # Incompatible arities: under the standard interpretation the
             # tuples differ; leave the equality symbolic (sound).
             continue
-        new_preds: List[Predicate] = [p for p in term.preds if p != pred]
-        ok = True
+        components: List[Tuple[ValueExpr, ValueExpr]] = []
         for left_name, right_name in zip(left_names, right_names):
             left_component = _project_for_decomposition(pred.left, left_name)
             right_component = _project_for_decomposition(pred.right, right_name)
             if left_component is None or right_component is None:
-                ok = False
                 break
-            new_preds.append(EqPred(left_component, right_component))
-        if not ok:
-            continue
-        if trace is not None:
-            trace.record("tuple-ext", f"decompose {pred}")
-        new_term = NormalTerm(
-            term.vars, tuple(new_preds), term.rels, term.squash_part, term.neg_part
-        )
-        return True, new_term
-    return False, term
+            components.append((left_component, right_component))
+        else:
+            if trace is not None:
+                trace.record("tuple-ext", f"decompose {pred}")
+            new_preds = [p for p in term.preds if p != pred]
+            new_preds.extend(EqPred(l, r) for l, r in components)
+            new_term = NormalTerm(
+                term.vars, tuple(new_preds), term.rels, term.squash_part, term.neg_part
+            )
+            return components, new_term
+    return [], term
 
 
 # ---------------------------------------------------------------------------
@@ -691,7 +820,12 @@ def _apply_key_unification(
     closure: CongruenceClosure,
     constraints: ConstraintSet,
     trace: Optional[ProofTrace],
-) -> Tuple[bool, NormalTerm]:
+) -> Tuple[List[Tuple[ValueExpr, ValueExpr]], NormalTerm]:
+    """Merge two atoms of a keyed relation whose keys are congruent.
+
+    Returns the equality of their arguments (as a one-element list, empty
+    when no pair merges) and the rewritten term.
+    """
     for table, key_attrs in [(c.table, c.attributes) for c in constraints.keys]:
         atoms = [
             (i, arg) for i, (name, arg) in enumerate(term.rels) if name == table
@@ -722,8 +856,8 @@ def _apply_key_unification(
                 new_term = NormalTerm(
                     term.vars, new_preds, new_rels, term.squash_part, term.neg_part
                 )
-                return True, new_term
-    return False, term
+                return [(arg_a, arg_b)], new_term
+    return [], term
 
 
 # ---------------------------------------------------------------------------
@@ -873,13 +1007,15 @@ def _is_key_determined(term: NormalTerm, constraints: ConstraintSet) -> bool:
     key attribute congruent to an expression over free or already-determined
     variables.
     """
-    closure = build_closure(term)
-    bound = set(term.bound_names())
     # Every relation atom must belong to a relation with a declared key,
     # otherwise R(t)² = R(t) is unavailable.
     for rel_name, _ in term.rels:
         if not constraints.has_key(rel_name):
             return False
+    bound = set(term.bound_names())
+    if not bound:
+        return True
+    closure = build_closure(term)
     determined: Set[str] = set()
 
     def value_determined(value: ValueExpr) -> bool:

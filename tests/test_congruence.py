@@ -147,3 +147,29 @@ def test_copy_preserves_classes():
     clone.merge(B, C)
     assert clone.equal(A, C)
     assert not cc.equal(A, C)
+
+
+def test_queries_on_a_new_compound_term_restore_congruence():
+    """``class_members`` and ``find`` on a term the closure has not seen
+    must see it congruent to registered terms — and must not leave the
+    closure in a state where a later ``equal`` misses the congruence."""
+    cc = CongruenceClosure()
+    cc.merge(A, B)
+    cc.add_term(Attr(B, "a"))
+    assert set(cc.class_members(Attr(A, "a"))) == {Attr(A, "a"), Attr(B, "a")}
+    assert cc.equal(Attr(A, "a"), Attr(B, "a"))
+
+    cc = CongruenceClosure()
+    cc.merge(A, B)
+    cc.add_term(Func("f", (B,)))
+    assert cc.find(Func("f", (A,))) == cc.find(Func("f", (B,)))
+    assert cc.equal(Func("f", (A,)), Func("f", (B,)))
+
+
+def test_merge_many_reports_whether_the_closure_changed():
+    cc = CongruenceClosure()
+    assert not cc.merge_many([])
+    assert cc.merge_many([(A, B)])
+    assert not cc.merge_many([(A, B), (B, A)])
+    assert cc.merge_many([(Attr(A, "x"), Attr(A, "x"))])
+    assert cc.equal(Attr(A, "x"), Attr(B, "x"))
