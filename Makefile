@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test test-server test-frontdoor test-store test-cluster test-chaos test-differential server-stress bench-gate bench-frontdoor bench-selftest batch-corpus serve
+.PHONY: test test-server test-frontdoor test-store test-cluster test-chaos test-differential test-canonical server-stress bench-gate bench-frontdoor bench-selftest batch-corpus serve
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -45,6 +45,14 @@ test-chaos:
 ## verdict- and reason-code-identical on all 91 rules.
 test-differential:
 	$(PYTHON) -m pytest -x -q tests/test_differential.py
+
+## Canonical-form identity under two hash seeds: the corpus golden digests
+## and the one-closure canonizer against its round-at-a-time reference.
+## Picking a class representative must never depend on set iteration
+## order, which PYTHONHASHSEED changes.
+test-canonical:
+	PYTHONHASHSEED=0 $(PYTHON) -m pytest -x -q tests/test_canonical_golden.py tests/test_canonize_differential.py
+	PYTHONHASHSEED=1 $(PYTHON) -m pytest -x -q tests/test_canonical_golden.py tests/test_canonize_differential.py
 
 ## Pool concurrency stress + JSONL/chunked framing fuzz suites, with the
 ## stress scenarios pinned to a 4-member pool.

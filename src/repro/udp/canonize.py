@@ -1,20 +1,31 @@
 """Canonization of SPNF terms under integrity constraints (Algorithm 1).
 
-For each term the canonizer repeatedly applies, until fixpoint:
+Each term is rewritten to a fixpoint over one congruence closure of its
+equality predicates (the transitive-closure step of Alg. 1 line 2,
+strengthened to full congruence).  The closure is built once and checked
+once for a contradiction — ``[e ≠ e']`` with ``e ~ e'``, two distinct
+constants in one class, or ``[β(..)] × [¬β(..)]`` — which makes the term 0.
+Each round then applies the first of these rewrites that fires:
 
-1. congruence closure of the equality predicates (the transitive-closure
-   step of Alg. 1 line 2, strengthened to full congruence);
-2. contradiction detection — ``[e ≠ e']`` with ``e ~ e'``, two distinct
-   constants in one class, or ``[β(..)] × [¬β(..)]`` — the term is 0;
-3. Eq. (15) summation elimination — a bound variable equal to a variable-free
-   value is substituted away; if its schema is concrete and every attribute is
-   pinned, the tuple is reconstructed first (``tuple-ext``, the Ex. 4.7 move);
-4. tuple-equality decomposition over concrete schemas;
-5. key unification (Def. 4.1) — two atoms of a relation with congruent keys
+1. Eq. (15) summation elimination, for every eligible binder in one pass —
+   a bound variable whose class holds a value free of it is replaced by
+   the best such value; if its schema is concrete and every attribute is
+   pinned, the tuple is reconstructed instead (``tuple-ext``, the Ex. 4.7
+   move).  The replacements form one acyclic simultaneous substitution:
+   normalization to class representatives, of which Eq. (15) is the
+   one-variable case;
+2. tuple-equality decomposition over concrete schemas;
+3. key unification (Def. 4.1) — two atoms of a relation with congruent keys
    merge into one atom plus a tuple equality;
-6. foreign-key join elimination (Def. 4.4, right to left) — a summed atom of
-   the referenced relation used only through its key vanishes;
-7. Theorem 4.3 — a term with a squash factor whose summations are all
+4. foreign-key join elimination (Def. 4.4, right to left) — a summed atom of
+   the referenced relation used only through its key vanishes.
+
+Eliminations and key unifications keep the closure (the rewritten term is
+congruent to the old one, and the closure merges what it newly implies);
+a decomposition or an FK elimination drops a merged predicate, so the
+closure is rebuilt after those.  Finally:
+
+5. Theorem 4.3 — a term with a squash factor whose summations are all
    key-determined by external expressions absorbs entirely into the squash.
 
 Aggregate values are pre-normalized: each ``agg(λt. E)`` body is recursively
@@ -187,23 +198,28 @@ def _rewrite_term(
     var_schemas: SchemaEnv,
     trace: Optional[ProofTrace],
 ) -> Optional[NormalTerm]:
-    """Steps 1–6 of the module docstring over one congruence closure.
+    """Rewrites 1–4 of the module docstring to their fixpoint.
 
-    The closure is built and checked for contradictions once.  Each round
-    then makes the first rewrite that applies, in that priority order, and
-    keeps the closure in step with the rewritten term:
+    The closure is built and checked for a contradiction once.  Each round
+    makes the first rewrite that applies and keeps the closure in step
+    with the rewritten term:
 
-    * every eliminable binder goes in one pass — one simultaneous
-      substitution ``σ``; the closure already holds ``x = σ(x)`` for a
-      direct elimination and merges it (with the projections it reduces)
-      for a tuple-ext reconstruction;
-    * a tuple-equality decomposition merges its component equalities;
-    * a key unification merges the two atoms' arguments;
-    * only a foreign-key elimination, which drops predicates and so
-      *weakens* the closure, rebuilds it.
+    * one pass eliminates every eligible binder (one simultaneous
+      substitution ``σ``).  The closure already holds ``x = σ(x)`` for a
+      direct elimination; for a tuple-ext reconstruction it merges that
+      and the projections ``σ`` reduces, then re-checks;
+    * a key unification merges the two atoms' arguments and re-checks;
+    * a tuple-equality decomposition or an FK elimination drops a
+      predicate the closure has merged.  Congruence has no tuple
+      extensionality, so ``t = ⟨a: e⟩`` is not re-derivable from
+      ``t.a = e`` and keeping the closure would let later rounds see an
+      equality the term no longer states; the closure is rebuilt.
 
     Closure nodes that still mention an eliminated binder are read through
     ``σ``, so each class answers for the current term.
+    ``tests/test_canonize_differential.py`` checks the result against the
+    round-at-a-time loop this replaced (one change per round, closure
+    rebuilt every round).
     """
     current = resimplify_term(_canonicalize_aggregates(term, constraints, var_schemas))
     if current is None:
@@ -260,16 +276,13 @@ def _rewrite_term(
             )
             if not changed:
                 break
-        # Both remaining rewrites drop a predicate the closure has merged —
-        # a split tuple equality, or those of an eliminated foreign-key
-        # atom — and congruence cannot re-derive the first (it has no
-        # tuple extensionality), so the closure is rebuilt.
         current = resimplify_term(current)
         if current is None:
             return _reduced_to_zero(trace)
         closure = build_closure(current, constraints)
         sigma = {}
-        # Dropping the atom's predicates keeps a consistent term consistent.
+        # Dropping predicates cannot make a term contradictory; splitting
+        # ``t = ⟨a: 1⟩`` next to ``[t.a = 2]`` can.
         if decomposed and _contradictory(current, closure, trace):
             return None
     return current
@@ -421,9 +434,8 @@ def _contains_agg(value: ValueExpr) -> bool:
 def _term_has_agg(term: NormalTerm) -> bool:
     """Whether any value anywhere in the term contains an aggregate.
 
-    Cached on the (immutable) term: the canonizer re-enters
-    :func:`_canonicalize_aggregates` on every fixpoint round, and most
-    corpus terms are aggregate-free.
+    Cached on the (immutable) term, which may be canonized again (in a
+    squash body, say); most corpus terms are aggregate-free.
     """
     cached = term.__dict__.get("_has_agg")
     if cached is not None:
@@ -513,8 +525,8 @@ def build_closure(
     """Closure of the term's equality predicates over all its values.
 
     All equalities are asserted in one batch (single signature-rehash
-    fixpoint) — the closure is confluent, and this is the hottest
-    constructor in the canonizer's fixpoint loop.
+    fixpoint) — the closure is confluent.  The canonizer builds one per
+    term, plus one after each decomposition or FK elimination.
 
     When ``constraints`` are given, the key/foreign-key attribute
     projections of every relation atom are pre-registered, so the
