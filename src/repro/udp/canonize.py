@@ -229,9 +229,7 @@ def _rewrite_term(
         return None
     sigma: Dict[str, ValueExpr] = {}
     for _ in range(_MAX_ROUNDS):
-        eliminated = _eliminate_bound_vars(
-            current, closure, sigma, var_schemas, trace
-        )
+        eliminated = _eliminate_bound_vars(current, closure, sigma, trace)
         if eliminated:
             current = resimplify_term(
                 substitute_term(
@@ -620,7 +618,6 @@ def _eliminate_bound_vars(
     term: NormalTerm,
     closure: CongruenceClosure,
     sigma: Dict[str, ValueExpr],
-    var_schemas: SchemaEnv,
     trace: Optional[ProofTrace],
 ) -> Dict[str, ValueExpr]:
     """Eliminate every eligible summation of ``term`` via Eq. (15) in one pass.
