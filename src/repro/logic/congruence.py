@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, List, Optional, Tuple
 
+from repro.logic.unionfind import UnionFind
 from repro.usr.values import (
     Agg,
     Attr,
@@ -65,23 +66,16 @@ class CongruenceClosure:
     def __init__(self) -> None:
         self._ids: Dict[ValueExpr, int] = {}
         self._terms: List[ValueExpr] = []
-        self._parent: List[int] = []
+        self._uf = UnionFind()
         #: ``(id, operator, child ids)`` of every compound node.
         self._apps: List[Tuple[int, Tuple, Tuple[int, ...]]] = []
         self._groups: Optional[Dict[int, List[ValueExpr]]] = None
 
     # -- construction ------------------------------------------------------
 
-    def add_term(self, value: ValueExpr) -> bool:
-        """Register ``value`` and all its subterms.
-
-        Returns whether a new *compound* node entered the universe — only
-        such a node can be congruent to an existing one, so only then does
-        a query on it need a congruence rebuild.
-        """
-        before = len(self._apps)
+    def add_term(self, value: ValueExpr) -> None:
+        """Register ``value`` and all its subterms."""
         self._intern(value)
-        return len(self._apps) > before
 
     def _intern(self, value: ValueExpr) -> int:
         index = self._ids.get(value)
@@ -96,20 +90,10 @@ class CongruenceClosure:
         index = len(self._terms)
         self._ids[value] = index
         self._terms.append(value)
-        self._parent.append(index)
         if parts is not None:
             self._apps.append((index, parts[0], children))
         self._groups = None
         return index
-
-    def _root(self, index: int) -> int:
-        parent = self._parent
-        root = index
-        while parent[root] != root:
-            root = parent[root]
-        while parent[index] != root:  # path compression
-            parent[index], index = root, parent[index]
-        return root
 
     def merge(self, left: ValueExpr, right: ValueExpr) -> None:
         """Assert ``left = right`` and restore congruence."""
@@ -130,11 +114,7 @@ class CongruenceClosure:
         before = len(self._apps)
         changed = False
         for left, right in pairs:
-            root_left = self._root(self._intern(left))
-            root_right = self._root(self._intern(right))
-            if root_left != root_right:
-                self._parent[root_right] = root_left
-                changed = True
+            changed |= self._uf.union(self._intern(left), self._intern(right))
         if changed or len(self._apps) > before:
             self._rebuild()
             return True
@@ -147,20 +127,17 @@ class CongruenceClosure:
         universes the decision procedure builds are small (tens of nodes).
         """
         self._groups = None
-        parent = self._parent
-        root = self._root
+        find = self._uf.find
+        union = self._uf.union
         changed = True
         while changed:
             changed = False
             signatures: Dict[Tuple, int] = {}
             for index, op, children in self._apps:
-                signature = (op, tuple([root(child) for child in children]))
+                signature = (op, tuple([find(child) for child in children]))
                 other = signatures.setdefault(signature, index)
-                if other != index:
-                    root_other, root_index = root(other), root(index)
-                    if root_other != root_index:
-                        parent[root_index] = root_other
-                        changed = True
+                if other != index and union(other, index):
+                    changed = True
 
     # -- queries ---------------------------------------------------------
 
@@ -176,11 +153,11 @@ class CongruenceClosure:
         right_index = self._intern(right)
         if len(self._apps) > before:
             self._rebuild()
-        return self._root(left_index) == self._root(right_index)
+        return self._uf.same(left_index, right_index)
 
     def find(self, value: ValueExpr) -> ValueExpr:
         """Representative of ``value``'s class (adding it if new)."""
-        return self._terms[self._root(self._register(value))]
+        return self._terms[self._uf.find(self._register(value))]
 
     def _register(self, value: ValueExpr) -> int:
         """Id of a query operand, restoring congruence if it is new."""
@@ -198,16 +175,16 @@ class CongruenceClosure:
         """
         if self._groups is None:
             grouped: Dict[int, List[ValueExpr]] = {}
-            root = self._root
+            find = self._uf.find
             for index, term in enumerate(self._terms):
-                grouped.setdefault(root(index), []).append(term)
+                grouped.setdefault(find(index), []).append(term)
             self._groups = grouped
         return self._groups
 
     def class_members(self, value: ValueExpr) -> List[ValueExpr]:
         """Every registered node congruent to ``value`` (adding it if new)."""
         index = self._register(value)
-        return self._grouped()[self._root(index)]
+        return self._grouped()[self._uf.find(index)]
 
     def nodes(self) -> List[ValueExpr]:
         """Every registered term, in registration order."""
@@ -221,8 +198,10 @@ class CongruenceClosure:
 
     def copy(self) -> "CongruenceClosure":
         clone = CongruenceClosure()
-        clone._ids = dict(self._ids)
-        clone._terms = list(self._terms)
-        clone._parent = list(self._parent)
-        clone._apps = list(self._apps)
+        for node in self._terms:
+            clone.add_term(node)
+        for group in self.classes():
+            first = group[0]
+            for member in group[1:]:
+                clone.merge(first, member)
         return clone
