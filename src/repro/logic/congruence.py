@@ -148,24 +148,21 @@ class CongruenceClosure:
         structure may immediately connect them through congruence, so the
         closure is re-established before answering.
         """
-        before = len(self._apps)
-        left_index = self._intern(left)
-        right_index = self._intern(right)
-        if len(self._apps) > before:
-            self._rebuild()
+        left_index, right_index = self._register(left, right)
         return self._uf.same(left_index, right_index)
 
     def find(self, value: ValueExpr) -> ValueExpr:
         """Representative of ``value``'s class (adding it if new)."""
-        return self._terms[self._uf.find(self._register(value))]
+        (index,) = self._register(value)
+        return self._terms[self._uf.find(index)]
 
-    def _register(self, value: ValueExpr) -> int:
-        """Id of a query operand, restoring congruence if it is new."""
+    def _register(self, *values: ValueExpr) -> List[int]:
+        """Ids of query operands, restoring congruence if any is new."""
         before = len(self._apps)
-        index = self._intern(value)
+        indices = [self._intern(value) for value in values]
         if len(self._apps) > before:
             self._rebuild()
-        return index
+        return indices
 
     def _grouped(self) -> Dict[int, List[ValueExpr]]:
         """Root → members partition, cached until the closure changes.
@@ -183,7 +180,7 @@ class CongruenceClosure:
 
     def class_members(self, value: ValueExpr) -> List[ValueExpr]:
         """Every registered node congruent to ``value`` (adding it if new)."""
-        index = self._register(value)
+        (index,) = self._register(value)
         return self._grouped()[self._uf.find(index)]
 
     def nodes(self) -> List[ValueExpr]:

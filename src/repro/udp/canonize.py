@@ -660,15 +660,14 @@ def _best_candidate(
 ) -> Optional[ValueExpr]:
     """The best member of ``value``'s class, read through ``sigma``, that is
     free of binder ``name`` (``None`` if there is none)."""
-    best = None
-    for member in closure.class_members(value):
-        if sigma:
-            member = subst_value(member, sigma)
-        if name in member.free_tuple_vars():
-            continue
-        if best is None or _candidate_priority(member) < _candidate_priority(best):
-            best = member
-    return best
+    members = closure.class_members(value)
+    if sigma:
+        members = [subst_value(member, sigma) for member in members]
+    return min(
+        (m for m in members if name not in m.free_tuple_vars()),
+        key=_candidate_priority,
+        default=None,
+    )
 
 
 def _reconstruction(

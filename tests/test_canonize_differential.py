@@ -2,8 +2,9 @@
 
 :func:`repro.udp.canonize._rewrite_term` canonizes a term over a single
 congruence closure: every eliminable binder goes in one simultaneous
-substitution, and the closure is kept in step with the rewritten term
-instead of being rebuilt.  The reference below is the loop it replaced:
+substitution, and the closure is kept in step with the rewritten term,
+rebuilt only after a tuple-equality decomposition or a foreign-key
+elimination.  The reference below is the loop it replaced:
 each round re-simplifies, rebuilds the closure, re-checks contradictions
 and makes *one* change — one binder eliminated, one tuple equality split,
 one key unification or one foreign-key elimination.  It calls the same
@@ -15,8 +16,8 @@ through the loop under test (memoization off), and must agree on the
 :func:`~repro.cq.labeling.form_digest` — the digest that keys the store
 and the cluster groups.  Inputs: the kernel suite's random terms, random
 terms built to exercise elimination, compiled random queries, the k-way
-``UNION ALL`` join and the corpus, each under key and foreign-key
-constraints.
+``UNION ALL`` join under key and foreign-key constraints, and the corpus
+under its own catalogs.
 
 A last test pins how many closures one cold corpus pass builds.
 """
@@ -343,12 +344,15 @@ def test_corpus_agrees():
 
 
 def test_cold_corpus_pass_closure_builds(monkeypatch):
-    """One cold 91-rule pass on one ``Session`` builds 535 closures.
+    """One cold 91-rule pass on one ``Session`` builds 535 closures: 497
+    in the rewrite loop (one per term, one after each tuple-equality
+    decomposition or FK elimination) and 38 in Theorem 4.3's
+    key-determination check.
 
     The round-at-a-time canonizer rebuilt the closure every round: 811
-    builds (654 in rounds, 157 in Theorem 4.3's key-determination check).
-    The count is deterministic; a change to it is a change to how often
-    the canonizer rebuilds.
+    builds (654 in rounds, 157 in the key-determination check).  The
+    count is deterministic; a change to it is a change to how often the
+    canonizer rebuilds.
     """
     builds = []
     real = canonize.build_closure
