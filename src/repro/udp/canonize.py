@@ -632,8 +632,7 @@ def _eliminate_bound_vars(
     """
     eliminated: List[str] = []
     for name, schema in term.vars:
-        var = TupleVar(name)
-        replacement = _best_candidate(closure, var, name, sigma)
+        replacement = _best_candidate(closure, TupleVar(name), name, sigma)
         if replacement is not None:
             if trace is not None:
                 trace.record("eq-sum-elim", f"Σ{name} eliminated by {replacement}")

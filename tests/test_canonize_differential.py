@@ -152,8 +152,9 @@ def _both_digests(form, constraints, env) -> Tuple[str, str]:
 # Constraint sets
 # ---------------------------------------------------------------------------
 
-#: Key r(a), foreign key s(a) -> r(a): both key unification and FK
-#: elimination can fire on the kernel terms (atoms r(v), s(v)).
+#: None; key r(a) with FK s(a) -> r(a); keys r(a), s(a, b) with FK
+#: r(b) -> s(a).  Key unification and FK elimination both fire on the
+#: generated terms (atoms r(v), s(v)).
 TERM_CONSTRAINTS = [
     ConstraintSet(),
     ConstraintSet(
