@@ -12,7 +12,8 @@ test-server:
 	$(PYTHON) -m pytest -x -q tests/test_server.py
 
 ## Async front-door suite: selectors event loop, 500-connection hold,
-## slow-loris sweep, FIFO parking, shard affinity, autoscaler grow/reap.
+## slow-loris sweep, FIFO parking, least-recently-used rotation across
+## members, autoscaler grow/reap.
 test-frontdoor:
 	$(PYTHON) -m pytest -x -q tests/test_frontdoor.py
 
@@ -68,9 +69,10 @@ serve:
 bench-gate:
 	$(PYTHON) benchmarks/bench_pool_server.py --gate
 
-## Front-door gate: digest-sharded dispatch must beat random dispatch
-## on compile hit rate over a skewed corpus replay, hold 500 concurrent
-## connections, and sweep a slow-loris swarm (report in benchmarks/out/).
+## Front-door gate: a skewed corpus replay through a 4-member pool must
+## give the verdicts of an in-process session, the server must hold 500
+## concurrent connections and sweep a slow-loris swarm (report in
+## benchmarks/out/).
 bench-frontdoor:
 	$(PYTHON) benchmarks/bench_frontdoor.py --gate
 

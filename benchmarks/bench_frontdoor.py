@@ -1,23 +1,18 @@
-"""Front-door benchmark: shard-locality hit rate + accept-path scaling.
+"""Front-door benchmark: pooled verdict identity + accept-path scaling.
 
-Two claims from the front-door PR are measured against a live
-:class:`FrontDoorServer` on an ephemeral port:
+Two claims are measured against a live :class:`FrontDoorServer` on an
+ephemeral port:
 
-1. **Digest-sharded dispatch beats random dispatch on cache hit rate**
-   on a skewed replay workload.  The workload replays the full 91-rule
-   corpus with a 1/rank (Zipf-like) repeat distribution — a few hot
-   rules re-verified many times, a long tail seen once or twice — the
-   shape a fleet of optimizer clients actually produces.  Two identical
-   4-member process pools serve the same replay, one with
-   ``shard_dispatch`` on (repeats land on the member whose caches are
-   already hot for that digest) and one with it off (the LRU fallback
-   spreads repeats round-robin).  The shared store is disabled for
-   both so cross-member warming cannot mask dispatch locality: what a
-   member has not compiled itself, it must compile again.  The metric
-   is the *compile hit rate* — the fraction of replayed requests whose
-   two queries were already compiled on the member that served them
-   (``1 - compiled_entries / (2 * requests)``) — plus wall-clock and
-   the duplicate-work factor.  Verdicts must be identical pairwise.
+1. **The pooled front door answers what one in-process session
+   answers** on a skewed replay workload.  The workload replays the
+   full 91-rule corpus with a 1/rank (Zipf-like) repeat distribution —
+   a few hot rules re-verified many times, a long tail seen once or
+   twice — the shape a fleet of optimizer clients actually produces.
+   One 4-member process pool with its shared verdict cache serves the
+   replay, so repeats are answered before dispatch and misses rotate
+   across the members.  Every record's ``(id, verdict, reason_code)``
+   must equal that of a :class:`~repro.session.Session` run over the
+   same schedule in this process.
 
 2. **The accept path holds hundreds of connections and never proves.**
    500 idle connections are opened and held (RLIMIT_NOFILE raised when
@@ -28,9 +23,9 @@ Two claims from the front-door PR are measured against a live
    ``idle_timeout``) must be swept while the server stays answerable.
 
 Report lands in ``benchmarks/out/frontdoor.txt``.  ``--gate`` exits 1
-when the sharded hit rate fails to beat random dispatch, when verdicts
-drift between the two runs, or when the 500-connection hold fails on a
-platform that allows it.
+when the pooled verdicts differ from the in-process ones, or when the
+500-connection hold or the slow-loris sweep fails on a platform that
+allows it.
 
 Run::
 
@@ -60,7 +55,7 @@ def skewed_replay():
 
     Returns a list of verify-request dicts (ids ``rule@k`` so every
     occurrence is distinct on the wire) in a seeded shuffle — the same
-    schedule for both servers, so the comparison is apples to apples.
+    schedule for the pool and the in-process session.
     """
     from repro.corpus import all_rules
 
@@ -102,42 +97,31 @@ def run_batch(server, schedule, window=8):
     return records, elapsed
 
 
-def compile_entries(pool_stats):
-    """Total compiled denotations across the fleet (root + sub-sessions)."""
-    total = 0
-    for member in pool_stats["members"]:
-        session = member["session"]
-        total += session["compile_cache"].get("entries", 0)
-        total += session["program_compile_entries"]
-    return total
-
-
-def measure_dispatch(schedule, shard: bool):
-    """One replay against a fresh 4-member process pool; returns the
-    outcome list, elapsed seconds, and the pool's locality counters."""
+def measure_verdicts(schedule):
+    """One replay against a fresh 4-member process pool and one over an
+    in-process session; returns both outcome lists, the pooled run's
+    elapsed seconds, and its spread and pre-dispatch answers."""
     from repro.server import FrontDoorServer
-    from repro.session import PipelineConfig
+    from repro.session import PipelineConfig, Session, VerifyRequest
 
     with FrontDoorServer(
         pipeline=PipelineConfig.legacy(),
         pool_size=POOL_SIZE,
-        shared_store=False,
-        shard_dispatch=shard,
         max_inflight=32,
     ) as server:
         mode = server.pool.mode
         records, elapsed = run_batch(server, schedule)
         stats = server.pool.stats()
-    outcomes = [(r["id"], r["verdict"], r["reason_code"]) for r in records]
-    entries = compile_entries(stats)
-    hit_rate = 1.0 - entries / (2.0 * len(schedule))
+    session = Session(config=PipelineConfig.legacy())
+    results = session.verify_many(VerifyRequest.from_json(obj) for obj in schedule)
     return {
         "mode": mode,
-        "outcomes": outcomes,
+        "pooled": [(r["id"], r["verdict"], r["reason_code"]) for r in records],
+        "expected": [
+            (r.request_id, r.verdict.value, r.reason_code.value) for r in results
+        ],
         "elapsed": elapsed,
-        "entries": entries,
-        "hit_rate": hit_rate,
-        "dispatch": stats["dispatch"],
+        "cache_answered": stats["cache_answered"],
         "spread": sorted(m["requests"] for m in stats["members"]),
     }
 
@@ -286,7 +270,7 @@ def main() -> int:
     parser.add_argument(
         "--gate",
         action="store_true",
-        help="exit 1 when sharded dispatch fails to beat random dispatch",
+        help="exit 1 when a verdict drifts or a connection leg fails",
     )
     args = parser.parse_args()
 
@@ -296,39 +280,30 @@ def main() -> int:
     report.append(
         f"replay: {len(schedule)} requests over {distinct} rules, "
         f"1/rank skew, seed {REPLAY_SEED}, {POOL_SIZE} members, "
-        "shared store off"
+        "shared store on"
     )
 
-    sharded = measure_dispatch(schedule, shard=True)
-    randomized = measure_dispatch(schedule, shard=False)
-    for name, run in (("sharded", sharded), ("random", randomized)):
-        d = run["dispatch"]
-        report.append(
-            f"{name:>8}: hit rate {run['hit_rate']:.3f} "
-            f"({run['entries']} compiled over {len(schedule)} requests), "
-            f"{run['elapsed']:.2f}s, spread {run['spread']}, "
-            f"dispatch sharded={d['sharded']} fallbacks={d['fallbacks']} "
-            f"unsharded={d['unsharded']} [{run['mode']} members]"
-        )
-
-    identical = sorted(sharded["outcomes"]) == sorted(randomized["outcomes"])
-    locality_win = sharded["hit_rate"] > randomized["hit_rate"]
+    run = measure_verdicts(schedule)
+    identical = run["pooled"] == run["expected"]
     report.append(
-        f"verdict identity: {'OK' if identical else 'DRIFT'}; "
-        f"sharded beats random on hit rate: "
-        f"{'YES' if locality_win else 'NO'} "
-        f"({sharded['hit_rate']:.3f} vs {randomized['hit_rate']:.3f})"
+        f"pooled: {run['elapsed']:.2f}s, {run['cache_answered']} answered "
+        f"before dispatch, member spread {run['spread']} "
+        f"[{run['mode']} members]"
+    )
+    drift = [
+        (pooled, expected)
+        for pooled, expected in zip(run["pooled"], run["expected"])
+        if pooled != expected
+    ]
+    report.append(
+        "verdict identity with an in-process session: "
+        f"{'OK' if identical else f'DRIFT, first {drift[:3]}'}"
     )
 
     hold_ok = measure_hold(report)
     loris_ok = measure_loris(report)
 
-    passed = (
-        identical
-        and locality_win
-        and hold_ok is not False
-        and loris_ok is not False
-    )
+    passed = identical and hold_ok is not False and loris_ok is not False
     report.append(f"gate: {'PASS' if passed else 'FAIL'}")
     write_report("frontdoor.txt", "\n".join(report) + "\n")
     if args.gate and not passed:

@@ -339,13 +339,6 @@ def build_serve_parser() -> argparse.ArgumentParser:
         ),
     )
     parser.add_argument(
-        "--no-shard-dispatch", action="store_true",
-        help=(
-            "disable digest-sharded dispatch (requests then go to any "
-            "idle member instead of the consistent-hash shard owner)"
-        ),
-    )
-    parser.add_argument(
         "--max-inflight", type=int, default=0,
         help=(
             "admission bound: concurrent proving requests before 503s; "
@@ -387,9 +380,10 @@ def build_serve_parser() -> argparse.ArgumentParser:
         ),
     )
     # Accepted and ignored: the front door is the only front end, it
-    # logs no requests, members are always forked processes, and
-    # existing launch scripts still pass these.
-    for flag in ("--frontdoor", "--quiet"):
+    # logs no requests, members are always forked processes, every
+    # request goes to the least-recently-used idle member, and existing
+    # launch scripts still pass these.
+    for flag in ("--frontdoor", "--quiet", "--no-shard-dispatch"):
         parser.add_argument(flag, action="store_true", help=argparse.SUPPRESS)
     parser.add_argument(
         "--pool-mode", choices=("auto", "process"), help=argparse.SUPPRESS
@@ -546,7 +540,6 @@ def run_serve(argv: List[str]) -> int:
             member_timeout=args.member_timeout or None,
             shared_store=False if args.no_shared_store else None,
             store_path=args.store,
-            shard_dispatch=not args.no_shard_dispatch,
             max_inflight=args.max_inflight or None,
             max_queued=None if args.max_queued < 0 else args.max_queued,
             retry_after=args.retry_after,

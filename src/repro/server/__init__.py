@@ -7,10 +7,10 @@ loop holding thousands of connections over a :class:`SessionPool` of
 warm per-catalog :class:`~repro.session.Session` members — hot compile
 caches, program-text sub-sessions, the normalize/canonize memo layers,
 each member in its own forked process, and (with more than one member)
-one durable store whose verdict cache every member shares.  Requests
-dispatch by consistent-hashed digest, so
-each member's caches stay hot for its shard.  Six routes carry the
-structured request/result wire format:
+one durable store whose verdict cache every member shares.  The pool
+answers exact repeats from that cache and sends every other request to
+the least-recently-used idle member.  Six routes carry the structured
+request/result wire format:
 
 ========================  ===================================================
 ``POST /verify``          one JSON :class:`~repro.session.VerifyRequest`
@@ -51,7 +51,6 @@ from repro.server.pool import (
     SessionPool,
     default_pool_size,
     error_record,
-    request_shard_digest,
 )
 from repro.server.stats import ServerStats
 
@@ -67,5 +66,4 @@ __all__ = [
     "SessionPool",
     "default_pool_size",
     "error_record",
-    "request_shard_digest",
 ]

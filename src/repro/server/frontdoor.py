@@ -262,17 +262,16 @@ class _Stream:
 
 
 class FrontDoorServer:
-    """A digest-sharded session pool behind a selectors event loop.
+    """A session pool of forked members behind a selectors event loop.
 
     Construct with a :class:`~repro.session.Session` (to preload a
     catalog; it becomes the pool's prototype) or a
     :class:`~repro.session.PipelineConfig`, or pass a ready-made
     ``pool`` (the server then does not close it).  The remaining knobs:
 
-    * ``pool_size``/``pool_max``/``member_timeout``,
-      ``shared_store``/``store_path`` and
-      ``shard_dispatch`` shape the :class:`SessionPool` of forked
-      member processes;
+    * ``pool_size``/``pool_max``/``member_timeout`` and
+      ``shared_store``/``store_path`` shape the :class:`SessionPool` of
+      forked member processes;
     * ``max_inflight`` bounds admitted requests, ``max_queued`` the
       parked ones behind them, and ``per_client_inflight``,
       ``rate_limit`` and ``rate_burst`` cap each client;
@@ -302,7 +301,6 @@ class FrontDoorServer:
         member_timeout: Optional[float] = None,
         shared_store=None,
         store_path: Optional[str] = None,
-        shard_dispatch: bool = True,
         max_inflight: Optional[int] = None,
         max_queued: Optional[int] = None,
         retry_after: int = 1,
@@ -329,7 +327,6 @@ class FrontDoorServer:
                 store_path=store_path,
                 member_timeout=member_timeout,
                 pool_max=pool_max,
-                shard_dispatch=shard_dispatch,
             )
             self._owns_pool = True
         self.window = max(1, int(window))
@@ -510,11 +507,10 @@ class FrontDoorServer:
         """The server's clustering engine, created on first use.
 
         One engine per server lifetime (group numbering is monotonic
-        across requests); decisions fan out across the pool sharded by
-        representative digest, and group state persists in the pool's
-        store when it is group-capable.  Thread-safe: the engine is
-        built under a lock because ``/cluster`` streams run on
-        dedicated threads off the loop.
+        across requests); decisions fan out across the pool, and group
+        state persists in the pool's store when it is group-capable.
+        Thread-safe: the engine is built under a lock because
+        ``/cluster`` streams run on dedicated threads off the loop.
         """
         with self._cluster_lock:
             if self._cluster_engine is None:

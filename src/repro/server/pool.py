@@ -26,8 +26,9 @@ method and refuses to build without it.
 Ordering and dispatch
 ---------------------
 
-* :meth:`SessionPool.verify_json` — one request, any idle member
-  (blocking until one frees; admission control above bounds the wait).
+* :meth:`SessionPool.verify_json` — one request, the least-recently-used
+  idle member (blocking until one frees; admission control above bounds
+  the wait).
 * :meth:`SessionPool.submit_json` — the same, asynchronously: the front
   door submits each ``/verify`` request and each ``/verify/batch`` line
   and is woken by the future's done-callback.
@@ -59,8 +60,6 @@ that.
 
 from __future__ import annotations
 
-import bisect
-import hashlib
 import json
 import logging
 import multiprocessing
@@ -306,11 +305,10 @@ class _ProcessMember:
         self.restarts = 0
         self.hard_timeouts = 0
         # Scheduling state, guarded by the pool's condition variable: a
-        # member serves exactly one work item at a time, and the shard
-        # router prefers the member that owns the item's digest range.
+        # member serves exactly one work item at a time, and each item
+        # goes to the idle member that has waited longest.
         self.busy = False
         self.last_used = time.monotonic()
-        self.sharded_requests = 0
         self._prototype = prototype
         self._context = context
         self.last_info: Dict[str, object] = {}
@@ -330,7 +328,6 @@ class _ProcessMember:
             "failures": self.failures,
             "restarts": self.restarts,
             "hard_timeouts": self.hard_timeouts,
-            "sharded_requests": self.sharded_requests,
             "verdicts": tallies["verdicts"],
             "reason_codes": tallies["reason_codes"],
             **self.last_info,
@@ -439,65 +436,6 @@ class _ProcessMember:
 
 
 # ---------------------------------------------------------------------------
-# Shard routing
-# ---------------------------------------------------------------------------
-
-
-def request_shard_digest(obj: Mapping[str, object]) -> str:
-    """The routing digest of one request: the exact-text tier key.
-
-    Hashes the raw ``program``/``left``/``right`` texts (the same
-    granularity as the session's text-tier verdict cache) so repeated
-    verifications of the same pair always land on the same pool member
-    regardless of whitespace in *other* fields, keeping that member's
-    compile LRU and verdict caches hot for its digest range.  Computed
-    before any parsing — safe to call on untrusted payloads.
-    """
-    hasher = hashlib.blake2b(digest_size=16)
-    for key in ("program", "left", "right"):
-        value = obj.get(key)
-        hasher.update(b"\x1f")
-        if value is not None:
-            hasher.update(str(value).encode("utf-8", "replace"))
-    return hasher.hexdigest()
-
-
-class _HashRing:
-    """Consistent hashing: member ids own arcs of a blake2b point ring.
-
-    Each member contributes ``replicas`` virtual points, so adding or
-    reaping one member only remaps ~1/N of the digest space — the grown
-    pool keeps most members' cache locality intact, unlike modular
-    hashing which reshuffles everything.
-    """
-
-    def __init__(self, replicas: int = 64) -> None:
-        self.replicas = replicas
-        self._points: List[int] = []
-        self._ids: List[int] = []
-
-    @staticmethod
-    def _point(key: str) -> int:
-        digest = hashlib.blake2b(key.encode("utf-8"), digest_size=8).digest()
-        return int.from_bytes(digest, "big")
-
-    def rebuild(self, member_ids: Iterable[int]) -> None:
-        pairs = sorted(
-            (self._point(f"{member_id}#{replica}"), member_id)
-            for member_id in member_ids
-            for replica in range(self.replicas)
-        )
-        self._points = [point for point, _ in pairs]
-        self._ids = [member_id for _, member_id in pairs]
-
-    def lookup(self, key: str) -> Optional[int]:
-        if not self._points:
-            return None
-        index = bisect.bisect(self._points, self._point(key))
-        return self._ids[index % len(self._ids)]
-
-
-# ---------------------------------------------------------------------------
 # The pool
 # ---------------------------------------------------------------------------
 
@@ -536,8 +474,6 @@ class SessionPool:
         store_path: Optional[str] = None,
         member_timeout: Optional[float] = None,
         pool_max: Optional[int] = None,
-        shard_dispatch: bool = True,
-        shard_patience: float = 0.05,
         grow_after: float = 1.0,
         idle_reap: float = 30.0,
         autoscale_interval: float = 0.25,
@@ -559,8 +495,6 @@ class SessionPool:
         # sustained saturation.  Equal bounds (the default) disable the
         # autoscaler entirely.
         self.pool_max = max(self.size, int(pool_max)) if pool_max else self.size
-        self.shard_dispatch = bool(shard_dispatch)
-        self.shard_patience = max(0.0, float(shard_patience))
         self.grow_after = max(0.0, float(grow_after))
         self.idle_reap = max(0.1, float(idle_reap))
         self._autoscale_interval = max(0.02, float(autoscale_interval))
@@ -603,12 +537,8 @@ class SessionPool:
 
         self.members: List[_ProcessMember] = []
         self._cond = threading.Condition()
-        self._ring = _HashRing()
         self._next_member_id = 0
         self._waiting = 0
-        self.dispatch_sharded = 0
-        self.dispatch_fallback = 0
-        self.dispatch_any = 0
         # Verdicts of the requests answered in the calling thread.
         self._cache_tally = ReasonTally()
         self.grown = 0
@@ -619,7 +549,6 @@ class SessionPool:
             for member_id in range(self.size):
                 self.members.append(self._new_member(member_id))
             self._next_member_id = self.size
-            self._ring.rebuild([m.member_id for m in self.members])
             self._executor = ThreadPoolExecutor(
                 max_workers=self.pool_max,
                 thread_name_prefix="udp-pool-dispatch",
@@ -720,51 +649,18 @@ class SessionPool:
             budget = 0.0
         return min(max(1.0, budget) + HARD_TIMEOUT_GRACE, MAX_HARD_DEADLINE)
 
-    def _member_by_id(self, member_id: int) -> Optional[_ProcessMember]:
-        for member in self.members:
-            if member.member_id == member_id:
-                return member
-        return None
+    def _acquire(self) -> _ProcessMember:
+        """Claim the least-recently-used idle member, waiting for one.
 
-    def _acquire(
-        self, preferred: Optional[int]
-    ) -> Tuple[_ProcessMember, bool]:
-        """Claim an idle member, preferring the shard owner briefly.
-
-        Waits up to ``shard_patience`` for the preferred member (the
-        locality bet: a short wait for a warm cache usually beats cold
-        work on a random member), then falls back to any idle member.
-        Returns ``(member, on_home_shard)``.
+        Rotating through idle members spreads work across the pool
+        instead of pinning member 0.
         """
         with self._cond:
             self._waiting += 1
             try:
-                deadline = (
-                    time.monotonic() + self.shard_patience
-                    if preferred is not None
-                    else None
-                )
                 while True:
                     if self._closed:
                         raise RuntimeError("pool is closed")
-                    if preferred is not None:
-                        member = self._member_by_id(preferred)
-                        if member is None:
-                            # Reaped since the ring lookup.
-                            preferred = None
-                            continue
-                        if not member.busy:
-                            member.busy = True
-                            return member, True
-                        remaining = deadline - time.monotonic()
-                        if remaining > 0:
-                            self._cond.wait(min(remaining, 0.05))
-                            continue
-                        self.dispatch_fallback += 1
-                        preferred = None
-                        continue
-                    # Least-recently-used idle member: unsharded traffic
-                    # rotates across the pool instead of pinning member 0.
                     member = min(
                         (m for m in self.members if not m.busy),
                         key=lambda m: m.last_used,
@@ -772,7 +668,7 @@ class SessionPool:
                     )
                     if member is not None:
                         member.busy = True
-                        return member, False
+                        return member
                     self._cond.wait(0.1)
             finally:
                 self._waiting -= 1
@@ -784,30 +680,14 @@ class SessionPool:
             self._cond.notify_all()
 
     def _dispatch(
-        self,
-        obj: Mapping[str, object],
-        spec: Optional[str],
-        shard: Optional[str] = None,
+        self, obj: Mapping[str, object], spec: Optional[str]
     ) -> Dict[str, object]:
         deadline = self._hard_deadline(obj, spec)
-        preferred = None
-        if shard is not None:
-            with self._cond:
-                preferred = self._ring.lookup(shard)
-        member, on_home = self._acquire(preferred)
-        with self._cond:
-            if shard is None:
-                self.dispatch_any += 1
-            elif on_home:
-                self.dispatch_sharded += 1
-                member.sharded_requests += 1
+        member = self._acquire()
         try:
             return member.run_json(obj, spec, deadline)
         finally:
             self._release(member)
-
-    def _shard_for(self, obj: Mapping[str, object]) -> Optional[str]:
-        return request_shard_digest(obj) if self.shard_dispatch else None
 
     def validate_json(self, obj: Mapping[str, object]) -> Optional[str]:
         """Validate one request envelope; the pipeline spec on success.
@@ -867,7 +747,7 @@ class SessionPool:
         record = self._answer_cached(obj, spec)
         if record is not None:
             return record
-        return self._dispatch(obj, spec, self._shard_for(obj))
+        return self._dispatch(obj, spec)
 
     def submit_json(
         self,
@@ -890,19 +770,14 @@ class SessionPool:
         future.  That lookup is the store's epoch check and one indexed
         ``SELECT``; it writes nothing and never waits for the store lock.
 
-        ``shard`` overrides the default per-request shard key; the
-        clustering engine passes the *representative's* digest so every
-        comparison against one group lands on the member whose compile
-        and match caches already hold that representative.
+        ``shard`` is ignored; ``perfbench/traced_server.py`` still passes it.
         """
         record = self._answer_cached(obj, spec)
         if record is not None:
             future: "Future[Dict[str, object]]" = Future()
             future.set_result(record)
             return future
-        if shard is None:
-            shard = self._shard_for(obj)
-        return self._executor.submit(self._dispatch, obj, spec, shard)
+        return self._executor.submit(self._dispatch, obj, spec)
 
     def map_json(
         self,
@@ -1000,8 +875,7 @@ class SessionPool:
         for at least ``grow_after`` seconds) so a momentary burst does
         not fork members it will not use; reaping requires a member to
         have sat idle for ``idle_reap`` seconds and never shrinks below
-        the base size.  Each membership change rebuilds the hash ring —
-        consistent hashing keeps ~(N-1)/N of shard assignments stable.
+        the base size.
         """
         saturated_since: Optional[float] = None
         while not self._stop.wait(self._autoscale_interval):
@@ -1051,7 +925,6 @@ class SessionPool:
                 close_it = False
                 self.members.append(member)
                 self.grown += 1
-                self._ring.rebuild([m.member_id for m in self.members])
                 self._cond.notify_all()
                 _LOG.info(
                     "pool grew to %d members (sustained saturation; max %d)",
@@ -1067,7 +940,6 @@ class SessionPool:
                 return
             self.members.remove(member)
             self.reaped += 1
-            self._ring.rebuild([m.member_id for m in self.members])
             self._cond.notify_all()
             _LOG.info(
                 "reaped idle pool member %d (down to %d members)",
@@ -1105,12 +977,6 @@ class SessionPool:
         """Per-member and rolled-up tallies, plus the shared-store view."""
         with self._cond:
             members = [member.snapshot() for member in self.members]
-            dispatch = {
-                "sharding": self.shard_dispatch,
-                "sharded": self.dispatch_sharded,
-                "fallbacks": self.dispatch_fallback,
-                "unsharded": self.dispatch_any,
-            }
             autoscale = {
                 "base_size": self.size,
                 "pool_max": self.pool_max,
@@ -1169,13 +1035,9 @@ class SessionPool:
                 # The durable cross-restart view: historical verdict
                 # tallies and hit rates straight from the database.
                 store["verdict_cache"] = verdict_stats()
-        dispatch["sharded_requests"] = sum(
-            m["sharded_requests"] for m in members
-        )
         return {
             "size": self.size,
             "mode": self.mode,
-            "dispatch": dispatch,
             "autoscale": autoscale,
             "requests": sum(m["requests"] for m in members) + cache_answered,
             "cache_answered": cache_answered,
@@ -1474,5 +1336,4 @@ __all__ = [
     "SessionPool",
     "default_pool_size",
     "error_record",
-    "request_shard_digest",
 ]

@@ -27,8 +27,7 @@ Placement runs three layers, cheapest first:
 3. **Residual decisions** — a genuinely new denotation is decided
    against at most one representative per existing group (proved
    equivalence is transitive).  With a :class:`SessionPool` attached,
-   each comparison is dispatched sharded by the *representative's*
-   digest, so one member's compile and match caches stay hot per group.
+   each comparison goes to the pool like any other request.
 
 Soundness: ``PROVED`` is sound but ``NOT_PROVED`` is not a disproof, so
 the result is a partition into *provably-equivalent* groups — queries
@@ -228,7 +227,7 @@ class ClusterEngine:
     * ``pool=`` a :class:`~repro.server.pool.SessionPool` — the engine
       compiles and digests on a private clone of the pool's prototype
       session and dispatches residual representative comparisons across
-      the pool, sharded by the representative's digest.
+      the pool.
 
     ``store=`` attaches a durable group store (anything exposing the
     ``group_*`` surface of :class:`~repro.store.sqlite.SQLiteMemoStore`;
@@ -605,8 +604,7 @@ class ClusterEngine:
             and isinstance(query, str)
         ):
             obj = {"left": group.representative, "right": query}
-            shard = group.key or (_EXACT_PREFIX + fingerprint(group.representative))
-            future = self._pool.submit_json(obj, self._spec, shard=shard)
+            future = self._pool.submit_json(obj, self._spec)
             try:
                 result = future.result()
             except Exception:  # noqa: BLE001 - pool died mid-decision

@@ -3,14 +3,14 @@
 The repo has four parallel ways to decide a query pair —
 ``Session.verify``, ``BatchVerifier.run`` over a two-member session
 pool, the HTTP server with one member, and the HTTP server pooled (2
-members, digest-sharded dispatch, forked workers and a shared verdict
-cache where the platform allows) — and nothing but discipline keeps them
-agreeing.  This suite makes the discipline executable: every entry point
-is driven over the full evaluation corpus (all 91 rules: literature,
-Calcite, extensions, and the ``corpus/bugs.py`` negative cases) under
-the same legacy pipeline, and the verdict *and* machine-readable
-``reason_code`` must be identical for every rule.  A drift in any one
-path fails with the rule id and the disagreeing records named.
+members, forked workers and a shared verdict cache where the platform
+allows) — and nothing but discipline keeps them agreeing.  This suite
+makes the discipline executable: every entry point is driven over the
+full evaluation corpus (all 91 rules: literature, Calcite, extensions,
+and the ``corpus/bugs.py`` negative cases) under the same legacy
+pipeline, and the verdict *and* machine-readable ``reason_code`` must
+be identical for every rule.  A drift in any one path fails with the
+rule id and the disagreeing records named.
 
 The shared baseline builds one fresh :class:`~repro.session.Session`
 per rule from that rule's program, running
@@ -18,8 +18,8 @@ per rule from that rule's program, running
 the whole corpus through one session with program-text routing, so a
 routing or catalog-caching bug shows as drift from the baseline; the
 other paths run their own routed sessions inside pool members, so this
-also checks that spreading rules across members — forked or not,
-sharded or not — changes nothing but wall-clock time.
+also checks that spreading rules across members changes nothing but
+wall-clock time.
 """
 
 from __future__ import annotations
@@ -105,17 +105,15 @@ def outcome_map_http():
 
 
 def outcome_map_frontdoor():
-    """rule_id -> (verdict, reason_code) via the pooled server (digest-
-    sharded dispatch over 2 members, forked workers + shared verdict
-    cache where fork exists)."""
+    """rule_id -> (verdict, reason_code) via the pooled server (2 forked
+    members and a shared verdict cache)."""
     with FrontDoorServer(
         pipeline=PipelineConfig.legacy(), pool_size=2
     ) as server:
         outcomes = _http_batch_outcomes(server)
-        dispatch = server.pool.stats()["dispatch"]
-        assert dispatch["sharding"], dispatch
-        assert dispatch["sharded"] + dispatch["fallbacks"] >= len(RULES), (
-            f"front door did not shard-dispatch the corpus: {dispatch}"
+        pool = server.pool.stats()
+        assert pool["requests"] >= len(RULES), (
+            f"front door did not dispatch the whole corpus: {pool['requests']}"
         )
         spread = [m.requests for m in server.pool.members]
         assert all(count > 0 for count in spread), (

@@ -7,8 +7,8 @@ this suite covers the loop-specific behaviors — hundreds of concurrently open
 connections, proving never blocking the accept path, FIFO parking
 instead of thread-blocked admission waits, per-client 429s with
 ``Retry-After``, the slow-loris idle sweep, the ``max_connections``
-terse 503, digest-shard affinity onto pool members, and autoscaler
-grow/reap.  Verdict identity over the full corpus lives in
+terse 503, least-recently-used rotation across pool members, and
+autoscaler grow/reap.  Verdict identity over the full corpus lives in
 ``tests/test_differential.py``.
 """
 
@@ -179,9 +179,9 @@ def test_stats_exposes_frontdoor_and_dispatch_sections(server):
     assert front["accepted"] >= 1
     assert front["connections"] >= 0
     assert front["max_connections"] == server.max_connections
-    dispatch = stats["pool"]["dispatch"]
-    assert dispatch["sharding"] is True
-    assert dispatch["sharded"] >= 1
+    pool = stats["pool"]
+    assert pool["requests"] >= 1
+    assert sum(m["requests"] for m in pool["members"]) >= 1
     assert "admission" in stats and "verdicts" in stats
 
 
@@ -474,14 +474,13 @@ def test_holds_500_concurrent_connections():
                 sock.close()
 
 
-# -- shard affinity and autoscaling -------------------------------------------
+# -- dispatch rotation and autoscaling ----------------------------------------
 
 
-def test_repeat_requests_stick_to_their_shard_member():
-    """The same pair re-verified lands on the same member every time
-    (its compile LRU and verdict caches are hot for that digest), while
-    distinct pairs may spread.  No shared store: with one, an exact
-    repeat is answered before dispatch and never reaches the router."""
+def test_sequential_requests_rotate_across_members():
+    """Each request goes to the least-recently-used idle member, so
+    sequential distinct pairs alternate between two members.  No shared
+    store, so no pair is answered before dispatch."""
     with FrontDoorServer(
         Session.from_program_text(RS_PROGRAM),
         pool_size=2,
@@ -489,16 +488,17 @@ def test_repeat_requests_stick_to_their_shard_member():
     ) as srv:
         for n in range(6):
             status, _, _ = post_verify(
-                srv, {"left": EQ[0], "right": EQ[1], "id": f"rep-{n}"}
+                srv,
+                {
+                    "left": f"SELECT * FROM r x WHERE x.a = {930000 + n}",
+                    "right": f"SELECT * FROM r x WHERE x.a = {940000 + n}",
+                    "id": f"rot-{n}",
+                },
             )
             assert status == 200
-        spread = sorted(m.requests for m in srv.pool.members)
-        assert spread == [0, 6], (
-            f"identical requests spread across members: {spread}"
-        )
-        dispatch = srv.pool.stats()["dispatch"]
-        assert dispatch["sharded"] == 6
-        assert dispatch["fallbacks"] == 0
+        spread = [m.requests for m in srv.pool.members]
+        assert spread == [3, 3], f"requests did not rotate: {spread}"
+        assert srv.pool.stats()["requests"] == 6
 
 
 def test_autoscaler_grows_under_saturation_and_reaps_idle():

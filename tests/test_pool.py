@@ -443,18 +443,15 @@ def test_hard_deadline_derived_from_pipeline_budgets():
 
 @needs_fork
 def test_shared_store_warms_the_sibling_member():
-    """Member 0 proves a never-seen pair; with shard routing disabled the
-    LRU rotation hands the repeat to member 1, whose private caches are
-    cold — the shared verdict cache must answer it with the verdict
-    member 0 published.  (Sharded dispatch would deliberately send the
-    repeat back to member 0; cross-member warming is what's under test.)
-    The repeat is reformatted: an exact repeat is answered before
+    """Member 0 proves a never-seen pair; the least-recently-used rotation
+    hands the repeat to member 1, whose private caches are cold — the
+    shared verdict cache must answer it with the verdict member 0
+    published.  The repeat is reformatted: an exact repeat is answered before
     dispatch, while this one misses the exact-text tier and reaches
     member 1, whose denotation-tier lookup hits."""
     pool = SessionPool(
         2,
         session=Session.from_program_text(RS_PROGRAM),
-        shard_dispatch=False,
     )
     try:
         assert pool.store is not None

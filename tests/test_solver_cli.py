@@ -201,3 +201,18 @@ def test_cli_rejects_unknown_pipeline(tmp_path, capsys):
     )
     assert main([path, "--pipeline", "bogus-tactic"]) == 2
     assert "unknown tactic" in capsys.readouterr().err
+
+
+def test_serve_accepts_hidden_no_shard_dispatch_flag(capsys):
+    """``--no-shard-dispatch`` still parses for old launch scripts, but
+    ``serve --help`` no longer lists it: every request goes to the
+    least-recently-used idle member."""
+    from repro.frontend.cli import build_serve_parser
+
+    build_serve_parser().parse_args(["--no-shard-dispatch"])
+    with pytest.raises(SystemExit) as caught:
+        main(["serve", "--help"])
+    assert caught.value.code == 0
+    usage = capsys.readouterr().out
+    assert "--pool-size" in usage
+    assert "shard" not in usage
