@@ -47,13 +47,16 @@ test-chaos:
 test-differential:
 	$(PYTHON) -m pytest -x -q tests/test_differential.py
 
-## Canonical-form identity under two hash seeds: the corpus golden digests
-## and the one-closure canonizer against its round-at-a-time reference.
+## Canonical forms and matching under two hash seeds: the corpus golden
+## digests, the one-closure canonizer against its round-at-a-time
+## reference, the digest kernel, and sum matching with its tdp-match memo.
 ## Picking a class representative must never depend on set iteration
-## order, which PYTHONHASHSEED changes.
+## order, and the memo key hashes the canonized forms; PYTHONHASHSEED
+## changes both, and no answer may depend on it.
+CANONICAL_TESTS = tests/test_canonical_golden.py tests/test_canonize_differential.py tests/test_kernel.py tests/test_compare_canonized.py
 test-canonical:
-	PYTHONHASHSEED=0 $(PYTHON) -m pytest -x -q tests/test_canonical_golden.py tests/test_canonize_differential.py
-	PYTHONHASHSEED=1 $(PYTHON) -m pytest -x -q tests/test_canonical_golden.py tests/test_canonize_differential.py
+	PYTHONHASHSEED=0 $(PYTHON) -m pytest -x -q $(CANONICAL_TESTS)
+	PYTHONHASHSEED=1 $(PYTHON) -m pytest -x -q $(CANONICAL_TESTS)
 
 ## Pool concurrency stress + JSONL/chunked framing fuzz suites, with the
 ## stress scenarios pinned to a 4-member pool.

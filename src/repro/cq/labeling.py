@@ -64,10 +64,12 @@ from repro.usr.values import (
 #: digest exists to remove.  Real query terms rarely branch at all.
 INDIVIDUALIZATION_BUDGET = 24
 
-#: Binder counts below this are not worth digesting eagerly on a cold
-#: path — the forward-checked search beats the refinement constant.  The
-#: decision procedure consults it; anything that already *has* a cached
-#: digest uses it regardless.
+#: Binder counts below this are not worth digesting eagerly — the
+#: forward-checked search beats the refinement constant.  Sum matching
+#: runs its digest stage only for a form with a term this wide (or of
+#: three or more terms), and ``terms_isomorphic`` digests only pairs
+#: this wide; anything that already *has* a cached digest uses it
+#: regardless.
 DIGEST_MIN_VARS = 4
 
 
@@ -420,9 +422,9 @@ def term_digest(term: NormalTerm) -> str:
     """Run-stable digest of the term's canonical alpha-variant (cached).
 
     Equal digests exhibit a binder bijection making the two terms
-    byte-identical, so digest equality soundly short-circuits TDP; the
-    digests also key the match memo and, through :func:`form_digest`,
-    the durable cluster-group index (:mod:`repro.service.clustering`).
+    byte-identical, so digest equality soundly short-circuits TDP; through
+    :func:`form_digest` the digests also key the durable cluster-group
+    index (:mod:`repro.service.clustering`).
     """
     cached = term.__dict__.get("_canon_digest")
     if cached is not None:

@@ -29,12 +29,16 @@ around :func:`repro.usr.spnf.normalize` and
 hit/miss statistics can be surfaced (``udp-prove --report`` and the
 cluster front end assert on them).
 
-Memo-key design (see also :mod:`repro.service`): every memo key starts
-from a fingerprint, never from ``id()`` or built-in ``hash()``, so a key
-means "structurally identical input" regardless of which process or run
-produced it.  Caches must be invalidated (:func:`clear_caches`) whenever
-an input *outside* the key changes meaning — in practice only when a
-catalog is mutated in place, since constraints enter the canonize key via
+Memo-key design (see also :mod:`repro.service`): every memo key means
+"structurally identical input", never ``id()``.  A key that outlives the
+process or crosses into another (the verdict cache, cluster groups)
+starts from a fingerprint, since built-in ``hash()`` is salted per
+process; an in-process memo may key on the nodes themselves (the
+``tdp-match`` memo keys on two canonized forms), whose structural
+``__eq__`` decides a hit whatever the seed.  Caches must be invalidated
+(:func:`clear_caches`) whenever an input *outside* the key changes
+meaning — in practice only when a catalog is mutated in place, since
+constraints enter the canonize key via
 :meth:`repro.constraints.model.ConstraintSet.digest`.
 """
 

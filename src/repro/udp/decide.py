@@ -29,7 +29,7 @@ from typing import Dict, List, Optional
 from repro.constraints.model import ConstraintSet
 from repro.cq.homomorphism import find_homomorphism
 from repro.cq.isomorphism import MatchContext, terms_isomorphic
-from repro.cq.labeling import DIGEST_MIN_VARS, form_digest, term_digest
+from repro.cq.labeling import DIGEST_MIN_VARS, term_digest
 from repro.cq.minimize import minimize_term
 from repro.errors import DecisionTimeout
 from repro.hashcons import LRUCache, memoization_enabled
@@ -41,8 +41,10 @@ from repro.usr.substitute import substitute_tuple_var
 from repro.usr.terms import QueryDenotation
 from repro.usr.values import TupleVar
 
-#: Memo table for whole TDP matchings: ``(left form digest, right form
-#: digest, sdp strategy) → bool``, private to the process.
+#: Memo table for whole TDP matchings: ``(left form, right form, sdp
+#: strategy) → bool``, private to the process.  The keys are the canonized
+#: forms themselves (structural equality, cached hashes), which the
+#: canonize memo already holds, so keying costs no canonical labeling.
 _MATCH_CACHE = LRUCache("tdp-match", maxsize=8192)
 
 
@@ -111,37 +113,47 @@ class _Engine:
     def compare_canonized(self, left: NormalForm, right: NormalForm) -> bool:
         """Permutation matching of the two sums of terms (Alg. 2 lines 3-10).
 
-        The O(n!) permutation search collapses to a multiset comparison
-        of canonical term digests — digest-equal terms are
-        alpha-equivalent, hence isomorphic — and backtracking survives
-        only for the digest-distinct leftovers
-        (refinement ties and congruence-level matches the syntactic
-        digest cannot see).  Completed comparisons are memoized on the
-        two form digests in a private per-process LRU.
+        Thm 5.4 asks only for a term bijection, so no canonical labeling
+        is needed to answer: identical forms match at once, and the
+        rest go to :meth:`_match_terms`, whose digest-multiset stage
+        runs only where digests pay (three or more terms, or a term with
+        at least ``DIGEST_MIN_VARS`` binders).  Completed comparisons
+        are memoized on the two forms and the SDP strategy in a private
+        per-process LRU; constraints stay out of the key because
+        matching reads none, and a timeout is never cached.
         """
         self._tick()
         if len(left) != len(right):
             return False
-        if not left:
+        if left == right:
             return True
-        if not memoization_enabled():
-            # Cold path: digests only pay off past the trivial sizes.
-            worthwhile = len(left) >= 3 or any(
-                len(term.vars) >= DIGEST_MIN_VARS for term in left
-            )
-            return self._match_terms(left, right, digest_stage=worthwhile)
-        key = (form_digest(left), form_digest(right),
-               self._options.sdp_strategy)
-        hit = _MATCH_CACHE.get(key)
-        if hit is not None:
-            return hit
-        result = self._match_terms(left, right, digest_stage=True)
-        _MATCH_CACHE.put(key, result)
+        memoize = memoization_enabled()
+        key = (left, right, self._options.sdp_strategy)
+        if memoize:
+            hit = _MATCH_CACHE.get(key)
+            if hit is not None:
+                return hit
+        worthwhile = len(left) >= 3 or any(
+            len(term.vars) >= DIGEST_MIN_VARS for term in left
+        )
+        result = self._match_terms(left, right, digest_stage=worthwhile)
+        if memoize:
+            _MATCH_CACHE.put(key, result)
         return result
 
     def _match_terms(
         self, left: NormalForm, right: NormalForm, digest_stage: bool
     ) -> bool:
+        """Find a bijection of isomorphic terms between the two sums.
+
+        With ``digest_stage`` the O(n!) permutation search first
+        collapses to a multiset comparison of canonical term digests —
+        digest-equal terms are alpha-equivalent, hence isomorphic — and
+        backtracking survives only for the digest-distinct leftovers
+        (refinement ties and congruence-level matches the syntactic
+        digest cannot see).  Without it, backtracking over
+        ``terms_isomorphic`` decides every pair.
+        """
         if digest_stage:
             buckets: Dict[str, List[int]] = {}
             for index, term in enumerate(right):

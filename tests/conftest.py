@@ -71,10 +71,11 @@ def rs_catalog(rs_session) -> Catalog:
 def disable_digest_shortcuts(monkeypatch) -> None:
     """Decide every term pair by the backtracking search alone.
 
-    Turns off the digest-multiset stage of sum matching, the tdp-match
-    memo, and the digest check in ``terms_isomorphic``, so a
-    differential can hold the production kernel against its reference,
-    :func:`repro.cq.isomorphism._search`.
+    Turns off the digest-multiset stage of sum matching and the digest
+    check in ``terms_isomorphic``, so a differential can hold the
+    production kernel against its reference,
+    :func:`repro.cq.isomorphism._search`.  It also turns the tdp-match
+    memo off, so no answer cached before the patch is replayed.
     """
     from repro.cq import isomorphism
     from repro.udp import decide
