@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test test-server test-frontdoor test-store test-cluster test-chaos test-differential test-canonical server-stress bench-gate bench-frontdoor bench-selftest batch-corpus serve
+.PHONY: test test-server test-frontdoor test-store test-cluster test-chaos test-differential test-canonical server-stress bench-gate bench-frontdoor bench-selftest batch-corpus serve importtime
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -83,6 +83,13 @@ bench-frontdoor:
 ## mode emits exactly the metrics BENCHMARK.json declares (~1 min).
 bench-selftest:
 	python3 -m pytest -q perfbench/selftest.py
+
+## The 15 slowest self-import times (microseconds, slowest first) of the
+## cold path a one-shot caller pays before its first verdict.  Reports
+## only; nothing is gated on it.
+COLD_PATH = from repro import Session; import repro.corpus; repro.corpus.all_rules(); Session()
+importtime:
+	$(PYTHON) -X importtime -c "$(COLD_PATH)" 2>&1 | grep '^import time:' | sort -t: -k2 -n -r | head -15
 
 ## One batch-service pass over the built-in corpus, results to stdout.
 batch-corpus:

@@ -52,7 +52,15 @@ runs on a :class:`~repro.server.pool.SessionPool` that it owns until
 ``close()`` (or the end of a ``with`` block), and takes its decision
 knobs as a ``PipelineConfig`` only.
 
-Public surface:
+Public surface
+--------------
+
+The names in ``repro.__all__`` resolve on first use through a
+module-level ``__getattr__`` (PEP 562) over a name → home-module table;
+only :mod:`repro.errors` and ``__version__`` load eagerly.  So ``from
+repro import Session`` loads the decision pipeline and nothing else:
+``import repro`` loads no HTTP client, batch or cluster service, server
+or store backend until a caller names one.  The layers:
 
 * :class:`~repro.session.Session` — the unified front end: structured
   requests/results, the pluggable tactic pipeline, streaming
@@ -90,25 +98,48 @@ from repro.errors import (
     SchemaError,
     UnsupportedFeatureError,
 )
-from repro.client import ClientError, RetryPolicy, VerifyClient
-from repro.hashcons import cache_stats, clear_caches, set_memoization
-from repro.service import BatchPair, BatchRecord, BatchVerifier
-from repro.store import SQLiteMemoStore, install_shared_store, open_store
-from repro.session import (
-    PipelineConfig,
-    Session,
-    SessionStats,
-    VerifyRequest,
-    VerifyResult,
-    available_tactics,
-    register_tactic,
-)
-from repro.sql.program import Catalog
-from repro.sql.schema import Attribute, Schema
-from repro.udp.decide import DecisionOptions, decide_equivalence
-from repro.udp.trace import ProofStep, ProofTrace, ReasonCode, Verdict
 
 __version__ = "2.0.0"
+
+#: Home module of every public name that resolves on first use.
+_HOMES = {
+    "repro.client": ("ClientError", "RetryPolicy", "VerifyClient"),
+    "repro.hashcons": ("cache_stats", "clear_caches", "set_memoization"),
+    "repro.service.batch": ("BatchPair", "BatchRecord", "BatchVerifier"),
+    "repro.session": (
+        "PipelineConfig",
+        "Session",
+        "SessionStats",
+        "VerifyRequest",
+        "VerifyResult",
+        "available_tactics",
+        "register_tactic",
+    ),
+    "repro.sql.program": ("Catalog",),
+    "repro.sql.schema": ("Attribute", "Schema"),
+    "repro.store": ("install_shared_store", "open_store"),
+    "repro.store.sqlite": ("SQLiteMemoStore",),
+    "repro.udp.decide": ("DecisionOptions", "decide_equivalence"),
+    "repro.udp.trace": ("ProofStep", "ProofTrace", "ReasonCode", "Verdict"),
+}
+_HOME_OF = {name: module for module, names in _HOMES.items() for name in names}
+
+
+def __getattr__(name: str):
+    """Import ``name``'s home module on first use and bind the name here."""
+    module = _HOME_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    # ``__import__`` (unlike ``importlib.import_module``) is timed by
+    # ``python -X importtime``; a non-empty fromlist returns the leaf.
+    value = getattr(__import__(module, fromlist=(name,)), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))
+
 
 __all__ = [
     "Attribute",

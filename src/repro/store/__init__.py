@@ -8,7 +8,9 @@ cluster-group index.  :func:`open_store` wraps it in a
 and the CLI both go through it.  A database
 recorded under another :data:`repro.store.sqlite.DECISION_VERSION` is
 cleared when opened, so no entry of an older decision procedure is
-replayed.
+replayed.  Both backend modules load on first use (:func:`open_store`,
+or the first access to ``FailoverStore``/``SQLiteMemoStore`` here), so
+the registry and hooks below import no ``sqlite3``.
 
 The decision procedure is a pure function of a query pair and its
 constraints, so the verdict is the one result worth sharing between
@@ -33,14 +35,33 @@ of waking a member.
 
 from __future__ import annotations
 
-from typing import Any, Mapping, Optional
+from typing import TYPE_CHECKING, Any, Mapping, Optional
 
-from repro.store.failover import FailoverStore
-from repro.store.sqlite import (
-    DEFAULT_NEGATIVE_TTL,
-    DEFAULT_TIMEOUT_TTL,
-    SQLiteMemoStore,
-)
+if TYPE_CHECKING:
+    from repro.store.failover import FailoverStore
+
+#: TTL for ``not_proved`` verdicts: a negative answer is only as durable
+#: as the search budget that produced it, so let it age out.
+DEFAULT_NEGATIVE_TTL = 3600.0
+
+#: TTL for ``timeout`` verdicts: the most transient outcome of all (a
+#: loaded machine times out where an idle one proves), so expire fast.
+DEFAULT_TIMEOUT_TTL = 300.0
+
+#: Home module of each backend class, imported on first access.
+_BACKENDS = {
+    "FailoverStore": "repro.store.failover",
+    "SQLiteMemoStore": "repro.store.sqlite",
+}
+
+
+def __getattr__(name: str):
+    module = _BACKENDS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(__import__(module, fromlist=(name,)), name)
+    globals()[name] = value
+    return value
 
 
 def open_store(path: Optional[str] = None, **kwargs) -> FailoverStore:
@@ -55,6 +76,9 @@ def open_store(path: Optional[str] = None, **kwargs) -> FailoverStore:
     errors loudly to a private in-memory view (serving never fails on
     store failure) and probes recovery with capped exponential backoff.
     """
+    from repro.store.failover import FailoverStore
+    from repro.store.sqlite import SQLiteMemoStore
+
     return FailoverStore(SQLiteMemoStore(path, **kwargs))
 
 
@@ -161,6 +185,8 @@ def verdict_cache_put(
 
 
 __all__ = [
+    "DEFAULT_NEGATIVE_TTL",
+    "DEFAULT_TIMEOUT_TTL",
     "FailoverStore",
     "SQLiteMemoStore",
     "active_store",

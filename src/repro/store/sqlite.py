@@ -81,18 +81,12 @@ import time
 import weakref
 from typing import Any, Dict, List, Optional
 
+from repro.store import DEFAULT_NEGATIVE_TTL, DEFAULT_TIMEOUT_TTL
+
 #: How long a writer waits on a locked database before giving up.  WAL
 #: mode makes waits rare (readers never block writers); 30 s matches the
 #: pipeline's default per-tactic budget.
 DEFAULT_BUSY_TIMEOUT_MS = 30_000
-
-#: TTL for ``not_proved`` verdicts: a negative answer is only as durable
-#: as the search budget that produced it, so let it age out.
-DEFAULT_NEGATIVE_TTL = 3600.0
-
-#: TTL for ``timeout`` verdicts: the most transient outcome of all (a
-#: loaded machine times out where an idle one proves), so expire fast.
-DEFAULT_TIMEOUT_TTL = 300.0
 
 #: Version of the decision procedure behind the stored memo entries,
 #: verdicts and groups.  Proved verdicts and groups never expire, so a

@@ -90,11 +90,14 @@ class Compiler:
     def __init__(self, catalog: Catalog) -> None:
         self._catalog = catalog
         self._counter = itertools.count(1)
+        #: id(node) -> (node, schema); holding the node keeps its id unique.
+        self._schemas: Dict[int, Tuple[Query, Schema]] = {}
 
     # -- public API --------------------------------------------------------
 
     def compile_query(self, query: Query) -> QueryDenotation:
         """Compile a closed query into ``λ t. E``."""
+        self._schemas.clear()
         schema = self.schema_of(query)
         var = self._fresh("t")
         body = self.denote(query, TupleVar(var), {})
@@ -103,7 +106,16 @@ class Compiler:
     # -- schemas -----------------------------------------------------------
 
     def schema_of(self, query: Query) -> Schema:
-        """Output schema of a resolved query (views already inlined)."""
+        """Output schema of a resolved query (views already inlined),
+        computed once per node within a :meth:`compile_query` call."""
+        entry = self._schemas.get(id(query))
+        if entry is not None:
+            return entry[1]
+        schema = self._schema_of(query)
+        self._schemas[id(query)] = (query, schema)
+        return schema
+
+    def _schema_of(self, query: Query) -> Schema:
         if isinstance(query, TableRef):
             if self._catalog.has_view(query.name):
                 return self.schema_of(self._catalog.view_query(query.name))
@@ -191,13 +203,9 @@ class Compiler:
 
     def _projection_value(self, query: Select, env: Env) -> ValueExpr:
         """The output tuple as a value expression over the FROM variables."""
-        entries = [(alias, schema) for alias, (_, schema) in env.items() if alias]
-        # Recompute the (deduplicated) output schema to name constructor
-        # fields consistently with scope resolution.
-        local_entries = [
-            (item.alias, self.schema_of(item.query)) for item in query.from_items
-        ]
-        out_schema = projection_output_schema(local_entries, query.projections)
+        # The (deduplicated) output schema names constructor fields
+        # consistently with scope resolution.
+        out_schema = self.schema_of(query)
 
         # Expand projections into "parts": whole-tuple parts and named fields.
         parts: List[Tuple[str, object]] = []  # ("tuple", (value, schema)) | ("field", expr)
