@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test test-server test-frontdoor test-store test-cluster test-chaos test-differential test-canonical server-stress bench-gate bench-frontdoor bench-selftest batch-corpus serve importtime
+.PHONY: test test-server test-frontdoor test-store test-cluster test-chaos test-differential test-canonical server-stress bench-gate bench-frontdoor bench-selftest batch-corpus serve importtime profile-cold
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -49,11 +49,13 @@ test-differential:
 
 ## Canonical forms and matching under two hash seeds: the corpus golden
 ## digests, the one-closure canonizer against its round-at-a-time
-## reference, the digest kernel, and sum matching with its tdp-match memo.
-## Picking a class representative must never depend on set iteration
-## order, and the memo key hashes the canonized forms; PYTHONHASHSEED
-## changes both, and no answer may depend on it.
-CANONICAL_TESTS = tests/test_canonical_golden.py tests/test_canonize_differential.py tests/test_kernel.py tests/test_compare_canonized.py
+## reference, the digest kernel, sum matching with its tdp-match memo,
+## and the immutable-node kernel (repro.hashcons.frozen_node) with its
+## cached structural hash.  Picking a class representative must never
+## depend on set iteration order, the memo key hashes the canonized
+## forms, and a cached hash must never outlive its process;
+## PYTHONHASHSEED changes all three, and no answer may depend on it.
+CANONICAL_TESTS = tests/test_canonical_golden.py tests/test_canonize_differential.py tests/test_kernel.py tests/test_compare_canonized.py tests/test_frozen_node.py
 test-canonical:
 	PYTHONHASHSEED=0 $(PYTHON) -m pytest -x -q $(CANONICAL_TESTS)
 	PYTHONHASHSEED=1 $(PYTHON) -m pytest -x -q $(CANONICAL_TESTS)
@@ -90,6 +92,15 @@ bench-selftest:
 COLD_PATH = from repro import Session; import repro.corpus; repro.corpus.all_rules(); Session()
 importtime:
 	$(PYTHON) -X importtime -c "$(COLD_PATH)" 2>&1 | grep '^import time:' | sort -t: -k2 -n -r | head -15
+
+## Sampling profile of cold corpus passes: a SIGPROF timer
+## (signal.setitimer, ITIMER_PROF) samples the Python stack every 1 ms of
+## CPU time over PROFILE_PASSES passes after two warm-up passes, and the
+## top self and cumulative shares per function are printed.  Reports
+## only; nothing is gated on it.
+PROFILE_PASSES ?= 20
+profile-cold:
+	$(PYTHON) benchmarks/profile_cold.py --passes $(PROFILE_PASSES)
 
 ## One batch-service pass over the built-in corpus, results to stdout.
 batch-corpus:

@@ -114,8 +114,8 @@ def terms_isomorphic(
     if left == right:
         context.tick()
         return True
-    left_digest = left.__dict__.get("_canon_digest")
-    right_digest = right.__dict__.get("_canon_digest")
+    left_digest = getattr(left, "_canon_digest", None)
+    right_digest = getattr(right, "_canon_digest", None)
     if (
         (left_digest is None or right_digest is None)
         and len(left.vars) >= DIGEST_MIN_VARS

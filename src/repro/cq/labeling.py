@@ -263,7 +263,7 @@ def refined_binder_colors(term: NormalTerm) -> Dict[str, str]:
     isomorphism search uses equality of these colors to *order* candidate
     bijections (never to reject them — refinement sees syntax, while the
     search matches modulo congruence)."""
-    cached = term.__dict__.get("_refined_colors")
+    cached = getattr(term, "_refined_colors", None)
     if cached is not None:
         return cached
     colors = _refine(term, _initial_colors(term))
@@ -391,7 +391,7 @@ def canonical_term(term: NormalTerm) -> NormalTerm:
     namespace, so the rename here can never collide with (and hence
     never capture-freshen) an aggregate-body binder.
     """
-    cached = term.__dict__.get("_canonical")
+    cached = getattr(term, "_canonical", None)
     if cached is not None:
         return cached
     rendered = _canonical_term_at(term, 0, DIGEST_PREFIX)
@@ -426,7 +426,7 @@ def term_digest(term: NormalTerm) -> str:
     :func:`form_digest` the digests also key the durable cluster-group
     index (:mod:`repro.service.clustering`).
     """
-    cached = term.__dict__.get("_canon_digest")
+    cached = getattr(term, "_canon_digest", None)
     if cached is not None:
         return cached
     digest = fingerprint(canonical_term(term))

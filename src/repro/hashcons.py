@@ -1,16 +1,31 @@
-"""Hash-consing support: cached hashes, interned leaves, stable fingerprints.
+"""Immutable nodes: cheap construction, cached hashes, stable fingerprints.
 
-The decision procedure is dominated by dictionary operations over deeply
-nested immutable AST nodes (congruence closure, predicate dedup, term
-matching).  Frozen dataclasses recompute their structural hash on every
-lookup, which the profiler shows as hundreds of thousands of ``hash()``
-calls per corpus run.  This module provides three tools:
+The decision procedure builds and looks up deeply nested immutable AST
+nodes all the time (parsing, compilation, SPNF, congruence closure,
+predicate dedup, term matching).  How such a node stores and caches its
+fields is decided here, once:
 
-* :func:`cached_structural_hash` — a class decorator (applied *above*
-  ``@dataclass(frozen=True)``) that replaces the generated ``__hash__``
-  with one that computes the structural hash once and stores it on the
-  instance.  Equality stays the generated structural ``__eq__``, so the
-  ``a == b ⇒ hash(a) == hash(b)`` contract is preserved.
+* :func:`frozen_node` — the class decorator for every node class on the
+  request path: a frozen dataclass whose ``__init__`` is generated here.
+  Equality, immutability, ``dataclasses.replace`` and pickling are the
+  dataclass's own.
+
+* :func:`cached_structural_hash`, :func:`cached_str` and
+  :func:`cached_free_vars` — decorators (applied *above* the dataclass
+  decorator) that compute a node's hash, rendering or free tuple
+  variables once and keep it on the instance as ``_hash``/``_str``/
+  ``_free_vars``.  A miss is ``getattr`` with a default, which raises
+  no ``AttributeError``; the hash reads the fields through one
+  :func:`operator.attrgetter`.  The canonizer and canonical labeling
+  keep their own per-node caches (``_canonical``, ``_refined_colors``,
+  ``_canon_digest``, ``_has_agg``) on the instance too, which is why
+  nodes do not use ``__slots__``.
+
+  Fields and caches are written with ``object.__setattr__`` and read as
+  attributes, never through ``node.__dict__``: on CPython 3.11 and 3.12
+  an instance keeps its attributes inline until something asks for its
+  ``__dict__``; from then on every attribute read on it is a dictionary
+  lookup, which made reading fields about twice as slow.
 
 * :data:`INTERN_CAP` — the bound for the leaf intern tables kept by
   :class:`~repro.usr.values.TupleVar` and small
@@ -48,7 +63,8 @@ import hashlib
 import os
 import threading
 from collections import OrderedDict
-from dataclasses import fields as _dataclass_fields, is_dataclass
+from dataclasses import MISSING, dataclass, fields as _dataclass_fields, is_dataclass
+from operator import attrgetter
 from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
 # ---------------------------------------------------------------------------
@@ -56,25 +72,106 @@ from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 # ---------------------------------------------------------------------------
 
 
+#: Default of an ``__init__`` parameter whose field has a
+#: ``default_factory``: the factory runs only when no value is passed.
+_FACTORY = object()
+
+
+def frozen_node(cls):
+    """Class decorator: an immutable dataclass node with a cheap ``__init__``.
+
+    Applies ``dataclass(frozen=True, init=False)`` and installs an
+    ``__init__`` that sets each field with ``object.__setattr__`` bound
+    once, as a global of the generated code.  The one ``dataclass``
+    generates for a frozen class looks ``object.__setattr__`` up again
+    for every field of every node; on the request path, where every
+    parse, compile, normalize and canonize step builds fresh nodes, that
+    was a large share of the time.
+
+    Everything else is the plain frozen dataclass: the generated
+    ``__eq__``, ``__repr__`` and ``__hash__``, ``FrozenInstanceError`` on
+    assignment, ``dataclasses.replace``, copying and pickling.  The
+    ``__init__`` takes the same parameters as the one ``dataclass`` would
+    generate -- defaults, ``default_factory`` and a ``__post_init__`` call
+    included (``InitVar`` and keyword-only fields are not supported).  A
+    class that defines its own ``__init__`` keeps it (see
+    :class:`~repro.usr.predicates.EqPred`).
+    """
+    cls = dataclass(frozen=True, init=False)(cls)
+    if "__init__" not in cls.__dict__:
+        init = _generate_init(cls)
+        init.__qualname__ = f"{cls.__qualname__}.__init__"
+        cls.__init__ = init
+    return cls
+
+
+def _generate_init(cls):
+    """Generate and compile ``cls.__init__`` for :func:`frozen_node`."""
+    namespace: Dict[str, Any] = {"__FACTORY": _FACTORY, "__set": object.__setattr__}
+    params = ["self"]
+    body = []
+    for f in _dataclass_fields(cls):
+        if f.kw_only is True:
+            raise TypeError(f"frozen_node: keyword-only field {f.name!r}")
+        name = f.name
+        if f.default_factory is not MISSING:
+            namespace[f"__factory_{name}"] = f.default_factory
+            if f.init:
+                params.append(f"{name}=__FACTORY")
+                value = f"__factory_{name}() if {name} is __FACTORY else {name}"
+            else:
+                value = f"__factory_{name}()"
+        elif f.default is not MISSING:
+            namespace[f"__default_{name}"] = f.default
+            if f.init:
+                params.append(f"{name}=__default_{name}")
+                value = name
+            else:
+                value = f"__default_{name}"
+        elif f.init:
+            params.append(name)
+            value = name
+        else:  # no value to give it, as with dataclasses
+            continue
+        body.append(f"    __set(self, {name!r}, {value})")
+    if hasattr(cls, "__post_init__"):
+        body.append("    self.__post_init__()")
+    source = f"def __init__({', '.join(params)}):\n" + ("\n".join(body) or "    pass")
+    exec(compile(source, "<frozen_node>", "exec"), namespace)
+    return namespace["__init__"]
+
+
+def _field_values(cls) -> Callable[[Any], Tuple]:
+    """A function from an instance of ``cls`` to its field values, in order."""
+    names = tuple(f.name for f in _dataclass_fields(cls))
+    if len(names) > 1:
+        return attrgetter(*names)
+    if names:
+        get = attrgetter(names[0])
+        return lambda node: (get(node),)
+    return lambda node: ()
+
+
 def cached_structural_hash(cls):
     """Class decorator: memoize ``__hash__`` on the instance.
 
-    Apply *above* ``@dataclass(frozen=True)`` so the dataclass fields are
-    already registered.  The hash is computed from the class name and the
-    dataclass fields (same inputs as the generated hash) and stored via
-    ``object.__setattr__`` — legal on frozen instances and invisible to
-    the generated ``__eq__``/``__repr__``, which only consult fields.
+    Apply *above* the dataclass decorator so the fields are already
+    registered.  The hash is computed from the class name and the
+    dataclass fields (same inputs as the generated hash) and stored as
+    ``_hash`` via ``object.__setattr__`` — legal on frozen instances and
+    invisible to the generated ``__eq__``/``__repr__``, which only consult
+    fields.  Equality stays structural, so the
+    ``a == b ⇒ hash(a) == hash(b)`` contract is preserved.
     """
-    names = tuple(f.name for f in _dataclass_fields(cls))
-    label = cls.__name__
+    values = _field_values(cls)
+    label = (cls.__name__,)
 
-    def __hash__(self, _names=names, _label=label):
-        try:  # plain attribute read: the fastest cached path available
-            return self._hash
-        except AttributeError:
-            h = hash((_label,) + tuple(getattr(self, n) for n in _names))
-            object.__setattr__(self, "_hash", h)
-            return h
+    def __hash__(self, _values=values, _label=label, _set=object.__setattr__):
+        h = getattr(self, "_hash", None)
+        if h is None:
+            h = hash(_label + _values(self))
+            _set(self, "_hash", h)
+        return h
 
     def __getstate__(self):
         # The cached hash is built on the per-process-salted builtin
@@ -108,13 +205,12 @@ def cached_free_vars(cls):
     """
     raw = cls.free_tuple_vars
 
-    def free_tuple_vars(self, _raw=raw):
-        try:
-            return self._free_vars
-        except AttributeError:
+    def free_tuple_vars(self, _raw=raw, _set=object.__setattr__):
+        out = getattr(self, "_free_vars", None)
+        if out is None:
             out = _raw(self)
-            object.__setattr__(self, "_free_vars", out)
-            return out
+            _set(self, "_free_vars", out)
+        return out
 
     cls.free_tuple_vars = free_tuple_vars
     return cls
@@ -131,13 +227,12 @@ def cached_str(cls):
     """
     raw_str = cls.__str__
 
-    def __str__(self, _raw=raw_str):
-        try:
-            return self._str
-        except AttributeError:
+    def __str__(self, _raw=raw_str, _set=object.__setattr__):
+        s = getattr(self, "_str", None)
+        if s is None:
             s = _raw(self)
-            object.__setattr__(self, "_str", s)
-            return s
+            _set(self, "_str", s)
+        return s
 
     cls.__str__ = __str__
     return cls
@@ -199,7 +294,7 @@ def _fp_bytes(obj: Any) -> bytes:
         parts = sorted(_fp_bytes(item) for item in obj)
         return _digest(b"fs:" + b"".join(parts))
     if is_dataclass(obj) and not isinstance(obj, type):
-        cached = getattr(obj, "__dict__", {}).get("_fingerprint")
+        cached = getattr(obj, "_fingerprint", None)
         if cached is not None:
             return cached
         names = _FIELDS_BY_CLASS.get(cls)

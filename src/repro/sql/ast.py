@@ -17,8 +17,10 @@ All nodes are immutable; derived stages never mutate an AST in place.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import field
 from typing import Optional, Tuple, Union
+
+from repro.hashcons import frozen_node
 
 # ---------------------------------------------------------------------------
 # Expressions
@@ -31,7 +33,7 @@ class Expr:
     __slots__ = ()
 
 
-@dataclass(frozen=True)
+@frozen_node
 class ColumnRef(Expr):
     """An attribute reference ``x.a`` (alias ``x`` may be empty pre-scope)."""
 
@@ -42,7 +44,7 @@ class ColumnRef(Expr):
         return f"{self.table}.{self.column}" if self.table else self.column
 
 
-@dataclass(frozen=True)
+@frozen_node
 class Constant(Expr):
     """A literal constant (integer, string, or boolean)."""
 
@@ -56,7 +58,7 @@ class Constant(Expr):
         return str(self.value)
 
 
-@dataclass(frozen=True)
+@frozen_node
 class FuncCall(Expr):
     """An uninterpreted scalar function application ``f(e1, ..., en)``."""
 
@@ -67,7 +69,7 @@ class FuncCall(Expr):
         return f"{self.name}({', '.join(str(a) for a in self.args)})"
 
 
-@dataclass(frozen=True)
+@frozen_node
 class AggCall(Expr):
     """An aggregate applied to a subquery: ``agg(q)``.
 
@@ -95,7 +97,7 @@ class Pred:
     __slots__ = ()
 
 
-@dataclass(frozen=True)
+@frozen_node
 class BinPred(Pred):
     """A binary comparison ``e1 op e2``.
 
@@ -112,7 +114,7 @@ class BinPred(Pred):
         return f"{self.left} {self.op} {self.right}"
 
 
-@dataclass(frozen=True)
+@frozen_node
 class NotPred(Pred):
     inner: Pred
 
@@ -120,7 +122,7 @@ class NotPred(Pred):
         return f"NOT ({self.inner})"
 
 
-@dataclass(frozen=True)
+@frozen_node
 class AndPred(Pred):
     left: Pred
     right: Pred
@@ -129,7 +131,7 @@ class AndPred(Pred):
         return f"({self.left} AND {self.right})"
 
 
-@dataclass(frozen=True)
+@frozen_node
 class OrPred(Pred):
     left: Pred
     right: Pred
@@ -138,19 +140,19 @@ class OrPred(Pred):
         return f"({self.left} OR {self.right})"
 
 
-@dataclass(frozen=True)
+@frozen_node
 class TruePred(Pred):
     def __str__(self) -> str:
         return "TRUE"
 
 
-@dataclass(frozen=True)
+@frozen_node
 class FalsePred(Pred):
     def __str__(self) -> str:
         return "FALSE"
 
 
-@dataclass(frozen=True)
+@frozen_node
 class Exists(Pred):
     """``EXISTS q`` — squash of the subquery denotation."""
 
@@ -162,7 +164,7 @@ class Exists(Pred):
         return f"{prefix} ({self.query})"
 
 
-@dataclass(frozen=True)
+@frozen_node
 class InPred(Pred):
     """``e [NOT] IN (q)`` — membership in a single-column subquery.
 
@@ -191,7 +193,7 @@ class Projection:
     __slots__ = ()
 
 
-@dataclass(frozen=True)
+@frozen_node
 class Star(Projection):
     """``SELECT *``."""
 
@@ -199,7 +201,7 @@ class Star(Projection):
         return "*"
 
 
-@dataclass(frozen=True)
+@frozen_node
 class TableStar(Projection):
     """``SELECT x.*``."""
 
@@ -209,7 +211,7 @@ class TableStar(Projection):
         return f"{self.table}.*"
 
 
-@dataclass(frozen=True)
+@frozen_node
 class ExprAs(Projection):
     """``SELECT e AS a``; ``alias`` may be empty for bare column refs."""
 
@@ -240,7 +242,7 @@ class Query:
     __slots__ = ()
 
 
-@dataclass(frozen=True)
+@frozen_node
 class TableRef(Query):
     """A base table or view reference by name."""
 
@@ -250,7 +252,7 @@ class TableRef(Query):
         return self.name
 
 
-@dataclass(frozen=True)
+@frozen_node
 class FromItem:
     """One aliased item in a ``FROM`` clause: ``q AS x``."""
 
@@ -263,7 +265,7 @@ class FromItem:
         return f"({self.query}) {self.alias}"
 
 
-@dataclass(frozen=True)
+@frozen_node
 class Select(Query):
     """``SELECT [DISTINCT] p FROM f1, ..., fn [WHERE b] [GROUP BY ...]``.
 
@@ -293,7 +295,7 @@ class Select(Query):
         return " ".join(parts)
 
 
-@dataclass(frozen=True)
+@frozen_node
 class Where(Query):
     """``q WHERE b`` as a standalone combinator (Fig. 2 allows it)."""
 
@@ -304,7 +306,7 @@ class Where(Query):
         return f"({self.query}) WHERE {self.predicate}"
 
 
-@dataclass(frozen=True)
+@frozen_node
 class UnionAll(Query):
     """``q1 UNION ALL q2`` — bag union (addition in the U-semiring)."""
 
@@ -315,7 +317,7 @@ class UnionAll(Query):
         return f"({self.left}) UNION ALL ({self.right})"
 
 
-@dataclass(frozen=True)
+@frozen_node
 class Except(Query):
     """``q1 EXCEPT q2`` — anti-semijoin semantics per Fig. 12.
 
@@ -330,7 +332,7 @@ class Except(Query):
         return f"({self.left}) EXCEPT ({self.right})"
 
 
-@dataclass(frozen=True)
+@frozen_node
 class Intersect(Query):
     """``q1 INTERSECT q2`` — SQL set intersection.
 
@@ -345,7 +347,7 @@ class Intersect(Query):
         return f"({self.left}) INTERSECT ({self.right})"
 
 
-@dataclass(frozen=True)
+@frozen_node
 class DistinctQuery(Query):
     """``DISTINCT q`` — duplicate elimination (squash)."""
 
@@ -355,7 +357,7 @@ class DistinctQuery(Query):
         return f"DISTINCT ({self.query})"
 
 
-@dataclass(frozen=True)
+@frozen_node
 class GroupBy(Query):
     """Explicit grouping combinator retained for pretty-printing round trips.
 

@@ -9,10 +9,10 @@ case-sensitive, matching the paper's Cosette input files).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterator, List
 
 from repro.errors import LexError
+from repro.hashcons import frozen_node
 
 #: Keywords of the combined query + declaration language.
 KEYWORDS = frozenset(
@@ -63,7 +63,7 @@ _PUNCT = {
 }
 
 
-@dataclass(frozen=True)
+@frozen_node
 class Token:
     """A lexical token.
 

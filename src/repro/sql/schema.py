@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Optional, Tuple
 
 from repro.errors import SchemaError
-from repro.hashcons import cached_structural_hash
+from repro.hashcons import cached_structural_hash, frozen_node
 
 #: Types accepted by ``schema`` declarations.  The list mirrors Fig. 8's
 #: ``Type ::= int | bool | string | ...``; unknown names are accepted and kept
@@ -25,7 +25,7 @@ KNOWN_TYPES = ("int", "bool", "string", "float", "date")
 
 
 @cached_structural_hash
-@dataclass(frozen=True)
+@frozen_node
 class Attribute:
     """A named, typed attribute of a schema."""
 
@@ -37,7 +37,7 @@ class Attribute:
 
 
 @cached_structural_hash
-@dataclass(frozen=True)
+@frozen_node
 class Schema:
     """An ordered collection of attributes, possibly generic.
 

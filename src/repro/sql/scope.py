@@ -17,10 +17,10 @@ Views are inlined here: a :class:`TableRef` naming a view is replaced by the
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 from repro.errors import ResolutionError
+from repro.hashcons import frozen_node
 from repro.sql.ast import (
     AggCall,
     AndPred,
@@ -54,7 +54,7 @@ from repro.sql.program import Catalog
 from repro.sql.schema import Attribute, Schema, make_anonymous_schema
 
 
-@dataclass(frozen=True)
+@frozen_node
 class Frame:
     """One scope level: the aliased items of a single FROM clause."""
 

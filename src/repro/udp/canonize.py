@@ -435,7 +435,7 @@ def _term_has_agg(term: NormalTerm) -> bool:
     Cached on the (immutable) term, which may be canonized again (in a
     squash body, say); most corpus terms are aggregate-free.
     """
-    cached = term.__dict__.get("_has_agg")
+    cached = getattr(term, "_has_agg", None)
     if cached is not None:
         return cached
     has = False

@@ -15,6 +15,7 @@ import threading
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional
 
+from repro.hashcons import frozen_node
 from repro.usr.axioms import AXIOMS
 
 
@@ -132,7 +133,7 @@ class ReasonTally:
             }
 
 
-@dataclass(frozen=True)
+@frozen_node
 class ProofStep:
     """One axiom application."""
 

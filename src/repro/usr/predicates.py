@@ -16,7 +16,6 @@ sets.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Tuple
 
 from repro.hashcons import (
@@ -24,6 +23,7 @@ from repro.hashcons import (
     cached_str,
     cached_structural_hash,
     fingerprint as _structural_fingerprint,
+    frozen_node,
 )
 from repro.usr.values import ValueExpr
 
@@ -64,7 +64,7 @@ def _ordered_pair(left: ValueExpr, right: ValueExpr) -> Tuple[ValueExpr, ValueEx
 @cached_structural_hash
 @cached_str
 @cached_free_vars
-@dataclass(frozen=True, init=False)
+@frozen_node
 class EqPred(Predicate):
     """Interpreted equality ``[e1 = e2]`` (stored in canonical order)."""
 
@@ -86,7 +86,7 @@ class EqPred(Predicate):
 @cached_structural_hash
 @cached_str
 @cached_free_vars
-@dataclass(frozen=True, init=False)
+@frozen_node
 class NePred(Predicate):
     """Inequality ``[e1 ≠ e2]`` — arises from excluded middle (Eq. (12))."""
 
@@ -108,7 +108,7 @@ class NePred(Predicate):
 @cached_structural_hash
 @cached_str
 @cached_free_vars
-@dataclass(frozen=True)
+@frozen_node
 class AtomPred(Predicate):
     """An uninterpreted predicate atom ``[β(e1, ..., en)]``.
 

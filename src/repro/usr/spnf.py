@@ -27,7 +27,6 @@ to the process.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from repro.errors import CompileError
@@ -36,6 +35,7 @@ from repro.hashcons import (
     cached_free_vars,
     cached_str,
     cached_structural_hash,
+    frozen_node,
     memoization_enabled,
 )
 from repro.sql.schema import Schema
@@ -70,7 +70,7 @@ NormalForm = Tuple["NormalTerm", ...]
 @cached_structural_hash
 @cached_str
 @cached_free_vars
-@dataclass(frozen=True)
+@frozen_node
 class NormalTerm:
     """One SPNF term.
 

@@ -18,7 +18,6 @@ Nodes:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, List, Tuple
 
 from repro.hashcons import (
@@ -26,6 +25,7 @@ from repro.hashcons import (
     cached_str,
     cached_structural_hash,
     fingerprint as _structural_fingerprint,
+    frozen_node,
 )
 from repro.sql.schema import Schema
 from repro.usr.predicates import Predicate
@@ -57,7 +57,7 @@ class UExpr:
 
 
 @cached_structural_hash
-@dataclass(frozen=True)
+@frozen_node
 class _Zero(UExpr):
     def free_tuple_vars(self) -> frozenset:
         return frozenset()
@@ -67,7 +67,7 @@ class _Zero(UExpr):
 
 
 @cached_structural_hash
-@dataclass(frozen=True)
+@frozen_node
 class _One(UExpr):
     def free_tuple_vars(self) -> frozenset:
         return frozenset()
@@ -84,7 +84,7 @@ One = _One()
 @cached_structural_hash
 @cached_str
 @cached_free_vars
-@dataclass(frozen=True)
+@frozen_node
 class Add(UExpr):
     """n-ary sum; always has ≥ 2 operands after smart construction."""
 
@@ -103,7 +103,7 @@ class Add(UExpr):
 @cached_structural_hash
 @cached_str
 @cached_free_vars
-@dataclass(frozen=True)
+@frozen_node
 class Mul(UExpr):
     """n-ary product; always has ≥ 2 operands after smart construction."""
 
@@ -128,7 +128,7 @@ class Mul(UExpr):
 @cached_structural_hash
 @cached_str
 @cached_free_vars
-@dataclass(frozen=True)
+@frozen_node
 class Sum(UExpr):
     """Unbounded summation ``Σ_{var ∈ Tuple(schema)} body``."""
 
@@ -146,7 +146,7 @@ class Sum(UExpr):
 @cached_structural_hash
 @cached_str
 @cached_free_vars
-@dataclass(frozen=True)
+@frozen_node
 class Squash(UExpr):
     """The squash operator ``‖body‖`` (DISTINCT / EXISTS)."""
 
@@ -162,7 +162,7 @@ class Squash(UExpr):
 @cached_structural_hash
 @cached_str
 @cached_free_vars
-@dataclass(frozen=True)
+@frozen_node
 class Not(UExpr):
     """The negation operator ``not(body)`` (NOT EXISTS / EXCEPT)."""
 
@@ -178,7 +178,7 @@ class Not(UExpr):
 @cached_structural_hash
 @cached_str
 @cached_free_vars
-@dataclass(frozen=True)
+@frozen_node
 class Pred(UExpr):
     """A predicate atom ``[b]``."""
 
@@ -194,7 +194,7 @@ class Pred(UExpr):
 @cached_structural_hash
 @cached_str
 @cached_free_vars
-@dataclass(frozen=True)
+@frozen_node
 class Rel(UExpr):
     """A relation atom ``R(t)`` — the multiplicity of ``t`` in ``R``."""
 
@@ -275,7 +275,7 @@ def not_(body: UExpr) -> UExpr:
     return Not(body)
 
 
-@dataclass(frozen=True)
+@frozen_node
 class QueryDenotation:
     """A query's meaning ``λ var : Tuple(schema). body``."""
 

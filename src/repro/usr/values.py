@@ -14,7 +14,6 @@ memoization key by the normalize/canonize caches and the batch service.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional, Tuple, TYPE_CHECKING
 
 from repro.hashcons import (
@@ -23,6 +22,7 @@ from repro.hashcons import (
     cached_str,
     cached_structural_hash,
     fingerprint as _structural_fingerprint,
+    frozen_node,
 )
 from repro.sql.schema import Schema
 
@@ -56,7 +56,7 @@ _CONSTVAL_POOL: dict = {}
 
 
 @cached_structural_hash
-@dataclass(frozen=True)
+@frozen_node
 class TupleVar(ValueExpr):
     """A tuple variable ``t`` ranging over ``Tuple(σ)``."""
 
@@ -87,7 +87,7 @@ class TupleVar(ValueExpr):
 @cached_structural_hash
 @cached_str
 @cached_free_vars
-@dataclass(frozen=True)
+@frozen_node
 class Attr(ValueExpr):
     """Attribute access ``base.name``."""
 
@@ -102,7 +102,7 @@ class Attr(ValueExpr):
 
 
 @cached_structural_hash
-@dataclass(frozen=True)
+@frozen_node
 class ConstVal(ValueExpr):
     """A literal constant."""
 
@@ -136,7 +136,7 @@ class ConstVal(ValueExpr):
 @cached_structural_hash
 @cached_str
 @cached_free_vars
-@dataclass(frozen=True)
+@frozen_node
 class Func(ValueExpr):
     """Uninterpreted function application ``f(e1, ..., en)``."""
 
@@ -156,7 +156,7 @@ class Func(ValueExpr):
 @cached_structural_hash
 @cached_str
 @cached_free_vars
-@dataclass(frozen=True)
+@frozen_node
 class Agg(ValueExpr):
     """An aggregate ``agg(λ var. body)`` over a query denotation.
 
@@ -181,7 +181,7 @@ class Agg(ValueExpr):
 @cached_structural_hash
 @cached_str
 @cached_free_vars
-@dataclass(frozen=True)
+@frozen_node
 class TupleCons(ValueExpr):
     """An explicit tuple ``⟨a1: e1, ..., an: en⟩``.
 
@@ -212,7 +212,7 @@ class TupleCons(ValueExpr):
 @cached_structural_hash
 @cached_str
 @cached_free_vars
-@dataclass(frozen=True)
+@frozen_node
 class ConcatTuple(ValueExpr):
     """Concatenation of tuples ``t1 ⧺ t2 ⧺ ...`` (cross-product output).
 
