@@ -95,12 +95,11 @@ importtime:
 
 ## Sampling profile of cold corpus passes: a SIGPROF timer
 ## (signal.setitimer, ITIMER_PROF) samples the Python stack every 1 ms of
-## CPU time over PROFILE_PASSES passes after two warm-up passes, and the
-## top self and cumulative shares per function are printed.  Reports
-## only; nothing is gated on it.
-PROFILE_PASSES ?= 20
+## CPU time over PROFILE_PASSES passes (20 if unset) after two warm-up
+## passes, and the top self and cumulative shares per function are
+## printed.  Reports only; nothing is gated on it.
 profile-cold:
-	$(PYTHON) benchmarks/profile_cold.py --passes $(PROFILE_PASSES)
+	$(PYTHON) benchmarks/profile_cold.py $(if $(PROFILE_PASSES),--passes $(PROFILE_PASSES))
 
 ## One batch-service pass over the built-in corpus, results to stdout.
 batch-corpus:

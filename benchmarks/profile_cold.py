@@ -2,13 +2,14 @@
 
 Each pass starts from cold caches, as ``perfbench``'s ``corpus-cold``
 workload does: ``clear_caches()``, a fresh :class:`~repro.session.Session`,
-then every corpus rule in turn.  A few warm-up passes run first,
+then every corpus rule in turn.  Two warm-up passes run first,
 unsampled.  During the measured passes a ``signal.setitimer(ITIMER_PROF)``
-timer interrupts the process every ``--interval-ms`` of CPU time, and the
-handler records the Python stack it interrupted.  The report gives, per
-function, its *self* share (samples where it was the innermost Python
-frame; C functions it calls count as its own time) and its *cumulative*
-share (samples where it was anywhere on the stack, counted once).
+timer interrupts the process every millisecond of CPU time, and the
+handler records the Python stack it interrupted.  The report gives, for
+the top 20 functions, the *self* share (samples where it was the
+innermost Python frame; C functions it calls count as its own time) and
+the *cumulative* share (samples where it was anywhere on the stack,
+counted once).
 
 A sampler, not ``cProfile``: a deterministic profiler charges a fixed
 cost to every Python call, so it inflates call-heavy code and can rank
@@ -30,6 +31,13 @@ from collections import Counter
 from typing import Dict, List, Tuple
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+
+#: Unsampled cold passes before the measured ones.
+WARMUP = 2
+#: CPU time between two samples, in seconds.
+INTERVAL_S = 0.001
+#: Functions listed per table.
+TOP = 20
 
 
 def _label(code) -> str:
@@ -87,44 +95,38 @@ class Sampler:
         return [(count / total, label) for label, count in counts.most_common(limit)]
 
 
-def cold_pass(rules) -> None:
+def cold_pass(requests) -> None:
     from repro import Session, clear_caches
-    from repro.session import VerifyRequest
 
     clear_caches()
     session = Session()
-    for rule in rules:
-        session.verify(
-            VerifyRequest(left=rule.left, right=rule.right, program=rule.program)
-        )
+    for request in requests:
+        session.verify(request)
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--passes", type=int, default=20, help="sampled cold passes")
-    parser.add_argument("--warmup", type=int, default=2, help="unsampled passes first")
-    parser.add_argument("--interval-ms", type=float, default=1.0, help="CPU time per sample")
-    parser.add_argument("--top", type=int, default=20, help="functions per table")
     args = parser.parse_args(argv)
     if not hasattr(signal, "setitimer"):
         print("profile-cold needs signal.setitimer (POSIX)", file=sys.stderr)
         return 2
 
-    from repro.corpus import all_rules
+    from repro.corpus import as_verify_requests
 
-    rules = all_rules()
-    for _ in range(args.warmup):
-        cold_pass(rules)
+    requests = as_verify_requests()
+    for _ in range(WARMUP):
+        cold_pass(requests)
     started = time.perf_counter()
-    with Sampler(args.interval_ms / 1000.0) as sampler:
+    with Sampler(INTERVAL_S) as sampler:
         for _ in range(args.passes):
-            cold_pass(rules)
+            cold_pass(requests)
     took = time.perf_counter() - started
 
     print(
-        f"{args.passes} cold passes of {len(rules)} rules in {took:.2f} s "
+        f"{args.passes} cold passes of {len(requests)} rules in {took:.2f} s "
         f"({1000.0 * took / args.passes:.1f} ms a pass); "
-        f"{sampler.samples} samples every {args.interval_ms:g} ms of CPU time"
+        f"{sampler.samples} samples every {1000.0 * INTERVAL_S:g} ms of CPU time"
     )
     tables: Dict[str, Counter] = {
         "self": sampler.self_counts,
@@ -132,7 +134,7 @@ def main(argv=None) -> int:
     }
     for title, counts in tables.items():
         print(f"\n{title} share")
-        for share, label in sampler.top(counts, args.top):
+        for share, label in sampler.top(counts, TOP):
             print(f"{100.0 * share:6.1f}%  {label}")
     return 0
 

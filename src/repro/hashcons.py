@@ -72,11 +72,6 @@ from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 # ---------------------------------------------------------------------------
 
 
-#: Default of an ``__init__`` parameter whose field has a
-#: ``default_factory``: the factory runs only when no value is passed.
-_FACTORY = object()
-
-
 def frozen_node(cls):
     """Class decorator: an immutable dataclass node with a cheap ``__init__``.
 
@@ -92,10 +87,11 @@ def frozen_node(cls):
     ``__eq__``, ``__repr__`` and ``__hash__``, ``FrozenInstanceError`` on
     assignment, ``dataclasses.replace``, copying and pickling.  The
     ``__init__`` takes the same parameters as the one ``dataclass`` would
-    generate -- defaults, ``default_factory`` and a ``__post_init__`` call
-    included (``InitVar`` and keyword-only fields are not supported).  A
-    class that defines its own ``__init__`` keeps it (see
-    :class:`~repro.usr.predicates.EqPred`).
+    generate, plain defaults and a ``__post_init__`` call included.  No
+    node needs more, so a field with a ``default_factory``, ``init=False``
+    or ``kw_only`` is refused with :class:`TypeError` (``InitVar`` is not
+    supported either).  A class that defines its own ``__init__`` keeps
+    it (see :class:`~repro.usr.predicates.EqPred`).
     """
     cls = dataclass(frozen=True, init=False)(cls)
     if "__init__" not in cls.__dict__:
@@ -107,33 +103,22 @@ def frozen_node(cls):
 
 def _generate_init(cls):
     """Generate and compile ``cls.__init__`` for :func:`frozen_node`."""
-    namespace: Dict[str, Any] = {"__FACTORY": _FACTORY, "__set": object.__setattr__}
+    namespace: Dict[str, Any] = {"__set": object.__setattr__}
     params = ["self"]
     body = []
     for f in _dataclass_fields(cls):
-        if f.kw_only is True:
-            raise TypeError(f"frozen_node: keyword-only field {f.name!r}")
         name = f.name
-        if f.default_factory is not MISSING:
-            namespace[f"__factory_{name}"] = f.default_factory
-            if f.init:
-                params.append(f"{name}=__FACTORY")
-                value = f"__factory_{name}() if {name} is __FACTORY else {name}"
-            else:
-                value = f"__factory_{name}()"
-        elif f.default is not MISSING:
-            namespace[f"__default_{name}"] = f.default
-            if f.init:
-                params.append(f"{name}=__default_{name}")
-                value = name
-            else:
-                value = f"__default_{name}"
-        elif f.init:
+        if f.kw_only is True or not f.init or f.default_factory is not MISSING:
+            raise TypeError(
+                f"frozen_node: field {name!r} is keyword-only, init=False "
+                "or has a default_factory"
+            )
+        if f.default is MISSING:
             params.append(name)
-            value = name
-        else:  # no value to give it, as with dataclasses
-            continue
-        body.append(f"    __set(self, {name!r}, {value})")
+        else:
+            namespace[f"__default_{name}"] = f.default
+            params.append(f"{name}=__default_{name}")
+        body.append(f"    __set(self, {name!r}, {name})")
     if hasattr(cls, "__post_init__"):
         body.append("    self.__post_init__()")
     source = f"def __init__({', '.join(params)}):\n" + ("\n".join(body) or "    pass")

@@ -28,6 +28,10 @@ def __getattr__(name: str):
     return value
 
 
+def __dir__():
+    return sorted(set(globals()) | set(__all__))
+
+
 __all__ = [
     "DecisionOptions",
     "ProofStep",

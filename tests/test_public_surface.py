@@ -118,6 +118,25 @@ def test_dir_and_star_import_cover_all():
     assert namespace["Session"] is importlib.import_module("repro.session").Session
 
 
+@pytest.mark.parametrize("package", ["repro", "repro.udp"])
+def test_dir_lists_all_before_first_use(package):
+    # A fresh interpreter, so no public name has been resolved yet.
+    completed = subprocess.run(
+        [
+            sys.executable,
+            "-c",
+            f"import {package} as p; print(sorted(set(p.__all__) - set(dir(p))))",
+        ],
+        env=_child_env(),
+        capture_output=True,
+        text=True,
+        timeout=120,
+        check=False,
+    )
+    assert completed.returncode == 0, completed.stderr
+    assert completed.stdout.strip() == "[]"
+
+
 def test_unknown_names_raise_attribute_error():
     with pytest.raises(AttributeError):
         repro.no_such_name  # noqa: B018
