@@ -27,10 +27,15 @@ fields is decided here, once:
   ``__dict__``; from then on every attribute read on it is a dictionary
   lookup, which made reading fields about twice as slow.
 
-* :data:`INTERN_CAP` — the bound for the leaf intern tables kept by
-  :class:`~repro.usr.values.TupleVar` and small
-  :class:`~repro.usr.values.ConstVal` constants, so the hot leaves are
-  shared and pointer-compare fast.
+* :data:`INTERN_CAP` — the bound for each intern table in
+  :mod:`repro.usr.values`: :class:`~repro.usr.values.TupleVar`, small
+  :class:`~repro.usr.values.ConstVal` constants, and the attributes
+  ``t.a`` of tuple variables that
+  :func:`~repro.usr.values.project_attr` builds.  The hot nodes are
+  shared and pointer-compare fast.  Fresh aliases are numbered per
+  query, so the same queries reuse the same names and the tables stop
+  growing once a workload has been seen; the cap only guards against
+  a stream of ever-new names.
 
 * :func:`fingerprint` — a *run-stable* structural digest (BLAKE2b).
   Python's built-in ``hash`` is salted per process (``PYTHONHASHSEED``),
@@ -227,9 +232,9 @@ def cached_str(cls):
 # Interned leaves
 # ---------------------------------------------------------------------------
 
-#: Bound on each intern table (the leaf classes keep one dict each; see
-#: ``repro.usr.values``); past it, construction degrades gracefully to
-#: plain allocation (fresh-name generators would otherwise grow the tables
+#: Bound on each intern table (``repro.usr.values`` keeps one dict per
+#: interned kind); past it, construction degrades gracefully to plain
+#: allocation (a stream of ever-new names would otherwise grow the tables
 #: without limit).
 INTERN_CAP = 8192
 

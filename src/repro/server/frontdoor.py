@@ -63,9 +63,11 @@ The loop
   batch line is handed to
   :meth:`~repro.server.pool.SessionPool.submit_json` and its future's
   done-callback wakes the loop to write the answer;
-* **routes by canonical digest** — the pool consistent-hashes each
-  request's exact-text digest onto the member ring, so repeats land on
-  the member whose caches are already hot;
+* **answers repeats before dispatch** — with a shared store installed,
+  the pool looks an exact repeat up in the store's exact-text verdict
+  tier on the loop's own thread and answers it without waking a
+  member; every other request goes to the least-recently-used idle
+  member;
 * **admits in arrival order** — a request that cannot enter the
   :class:`~repro.server.pool.AdmissionGate` parks in a FIFO queue on
   the loop and is admitted strictly in order as slots free.  Streamed

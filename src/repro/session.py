@@ -772,9 +772,11 @@ class Session:
 
         Cached per query in an LRU (by SQL text, or by the AST node for
         ``Query`` inputs — the pretty-printer is not injective, so
-        rendered text cannot key an AST).  The compiler numbers binders
-        deterministically per call, so a cached denotation is
-        byte-identical to a recompile.
+        rendered text cannot key an AST).  Resolution, desugaring and the
+        compiler each number their fresh names per call, so a cached
+        denotation is byte-identical to a recompile, in this session or
+        any other over the same catalog
+        (``tests/test_stable_names.py``).
         """
         cache: Optional[LRUCache] = self.__dict__.get("_compile_cache")
         try:

@@ -28,7 +28,7 @@ alias-qualified and group keys are unambiguous.
 from __future__ import annotations
 
 import itertools
-from typing import Dict, List, Tuple
+from typing import Dict, Iterator, List, Tuple
 
 from repro.errors import CompileError
 from repro.sql.ast import (
@@ -61,11 +61,8 @@ from repro.sql.ast import (
     is_aggregate_name,
 )
 
-_fresh_counter = itertools.count()
-
-
-def _fresh_alias(base: str) -> str:
-    return f"{base}__g{next(_fresh_counter)}"
+#: Numbers a query's fresh aliases; one per :func:`desugar_query` call.
+Fresh = Iterator[int]
 
 
 def attach_having(query: Query, having: Pred) -> Query:
@@ -83,58 +80,72 @@ def attach_having(query: Query, having: Pred) -> Query:
 
 
 def desugar_query(query: Query) -> Query:
-    """Remove all GROUP BY clauses from ``query`` (recursively)."""
+    """Remove all GROUP BY clauses from ``query`` (recursively).
+
+    Fresh aliases (``x__g0``, ``x__g1``, ...) are numbered per call, so
+    desugaring the same query twice gives equal results.
+    """
+    return _desugar(query, itertools.count())
+
+
+def _desugar(query: Query, fresh: Fresh) -> Query:
     if isinstance(query, TableRef):
         return query
     if isinstance(query, Select):
         desugared = Select(
-            tuple(_desugar_projection(p) for p in query.projections),
-            tuple(FromItem(desugar_query(f.query), f.alias) for f in query.from_items),
-            _desugar_pred(query.where) if query.where is not None else None,
+            tuple(_desugar_projection(p, fresh) for p in query.projections),
+            tuple(
+                FromItem(_desugar(f.query, fresh), f.alias) for f in query.from_items
+            ),
+            _desugar_pred(query.where, fresh) if query.where is not None else None,
             query.group_by,
             distinct=query.distinct,
         )
         if desugared.group_by or _projects_aggregate(desugared):
-            return _desugar_group_by(desugared)
+            return _desugar_group_by(desugared, fresh)
         return desugared
     if isinstance(query, Where):
-        return Where(desugar_query(query.query), _desugar_pred(query.predicate))
+        return Where(
+            _desugar(query.query, fresh), _desugar_pred(query.predicate, fresh)
+        )
     if isinstance(query, UnionAll):
-        return UnionAll(desugar_query(query.left), desugar_query(query.right))
+        return UnionAll(_desugar(query.left, fresh), _desugar(query.right, fresh))
     if isinstance(query, Except):
-        return Except(desugar_query(query.left), desugar_query(query.right))
+        return Except(_desugar(query.left, fresh), _desugar(query.right, fresh))
     if isinstance(query, Intersect):
-        return Intersect(desugar_query(query.left), desugar_query(query.right))
+        return Intersect(_desugar(query.left, fresh), _desugar(query.right, fresh))
     if isinstance(query, DistinctQuery):
-        return DistinctQuery(desugar_query(query.query))
+        return DistinctQuery(_desugar(query.query, fresh))
     raise CompileError(f"cannot desugar query node {type(query).__name__}")
 
 
-def _desugar_projection(proj: Projection) -> Projection:
+def _desugar_projection(proj: Projection, fresh: Fresh) -> Projection:
     if isinstance(proj, ExprAs):
-        return ExprAs(_desugar_expr(proj.expr), proj.alias)
+        return ExprAs(_desugar_expr(proj.expr, fresh), proj.alias)
     return proj
 
 
-def _desugar_pred(pred: Pred) -> Pred:
+def _desugar_pred(pred: Pred, fresh: Fresh) -> Pred:
     if isinstance(pred, BinPred):
-        return BinPred(pred.op, _desugar_expr(pred.left), _desugar_expr(pred.right))
+        return BinPred(
+            pred.op, _desugar_expr(pred.left, fresh), _desugar_expr(pred.right, fresh)
+        )
     if isinstance(pred, NotPred):
-        return NotPred(_desugar_pred(pred.inner))
+        return NotPred(_desugar_pred(pred.inner, fresh))
     if isinstance(pred, AndPred):
-        return AndPred(_desugar_pred(pred.left), _desugar_pred(pred.right))
+        return AndPred(_desugar_pred(pred.left, fresh), _desugar_pred(pred.right, fresh))
     if isinstance(pred, OrPred):
-        return OrPred(_desugar_pred(pred.left), _desugar_pred(pred.right))
+        return OrPred(_desugar_pred(pred.left, fresh), _desugar_pred(pred.right, fresh))
     if isinstance(pred, Exists):
-        return Exists(desugar_query(pred.query), negated=pred.negated)
+        return Exists(_desugar(pred.query, fresh), negated=pred.negated)
     return pred
 
 
-def _desugar_expr(expr: Expr) -> Expr:
+def _desugar_expr(expr: Expr, fresh: Fresh) -> Expr:
     if isinstance(expr, FuncCall):
-        return FuncCall(expr.name, tuple(_desugar_expr(a) for a in expr.args))
+        return FuncCall(expr.name, tuple(_desugar_expr(a, fresh) for a in expr.args))
     if isinstance(expr, AggCall):
-        return AggCall(expr.name, desugar_query(expr.query))
+        return AggCall(expr.name, _desugar(expr.query, fresh))
     return expr
 
 
@@ -143,10 +154,10 @@ def _desugar_expr(expr: Expr) -> Expr:
 # ---------------------------------------------------------------------------
 
 
-def _desugar_group_by(query: Select) -> Query:
+def _desugar_group_by(query: Select, fresh: Fresh) -> Query:
     """Rewrite one grouped SELECT per the Sec. 3.2 recipe."""
     rename: Dict[str, str] = {
-        item.alias: _fresh_alias(item.alias) for item in query.from_items
+        item.alias: f"{item.alias}__g{next(fresh)}" for item in query.from_items
     }
     outer_items = tuple(
         FromItem(item.query, rename[item.alias]) for item in query.from_items

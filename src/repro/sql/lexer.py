@@ -9,10 +9,9 @@ case-sensitive, matching the paper's Cosette input files).
 
 from __future__ import annotations
 
-from typing import Iterator, List
+from typing import Iterator, List, NamedTuple
 
 from repro.errors import LexError
-from repro.hashcons import frozen_node
 
 #: Keywords of the combined query + declaration language.
 KEYWORDS = frozenset(
@@ -63,9 +62,13 @@ _PUNCT = {
 }
 
 
-@frozen_node
-class Token:
+class Token(NamedTuple):
     """A lexical token.
+
+    A named tuple, not a :func:`~repro.hashcons.frozen_node`: the parser
+    only reads a token's fields, nothing hashes or fingerprints one, and a
+    tuple costs less than half as much to build (every query's text is
+    lexed again on a cold compile).
 
     Attributes:
         kind: one of ``IDENT``, ``KEYWORD``, ``INT``, ``STRING``, ``OP``,

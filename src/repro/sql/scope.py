@@ -17,7 +17,8 @@ Views are inlined here: a :class:`TableRef` naming a view is replaced by the
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+import itertools
+from typing import Iterator, List, Optional, Tuple
 
 from repro.errors import ResolutionError
 from repro.hashcons import frozen_node
@@ -71,13 +72,23 @@ class Frame:
 
 
 class Environment:
-    """A chain of frames, innermost last."""
+    """A chain of frames, innermost last.
 
-    def __init__(self, frames: Optional[List[Frame]] = None) -> None:
+    Every environment pushed from one root shares the root's counter for
+    fresh aliases (``__in1``, ``__in2``, ...), so a name is unique within
+    one query and resolving the same query twice gives equal results.
+    """
+
+    def __init__(
+        self,
+        frames: Optional[List[Frame]] = None,
+        fresh: Optional[Iterator[int]] = None,
+    ) -> None:
         self._frames: List[Frame] = frames or []
+        self.fresh: Iterator[int] = itertools.count(1) if fresh is None else fresh
 
     def push(self, frame: Frame) -> "Environment":
-        return Environment(self._frames + [frame])
+        return Environment(self._frames + [frame], self.fresh)
 
     def resolve_column(self, ref: ColumnRef) -> ColumnRef:
         """Qualify ``ref``; raises :class:`ResolutionError` if ambiguous."""
@@ -309,9 +320,6 @@ def _resolve_pred(pred: Pred, catalog: Catalog, env: Environment) -> Pred:
     raise ResolutionError(f"unknown predicate {type(pred).__name__}")
 
 
-_in_counter = [0]
-
-
 def _lower_in_pred(pred: InPred, catalog: Catalog, env: Environment) -> Pred:
     """Lower ``e [NOT] IN (q)`` to the classical correlated EXISTS form.
 
@@ -328,8 +336,7 @@ def _lower_in_pred(pred: InPred, catalog: Catalog, env: Environment) -> Pred:
             f"got {schema}"
         )
     column = schema.attributes[0].name
-    _in_counter[0] += 1
-    alias = f"__in{_in_counter[0]}"
+    alias = f"__in{next(env.fresh)}"
     membership = Select(
         (Star(),),
         (FromItem(inner, alias),),

@@ -7,7 +7,8 @@ tuple constructors.
 
 All nodes are immutable, hashable, and compare structurally.  Hashes are
 cached per instance and the hot leaves (:class:`TupleVar`, small
-:class:`ConstVal`) are interned (see :mod:`repro.hashcons`); every node also
+:class:`ConstVal`) are interned, as are the attributes of tuple variables
+that :func:`project_attr` builds (see :mod:`repro.hashcons`); every node also
 carries a run-stable structural :meth:`~ValueExpr.fingerprint` used as a
 memoization key by the normalize/canonize caches and the batch service.
 """
@@ -50,9 +51,11 @@ class ValueExpr:
         return _structural_fingerprint(self)
 
 
-#: Intern pools for the leaf nodes (bounded; see :data:`INTERN_CAP`).
+#: Intern pools for the leaf nodes and for attributes of tuple variables
+#: (bounded; see :data:`INTERN_CAP`).
 _TUPLEVAR_POOL: dict = {}
 _CONSTVAL_POOL: dict = {}
+_ATTR_POOL: dict = {}
 
 
 @cached_structural_hash
@@ -237,7 +240,18 @@ def project_attr(value: ValueExpr, name: str) -> ValueExpr:
 
     ``⟨a: e⟩.a`` reduces to ``e``; concatenations route to the component whose
     (concrete) schema owns the attribute; anything else stays symbolic.
+    ``t.a`` for a tuple variable ``t`` is interned: one shared :class:`Attr`
+    per ``(t, a)`` pair, whose cached hash, rendering, free variables and
+    fingerprint depend on its fields only.
     """
+    if value.__class__ is TupleVar:
+        key = (value.name, name)
+        node = _ATTR_POOL.get(key)
+        if node is None:
+            node = Attr(value, name)
+            if len(_ATTR_POOL) < INTERN_CAP:
+                _ATTR_POOL[key] = node
+        return node
     if isinstance(value, TupleCons):
         field = value.field(name)
         if field is not None:

@@ -169,6 +169,10 @@ GATE_SHAPES = 28
 GATE_VARIANTS = 24
 #: Digest-bucketed placement must beat decision-only placement by this.
 DIGEST_SPEEDUP = 5.0
+#: Each placement is timed this many times, the two alternating, and its
+#: fastest run counts: a digest run (about 0.4 s) is shorter than the
+#: stretches over which a shared host changes speed.
+GATE_RUNS = 3
 
 
 def spellings(a: int, b: int):
@@ -202,16 +206,17 @@ def _timed_placement(corpus, digest_buckets: bool):
     engine = ClusterEngine(
         legacy_session(RS_PROGRAM), digest_buckets=digest_buckets
     )
-    started = time.monotonic()
+    started = time.process_time()
     for query in corpus:
         engine.place(query)
-    return engine, time.monotonic() - started
+    return engine, time.process_time() - started
 
 
 def test_digest_bucketing_beats_decision_only_placement():
-    """Shapes interleaved so every run keeps revisiting old groups; both
-    runs start from cleared caches with memoization off, so neither
-    inherits the other's work."""
+    """Shapes interleaved so every run keeps revisiting old groups; every
+    run starts from cleared caches with memoization off, so none
+    inherits another's work.  Runs are timed in process CPU time, so
+    other processes on the host do not count against either side."""
     per_shape = [
         spellings(shape + 1, (shape + 1) * 10)[:GATE_VARIANTS]
         for shape in range(GATE_SHAPES)
@@ -222,9 +227,13 @@ def test_digest_bucketing_beats_decision_only_placement():
         for shape in range(GATE_SHAPES)
     ]
     previous = set_memoization(False)
+    decision_s = digest_s = float("inf")
     try:
-        decision, decision_s = _timed_placement(corpus, digest_buckets=False)
-        digest, digest_s = _timed_placement(corpus, digest_buckets=True)
+        for _ in range(GATE_RUNS):
+            decision, seconds = _timed_placement(corpus, digest_buckets=False)
+            decision_s = min(decision_s, seconds)
+            digest, seconds = _timed_placement(corpus, digest_buckets=True)
+            digest_s = min(digest_s, seconds)
     finally:
         set_memoization(previous)
         clear_caches()

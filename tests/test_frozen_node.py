@@ -28,7 +28,6 @@ import repro
 from repro.errors import SchemaError
 from repro.hashcons import cached_structural_hash, frozen_node
 from repro.sql import ast
-from repro.sql.lexer import Token
 from repro.sql.schema import Attribute, Schema
 from repro.sql.scope import Frame
 from repro.udp.trace import ProofStep
@@ -119,7 +118,6 @@ SAMPLES = {
     "repro.sql.ast.GroupBy": lambda: ast.GroupBy(
         ast.TableRef("r"), (ast.ColumnRef("x", "a"),)
     ),
-    "repro.sql.lexer.Token": lambda: Token("IDENT", "x", 1, 8),
     "repro.sql.schema.Attribute": lambda: Attribute("a", "string"),
     "repro.sql.schema.Schema": lambda: Schema(
         "s", (Attribute("a"), Attribute("b")), True

@@ -87,6 +87,30 @@ def test_token_is_keyword_helper():
     token = tokenize("FROM")[0]
     assert token.is_keyword("from")
     assert not token.is_keyword("select")
+    assert not token.is_keyword("FROM")  # keyword values are lower-cased
+    assert not Token("IDENT", "from", 1, 1).is_keyword("from")
+
+
+def test_tokens_compare_by_value():
+    first, second = tokenize("SELECT x"), tokenize("SELECT x")
+    assert first == second and first[0] is not second[0]
+    assert first == [Token("KEYWORD", "select", 1, 1), Token("IDENT", "x", 1, 8)]
+    assert Token("IDENT", "x", 1, 8) == Token(kind="IDENT", value="x", line=1, column=8)
+    assert Token("IDENT", "x", 1, 8) != Token("IDENT", "x", 1, 9)
+    assert Token("IDENT", "x", 1, 8) != Token("STRING", "x", 1, 8)
+
+
+def test_token_str_shows_kind_and_value():
+    assert str(Token("IDENT", "x", 1, 8)) == "IDENT('x')"
+    assert [str(t) for t in tokenize("a <> 'b c'")] == [
+        "IDENT('a')", "OP('<>')", "STRING('b c')",
+    ]
+
+
+def test_tokens_are_immutable():
+    token = tokenize("x")[0]
+    with pytest.raises(AttributeError):
+        token.kind = "KEYWORD"
 
 
 def test_qualified_column_tokens():
