@@ -51,13 +51,16 @@ test-differential:
 ## digests, the one-closure canonizer against its round-at-a-time
 ## reference, the digest kernel, sum matching with its tdp-match memo,
 ## the immutable-node kernel (repro.hashcons.frozen_node) with its
-## cached structural hash, and stable per-query fresh names (a recompile
-## gives the same denotation, and the intern pools stop growing).
+## cached structural hash, stable per-query fresh names (a recompile
+## gives the same denotation, and the intern pools stop growing), and the
+## model checker's pinned counterexample texts (candidates are compared
+## on the set of tables a pair reads).
 ## Picking a class representative must never depend on set iteration
-## order, the memo key hashes the canonized forms, and a cached hash must
-## never outlive its process; PYTHONHASHSEED changes all three, and no
+## order, the memo key hashes the canonized forms, a cached hash must
+## never outlive its process, and the tables a pair reads must never
+## decide a candidate order; PYTHONHASHSEED changes all four, and no
 ## answer may depend on it.
-CANONICAL_TESTS = tests/test_canonical_golden.py tests/test_canonize_differential.py tests/test_kernel.py tests/test_compare_canonized.py tests/test_frozen_node.py tests/test_stable_names.py
+CANONICAL_TESTS = tests/test_canonical_golden.py tests/test_canonize_differential.py tests/test_kernel.py tests/test_compare_canonized.py tests/test_frozen_node.py tests/test_stable_names.py tests/test_checker.py
 test-canonical:
 	PYTHONHASHSEED=0 $(PYTHON) -m pytest -x -q $(CANONICAL_TESTS)
 	PYTHONHASHSEED=1 $(PYTHON) -m pytest -x -q $(CANONICAL_TESTS)

@@ -15,6 +15,13 @@ A sampler, not ``cProfile``: a deterministic profiler charges a fixed
 cost to every Python call, so it inflates call-heavy code and can rank
 two designs the wrong way round.  This reports only and gates nothing.
 
+The report also gives the cost of the cyclic garbage collector per
+measured pass: for each generation, the collections and the wall time
+between the ``start`` and ``stop`` calls of a :data:`gc.callbacks` hook.
+No GC setting is changed.  A sampling tick that arrives during a
+collection is handled at the hook's ``stop`` call, so the collector's
+sampled time shows as the self share of ``GcTally._callback``.
+
 Run::
 
     PYTHONPATH=src python benchmarks/profile_cold.py --passes 20
@@ -23,6 +30,7 @@ Run::
 from __future__ import annotations
 
 import argparse
+import gc
 import os
 import signal
 import sys
@@ -95,6 +103,32 @@ class Sampler:
         return [(count / total, label) for label, count in counts.most_common(limit)]
 
 
+class GcTally:
+    """Collections and time of the cyclic GC per generation, read through
+    :data:`gc.callbacks` while the ``with`` block runs."""
+
+    def __init__(self) -> None:
+        self.collections = [0] * 3
+        self.seconds = [0.0] * 3
+        self._started = None
+
+    def _callback(self, phase, info) -> None:
+        if phase == "start":
+            self._started = time.perf_counter()
+        elif self._started is not None:
+            generation = info["generation"]
+            self.collections[generation] += 1
+            self.seconds[generation] += time.perf_counter() - self._started
+            self._started = None
+
+    def __enter__(self) -> "GcTally":
+        gc.callbacks.append(self._callback)
+        return self
+
+    def __exit__(self, *exc) -> None:
+        gc.callbacks.remove(self._callback)
+
+
 def cold_pass(requests) -> None:
     from repro import Session, clear_caches
 
@@ -118,7 +152,7 @@ def main(argv=None) -> int:
     for _ in range(WARMUP):
         cold_pass(requests)
     started = time.perf_counter()
-    with Sampler(INTERVAL_S) as sampler:
+    with Sampler(INTERVAL_S) as sampler, GcTally() as collector:
         for _ in range(args.passes):
             cold_pass(requests)
     took = time.perf_counter() - started
@@ -128,6 +162,15 @@ def main(argv=None) -> int:
         f"({1000.0 * took / args.passes:.1f} ms a pass); "
         f"{sampler.samples} samples every {1000.0 * INTERVAL_S:g} ms of CPU time"
     )
+    print("\ncyclic GC per pass")
+    for generation in range(3):
+        print(
+            f"  gen{generation}: "
+            f"{collector.collections[generation] / args.passes:6.2f} collections, "
+            f"{1000.0 * collector.seconds[generation] / args.passes:6.2f} ms"
+        )
+    gc_share = sum(collector.seconds) / took if took else 0.0
+    print(f"  total: {100.0 * gc_share:.1f}% of the measured wall time")
     tables: Dict[str, Counter] = {
         "self": sampler.self_counts,
         "cumulative": sampler.cumulative_counts,

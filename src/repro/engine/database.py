@@ -22,6 +22,17 @@ def freeze_row(row: Row) -> Tuple:
     return tuple(sorted(row.items(), key=lambda item: item[0]))
 
 
+def rows_key(rows: Iterable[Row]) -> Tuple:
+    """Hashable form of a table's rows, in order: two tables with equal
+    keys hold equal rows in the same order.  Each value is keyed with
+    its type, since ``1``, ``1.0`` and ``True`` are equal in Python but
+    not to the evaluator or to :meth:`Database.describe`."""
+    return tuple(
+        tuple((name, type(value), value) for name, value in row.items())
+        for row in rows
+    )
+
+
 def bag_of(rows: Iterable[Row]) -> Dict[Tuple, int]:
     """Multiplicity map of a bag of rows."""
     out: Dict[Tuple, int] = {}
@@ -89,6 +100,10 @@ class Database:
 
     def tables(self) -> List[str]:
         return sorted(self._tables)
+
+    def key_on(self, tables: Iterable[str]) -> Tuple:
+        """:func:`rows_key` of each of ``tables``, in the order given."""
+        return tuple([rows_key(self._tables[table]) for table in tables])
 
     def size(self) -> int:
         return sum(len(rows) for rows in self._tables.values())

@@ -14,17 +14,34 @@ import random
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import EvaluationError
-from repro.engine.database import Database, Row
+from repro.engine.database import Database, Row, rows_key
 from repro.hashcons import LRUCache, memoization_enabled
 from repro.sql.program import Catalog
 
 #: Row assignments surviving :meth:`DatabaseGenerator.exhaustive_small`'s
 #: constraint filter, keyed by catalog *content*: tables with attribute
-#: names, keys, foreign keys, ``rows_per_table`` and the value pool.
+#: names, keys, foreign keys, ``rows_per_table`` and the value pool; and
+#: under ``(that key, positions)`` the first assignment of each distinct
+#: content of the tables at those positions.
 #: Rows only, never :class:`Database` objects — the evaluator reads views
 #: and table schemas from ``database.catalog``, so each use binds the
 #: rows to the caller's own catalog.
 _CANDIDATE_CACHE = LRUCache("model-check-candidates", maxsize=64)
+
+
+def _first_of_each(
+    assignments: Sequence[Tuple[Tuple[Row, ...], ...]], positions: Sequence[int]
+) -> Tuple[Tuple[Tuple[Row, ...], ...], ...]:
+    """The assignments whose tables at ``positions`` hold rows no earlier
+    assignment holds there, in order."""
+    seen = set()
+    kept = []
+    for assignment in assignments:
+        rows = tuple(rows_key(assignment[i]) for i in positions)
+        if rows not in seen:
+            seen.add(rows)
+            kept.append(assignment)
+    return tuple(kept)
 
 
 class DatabaseGenerator:
@@ -60,7 +77,11 @@ class DatabaseGenerator:
         """The empty instance (always satisfies the constraints)."""
         return Database(self.catalog)
 
-    def exhaustive_small(self, rows_per_table: int = 1) -> List[Database]:
+    def exhaustive_small(
+        self,
+        rows_per_table: int = 1,
+        distinct_on: Optional[Sequence[str]] = None,
+    ) -> List[Database]:
         """All instances with at most ``rows_per_table`` rows per table over a
         two-value pool — tiny but systematically covers the corner cases
         (empty tables included).
@@ -71,6 +92,13 @@ class DatabaseGenerator:
         The surviving row assignments are cached by catalog content and
         bound to this generator's catalog on every call, so two catalogs
         with equal tables but different views never share a database.
+
+        With ``distinct_on`` (names of catalog tables), an instance whose
+        rows in those tables equal, in order, those of an earlier instance
+        is dropped before any :class:`Database` is built; the rest keep
+        their order.  The model checker passes the tables a query pair
+        reads, so it evaluates the pair once per distinct answer it can
+        get.
         """
         pool = self.value_pool[:2] if len(self.value_pool) >= 2 else self.value_pool
         tables = sorted(self.catalog.tables())
@@ -97,6 +125,16 @@ class DatabaseGenerator:
             )
             if memoize:
                 _CANDIDATE_CACHE.put(key, assignments)
+        # Instances differ in at least one table, so only a strict subset
+        # of the tables can repeat.
+        if distinct_on is not None and len(set(distinct_on)) < len(tables):
+            positions = tuple(tables.index(table) for table in distinct_on)
+            distinct = _CANDIDATE_CACHE.get((key, positions)) if memoize else None
+            if distinct is None:
+                distinct = _first_of_each(assignments, positions)
+                if memoize:
+                    _CANDIDATE_CACHE.put((key, positions), distinct)
+            assignments = distinct
         return [
             Database.of_rows(self.catalog, zip(tables, assignment))
             for assignment in assignments

@@ -36,6 +36,11 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 #: then be overwritten.
 _UNINTERNED = object()
 
+#: Sets a field of a frozen node; the interned leaves set theirs in
+#: ``__new__``, so that Python's ``__init__`` call on a pooled instance
+#: writes nothing.
+_set_field = object.__setattr__
+
 
 class ValueExpr:
     """Base class for value expressions."""
@@ -66,19 +71,21 @@ class TupleVar(ValueExpr):
     name: str
 
     def __new__(cls, name=_UNINTERNED):
-        if (
-            cls is not TupleVar
-            or name is _UNINTERNED
-            or not isinstance(name, str)
-        ):
+        if name is _UNINTERNED:
             return super().__new__(cls)
-        cached = _TUPLEVAR_POOL.get(name)
-        if cached is not None:
-            return cached
+        pooled = cls is TupleVar and isinstance(name, str)
+        if pooled:
+            cached = _TUPLEVAR_POOL.get(name)
+            if cached is not None:
+                return cached
         instance = super().__new__(cls)
-        if len(_TUPLEVAR_POOL) < INTERN_CAP:
+        _set_field(instance, "name", name)
+        if pooled and len(_TUPLEVAR_POOL) < INTERN_CAP:
             _TUPLEVAR_POOL[name] = instance
         return instance
+
+    def __init__(self, name) -> None:
+        """``__new__`` has set the field, so a pool hit writes nothing."""
 
     def free_tuple_vars(self) -> frozenset:
         return frozenset({self.name})
@@ -112,20 +119,22 @@ class ConstVal(ValueExpr):
     value: object
 
     def __new__(cls, value=_UNINTERNED):
-        if (
-            cls is not ConstVal
-            or value is _UNINTERNED
-            or not isinstance(value, (str, int, float, bool))
-        ):
+        if value is _UNINTERNED:
             return super().__new__(cls)
-        key = (type(value).__name__, value)
-        cached = _CONSTVAL_POOL.get(key)
-        if cached is not None:
-            return cached
+        key = None
+        if cls is ConstVal and isinstance(value, (str, int, float, bool)):
+            key = (type(value).__name__, value)
+            cached = _CONSTVAL_POOL.get(key)
+            if cached is not None:
+                return cached
         instance = super().__new__(cls)
-        if len(_CONSTVAL_POOL) < INTERN_CAP:
+        _set_field(instance, "value", value)
+        if key is not None and len(_CONSTVAL_POOL) < INTERN_CAP:
             _CONSTVAL_POOL[key] = instance
         return instance
+
+    def __init__(self, value) -> None:
+        """``__new__`` has set the field, so a pool hit writes nothing."""
 
     def free_tuple_vars(self) -> frozenset:
         return frozenset()

@@ -2,6 +2,7 @@
 
 import itertools
 import json
+import random
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
@@ -9,11 +10,15 @@ from pathlib import Path
 import pytest
 
 from repro.checker import ModelChecker
+from repro.checker.model_check import Counterexample, tables_read
 from repro.corpus import all_rules
 from repro.corpus.rules import get_rule
-from repro.engine import Database, DatabaseGenerator
+from repro.engine import Database, DatabaseGenerator, QueryEvaluator
+from repro.engine.database import bag_of
+from repro.errors import EvaluationError
 from repro.hashcons import clear_caches
-from repro.session import Session
+from repro.session import PipelineConfig, Session
+from repro.sql.ast import TableRef
 from repro.udp.trace import ReasonCode
 
 from tests.conftest import KEYED_PROGRAM, RS_PROGRAM, make_catalog
@@ -250,3 +255,197 @@ def test_like_over_non_string_column_is_not_refuted():
     result = session.verify(left, right)
     assert result.reason_code is not ReasonCode.COUNTEREXAMPLE
     assert result.counterexample is None
+
+
+# -- candidates compared on the tables a pair reads ---------------------------
+
+
+def _reference_counterexample(catalog, left, right, random_attempts=30, max_rows=3):
+    """Evaluate the pair on every candidate, exhaustive then random, in
+    order — the search before candidates were compared on the tables a
+    pair reads.  The first disagreement's text, or ``None``."""
+    checker = ModelChecker(catalog)
+    left_query, right_query = checker._prepare(left), checker._prepare(right)
+    try:
+        candidates = DatabaseGenerator(catalog).exhaustive_small(1)
+    except EvaluationError:
+        candidates = [Database(catalog)]
+    for attempt in range(random_attempts):
+        try:
+            candidates.append(
+                DatabaseGenerator(catalog, seed=attempt + 1).generate(max_rows=max_rows)
+            )
+        except EvaluationError:
+            continue
+    for database in candidates:
+        evaluator = QueryEvaluator(database)
+        try:
+            left_bag = bag_of(evaluator.rows(left_query))
+            right_bag = bag_of(evaluator.rows(right_query))
+        except EvaluationError:
+            continue
+        if left_bag != right_bag:
+            return Counterexample(database, left_bag, right_bag).describe()
+    return None
+
+
+def _assert_matches_reference(catalog, left, right):
+    """The checker refutes exactly when the reference does, with its text;
+    returns that text, or ``None``."""
+    expected = _reference_counterexample(catalog, left, right)
+    witness = ModelChecker(catalog).find_counterexample(left, right)
+    assert (witness is None) == (expected is None), (left, right)
+    if witness is not None:
+        assert witness.describe() == expected
+    return expected
+
+
+MODEL_CHECKED_RULES = [
+    rule
+    for rule in RULES
+    if PINNED_OUTCOMES[rule.rule_id]["reason_code"]
+    in ("counterexample-found", "no-counterexample")
+]
+
+
+@pytest.mark.parametrize(
+    "rule", MODEL_CHECKED_RULES, ids=[r.rule_id for r in MODEL_CHECKED_RULES]
+)
+def test_model_checked_rules_match_the_every_candidate_loop(rule):
+    catalog = Session.from_program_text(rule.program).catalog
+    _assert_matches_reference(catalog, rule.left, rule.right)
+
+
+#: Per program: tables and views with their columns, for seeded pairs.
+SEEDED_RELATIONS = {
+    "rs": (RS_PROGRAM, (("r", ("a", "b")), ("s", ("c", "d")))),
+    "keyed": (KEYED_PROGRAM, (("r0", ("k", "a")), ("i0", ("k", "a")))),
+}
+
+
+def _seeded_pair(rng, relations):
+    """A random query and a near-variant of it: the same query, its
+    predicates reordered, DISTINCT toggled, one constant flipped, or one
+    more FROM item."""
+    items = [(rng.choice(relations), f"x{i}") for i in range(rng.randint(1, 2))]
+    columns = [f"{alias}.{c}" for (_, cols), alias in items for c in cols]
+    preds = [
+        f"{rng.choice(columns)} = {rng.choice(columns + ['0', '1'])}"
+        for _ in range(rng.randint(0, 2))
+    ]
+    if rng.random() < 0.4:
+        name, cols = rng.choice(relations)
+        negated = "NOT " if rng.random() < 0.5 else ""
+        preds.append(
+            f"{negated}EXISTS (SELECT * FROM {name} z "
+            f"WHERE z.{cols[0]} = {rng.choice(columns + ['1'])})"
+        )
+    if rng.random() < 0.3:
+        name, cols = rng.choice(relations)
+        preds.append(
+            f"{rng.choice(columns)} = count(SELECT z.{cols[1]} AS c FROM {name} z "
+            f"WHERE z.{cols[0]} = {rng.choice(columns)})"
+        )
+    distinct = rng.random() < 0.3
+    output = rng.choice(columns)
+
+    def render(items, preds, distinct):
+        text = "SELECT " + ("DISTINCT " if distinct else "") + f"{output} AS o FROM "
+        text += ", ".join(f"{name} {alias}" for (name, _), alias in items)
+        return text + (" WHERE " + " AND ".join(preds) if preds else "")
+
+    mutation = rng.randrange(5)
+    other_items, other_preds, other_distinct = list(items), list(preds), distinct
+    if mutation == 1:
+        other_preds.reverse()
+    elif mutation == 2:
+        other_distinct = not distinct
+    elif mutation == 3 and any(p.endswith(("= 0", "= 1")) for p in preds):
+        i = next(i for i, p in enumerate(preds) if p.endswith(("= 0", "= 1")))
+        other_preds[i] = preds[i][:-1] + ("1" if preds[i].endswith("0") else "0")
+    elif mutation == 4:
+        other_items.append((rng.choice(relations), "extra"))
+    return render(items, preds, distinct), render(other_items, other_preds, other_distinct)
+
+
+@pytest.mark.parametrize("program", sorted(SEEDED_RELATIONS))
+def test_seeded_pairs_match_the_every_candidate_loop(program):
+    text, relations = SEEDED_RELATIONS[program]
+    catalog = Session.from_program_text(text).catalog
+    rng = random.Random(2801)
+    outcomes = []
+    for _ in range(40):
+        left, right = _seeded_pair(rng, relations)
+        outcomes.append(_assert_matches_reference(catalog, left, right) is None)
+    # Both outcomes occur, so the comparison covers both branches.
+    assert any(outcomes) and not all(outcomes)
+
+
+def test_emp_only_pair_evaluates_each_distinct_emp_table_once(monkeypatch):
+    """A pair that reads only ``emp`` of ``{emp, dept}``, under the
+    session's search bounds: its 145 candidates hold 34 distinct ``emp``
+    tables, and each is evaluated once."""
+    rule = get_rule("cal-33")
+    catalog = Session.from_program_text(rule.program).catalog
+    calls = []
+    check_one = ModelChecker._check_one
+
+    def counting(self, database, left, right):
+        calls.append(database)
+        return check_one(self, database, left, right)
+
+    monkeypatch.setattr(ModelChecker, "_check_one", counting)
+    config = PipelineConfig()
+    assert ModelChecker(catalog).find_counterexample(
+        rule.left,
+        rule.right,
+        random_attempts=config.model_check_attempts,
+        max_rows=config.model_check_max_rows,
+    ) is None
+    assert len(calls) == 34
+    emp_tables = [database.rows("emp") for database in calls]
+    assert all(a != b for a, b in itertools.combinations(emp_tables, 2))
+
+
+#: Pairs over ``r`` and ``s`` that agree whenever ``s`` is empty and differ
+#: only in how they use ``s``: through a view, in ``EXISTS``, in an
+#: aggregate subquery.
+REACH_PROGRAM = RS_PROGRAM + "view vs SELECT * FROM s y;\n"
+REACH_PAIRS = {
+    "view": (
+        "SELECT x.a AS a FROM r x, vs v WHERE v.c = 1",
+        "SELECT x.a AS a FROM r x, vs v WHERE v.c = 0",
+    ),
+    "exists": (
+        "SELECT x.a AS a FROM r x WHERE EXISTS (SELECT * FROM s y WHERE y.c = 1)",
+        "SELECT x.a AS a FROM r x WHERE EXISTS (SELECT * FROM s y WHERE y.c = 0)",
+    ),
+    "aggregate": (
+        "SELECT x.a AS a FROM r x WHERE x.b = sum(SELECT y.c AS c FROM s y WHERE y.d = 1)",
+        "SELECT x.a AS a FROM r x WHERE x.b = sum(SELECT y.c AS c FROM s y WHERE y.d = 0)",
+    ),
+}
+
+
+@pytest.mark.parametrize("route", sorted(REACH_PAIRS))
+def test_tables_reached_through_subqueries_and_views_are_read(route):
+    """Exhaustive candidates only: ``r`` varies slowest, so comparing on
+    ``r`` alone would keep just the empty-``s`` instance of each ``r``."""
+    catalog = Session.from_program_text(REACH_PROGRAM).catalog
+    left, right = REACH_PAIRS[route]
+    checker = ModelChecker(catalog)
+    assert tables_read(catalog, [checker._prepare(left)]) == ("r", "s")
+    witness = checker.find_counterexample(left, right, random_attempts=0)
+    assert witness is not None
+    assert witness.database.rows("s")
+
+
+def test_tables_read_fails_closed():
+    catalog = Session.from_program_text(REACH_PROGRAM).catalog
+
+    class Unknown:
+        pass
+
+    assert tables_read(catalog, [Unknown()]) == ("r", "s")
+    assert tables_read(catalog, [TableRef("missing")]) == ("r", "s")
+    assert tables_read(catalog, [TableRef("vs")]) == ("s",)
